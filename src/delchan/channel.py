@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from delchan.sources import _rng_from, as_bits, bits_to_str
+from delchan.sources import _rng_from, as_bits
 
 __all__ = [
     "DeletionRealization",

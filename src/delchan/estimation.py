@@ -19,9 +19,9 @@ an O(log n / n) term removed:
   (their output is not renewal), so the renewal estimator refuses them
   and ``estimate_rate`` labels the result ``"upper-bound"``.
 
-Replicas use per-index RNG streams spawned from the root seed and are
-reduced in index order, so results are bit-identical for any thread
-count.
+Replicas use per-index RNG streams spawned from the root seed, run in
+fixed chunks of 64 (threads map chunks) and are reduced in index order,
+so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from delchan.channel import run_lengths, transmit
-from delchan.likelihood import embedding_count, log2_binomial
+from delchan.likelihood import _band_counts, log2_binomial
 from delchan.sources import DEFAULT_SEED, SourceSpec, sample_sequence
 
 __all__ = [
@@ -49,6 +49,9 @@ _BURN_IN_RUNS = 64
 _L_CAP = 64
 _BOOTSTRAP_RESAMPLES = 200
 _MIN_COUNT_PER_SUPPORT_POINT = 100
+#: Replicas per batched embedding DP: fixed (so threads cannot change
+#: results) and small (so it bounds memory).
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,8 @@ def estimate_h_cond(
     through the channel, and evaluates
     ``(log2 C(n, m) - log2 N(x, y)) / n`` — the exact conditional
     information of the received string given input and output length.
-    Replicas use index-derived RNG streams and an index-ordered
-    reduction, so the result does not depend on ``threads``.
+    Replicas use index-derived RNG streams and run in fixed chunks of 64
+    (one batched DP each), so the result does not depend on ``threads``.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -125,20 +128,28 @@ def estimate_h_cond(
     children = _as_seed_sequence(seed).spawn(samples)
     values = np.empty(samples)
 
-    def replica(i: int) -> None:
-        rng = np.random.Generator(np.random.Philox(children[i]))
-        x = sample_sequence(spec, n, rng)
-        real = transmit(x, d, rng)
-        m = int(real.y.size)
-        log_n_xy = embedding_count(real.x, real.y)
-        values[i] = (log2_binomial(n, m) - log_n_xy) / n
+    def chunk(start: int) -> None:
+        reals = []
+        for child in children[start : start + _CHUNK]:
+            rng = np.random.Generator(np.random.Philox(child))
+            reals.append(transmit(sample_sequence(spec, n, rng), d, rng))
+        ms = [real.y.size for real in reals]
+        ys = np.zeros((len(reals), n), dtype=np.uint8)
+        for row, real in zip(ys, reals):
+            row[: real.y.size] = real.y
+        top, scale = _band_counts(np.array([real.x for real in reals]), ys, ms)
+        log_n = np.log2(top) + scale  # y is a subsequence of x: N >= 1
+        values[start : start + len(reals)] = [
+            (log2_binomial(n, m) - v) / n for m, v in zip(ms, log_n.tolist())
+        ]
 
+    starts = range(0, samples, _CHUNK)
     if threads == 1:
-        for i in range(samples):
-            replica(i)
+        for start in starts:
+            chunk(start)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(replica, range(samples)))
+            list(pool.map(chunk, starts))
 
     mean = math.fsum(values.tolist()) / samples
     var = math.fsum(((v - mean) ** 2 for v in values.tolist()))
@@ -264,7 +275,7 @@ def estimate_h_out_renewal(
     use ``estimate_rate``, which reports the same formula as an
     explicit upper bound.
     """
-    if spec.kind == "markov":
+    if not spec.is_renewal_like:
         raise ValueError(
             "output of a Markov source is not a renewal process; "
             "use estimate_rate for the labeled upper-bound estimate"
@@ -303,7 +314,7 @@ def estimate_rate(
         h_out, se_out = _h_out_from_stream(
             spec, d, out_bits, out_seed, miller_madow=miller_madow
         )
-    mode = "upper-bound" if spec.kind == "markov" else "exact-renewal"
+    mode = "exact-renewal" if spec.is_renewal_like else "upper-bound"
     return RateEstimate(
         rate=h_out - h_cond,
         h_out=h_out,

@@ -7,12 +7,17 @@ subsequence embeddings of ``y`` in ``x``.  ``N`` satisfies the dynamic
 program ``f[i][j] = f[i-1][j] + [x_i = y_j] * f[i-1][j-1]`` with
 ``f[i][0] = 1``.
 
-``embedding_count`` evaluates the DP with exact integer arithmetic for
-``n <= 64`` and with row-scaled floating point (renormalization when the
-row peak nears overflow, carrying a separate log2 scale) above, keeping
-O(m) space.  Impossible outputs are reported as the distinguished value
-``-inf``, not as errors: Monte Carlo never produces them but
-adversarial inputs do.
+One float64 kernel evaluates the DP for every caller.  Only the band
+``0 <= delta = i - j <= k = n - m`` reaches ``f[n][m]`` (Davey & MacKay's
+drift states), so it runs ``f_i[delta] = f_{i-1}[delta-1] + [x_i =
+y_{i-delta}] f_{i-1}[delta]`` in O(n (k + 1)) time on a batch of pairs of
+one input length at once, outputs padded with a sentinel that matches no
+input bit.  A pair whose band peak nears overflow is rescaled by an exact
+power of two kept as a log2 scale, so its value is bit-identical alone or
+in any batch.  Counts are exact below 2^53 (every ``n <= 56``, so the
+``n <= 12`` oracles); above, the relative error is about ``n * 2^-53``.
+Impossible outputs give the distinguished value ``-inf``, not an error:
+Monte Carlo never produces them but adversarial inputs do.
 
 ``exact_block_information`` enumerates all inputs and masks for
 ``n <= 12`` and returns exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` — the
@@ -45,9 +50,13 @@ __all__ = [
 #: Distinguished value for outputs no deletion mask can produce.
 IMPOSSIBLE = float("-inf")
 
-_EXACT_MAX_N = 64
-_SCALE_LIMIT = 1e300
 _ORACLE_MAX_N = 12
+#: Pads the outputs in ``_band_counts``; matches no input bit.
+_SENTINEL = 2
+#: Band values at most double per input bit: a peak check every 32 bits
+#: against 2^960 keeps them below 2^992.
+_RESCALE_EVERY = 32
+_RESCALE_ABOVE = 2.0**960
 
 
 @dataclass(frozen=True)
@@ -81,26 +90,46 @@ def log2_binomial(n: int, k: int) -> float:
     ) / math.log(2.0)
 
 
-def _embedding_count_exact(xs: list[int], ys: list[int]) -> int:
-    """Single-row integer DP; returns the exact embedding count."""
-    n, m = len(xs), len(ys)
-    row = [0] * (m + 1)
-    row[0] = 1
-    for i, xi in enumerate(xs, start=1):
-        lo = max(1, m - (n - i))
-        for j in range(min(i, m), lo - 1, -1):
-            if xi == ys[j - 1]:
-                row[j] += row[j - 1]
-    return row[m]
+def _band_counts(
+    x: np.ndarray, y: np.ndarray, m: np.ndarray | list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding counts ``top * 2**scale`` of R pairs: ``x`` is one input,
+    shape ``(n,)``, or one per pair, ``(R, n)``; output r is ``y[r, :m[r]]``."""
+    xt = np.atleast_2d(x).T  # pairs last throughout: (n, R) or (n, 1)
+    n, m = xt.shape[0], np.asarray(m, dtype=np.int64)
+    k, rows, width = n - m, m.size, y.shape[1]
+    K = int(k.max())
+    # Pair r's band fills entries K - k_r..K of column r (zeros below), so
+    # its answer is entry K.  Run back to front (N is unchanged), every y
+    # starts at offset K of ypad: the step reading x[u] meets ypad[u + c].
+    ypad = np.full((n + K, rows), _SENTINEL, dtype=np.uint8)
+    ypad[K : K + width] = np.where(np.arange(width)[:, None] < m, y.T, _SENTINEL)
+    windows = np.ndarray((n, K + 1, rows), np.uint8, ypad, 0, (rows, rows, 1))
+    f = np.zeros((K + 1, rows))
+    f[K - k, np.arange(rows)] = 1.0
+    g = np.empty_like(f)
+    eq = np.empty((min(n, _RESCALE_EVERY), K + 1, rows))
+    scale = np.zeros(rows, dtype=np.int64)
+    for hi in range(n, 0, -_RESCALE_EVERY):
+        lo = max(hi - _RESCALE_EVERY, 0)
+        np.equal(windows[lo:hi], xt[lo:hi, None, :], out=eq[: hi - lo])
+        for u in range(hi - lo - 1, -1, -1):
+            np.multiply(f, eq[u], out=g)
+            g[1:] += f[:-1]
+            f, g = g, f
+        peak = f.max(axis=0)
+        e = np.where(peak > _RESCALE_ABOVE, np.frexp(peak)[1], 0)
+        np.ldexp(f, -e, out=f)
+        scale += e
+    return f[K], scale
 
 
-def embedding_count(x, y, force_scaled: bool = False) -> float:
+def embedding_count(x, y) -> float:
     """``log2 N(x, y)``: deletion masks of weight ``n - m`` mapping ``x`` to ``y``.
 
-    Exact integer arithmetic when ``len(x) <= 64`` (unless
-    ``force_scaled``); otherwise a row-scaled float64 DP whose relative
-    error is ~``n * 2^-52``.  Returns ``-inf`` when no mask works.
-    Raises ``ValueError`` when ``y`` is longer than ``x``.
+    Exact for ``n <= 56``; above, the relative error of ``N`` is about
+    ``n * 2^-53``.  Returns ``-inf`` when no mask works.  Raises
+    ``ValueError`` when ``y`` is longer than ``x``.
     """
     x = as_bits(x)
     y = as_bits(y)
@@ -109,24 +138,8 @@ def embedding_count(x, y, force_scaled: bool = False) -> float:
         raise ValueError(f"output longer than input ({m} > {n})")
     if m == 0:
         return 0.0
-    if n <= _EXACT_MAX_N and not force_scaled:
-        count = _embedding_count_exact(x.tolist(), y.tolist())
-        return math.log2(count) if count else IMPOSSIBLE
-
-    row = np.zeros(m + 1)
-    row[0] = 1.0
-    scale = 0.0
-    yv = y.astype(np.float64)
-    for xi in x.tolist():
-        eq = yv == xi
-        row[1:] = row[1:] + eq * row[:-1]
-        peak = float(row.max())
-        if peak > _SCALE_LIMIT:
-            _, k = math.frexp(peak)
-            row *= 2.0**-k
-            scale += k
-    top = float(row[m])
-    return math.log2(top) + scale if top > 0.0 else IMPOSSIBLE
+    top, scale = _band_counts(x, y[None, :], [m])
+    return math.log2(top[0]) + scale[0] if top[0] > 0.0 else IMPOSSIBLE
 
 
 def log_likelihood(x, y, d: float) -> LogLikelihood:
@@ -172,54 +185,29 @@ def binomial_length_entropy(n: int, d: float) -> float:
     return math.fsum(terms)
 
 
-# --------------------------------------------------------------------------
-# batched DP over all outputs of one input (normalization self-check)
-# --------------------------------------------------------------------------
-
-
-def _embedding_counts_all_y(x: np.ndarray) -> list[np.ndarray]:
-    """Embedding counts of every candidate output, grouped by length.
-
-    Returns ``counts`` with ``counts[m][c]`` = N(x, y) for the length-m
-    string ``y`` whose bits spell the integer ``c`` (MSB first).  Uses a
-    float64 DP batched across outputs (exact: counts < 2^53 for
-    ``n <= 12``).
-    """
-    n = x.size
-    if n > _ORACLE_MAX_N:
-        raise ValueError(
-            f"all-output enumeration supports n <= {_ORACLE_MAX_N}, got {n}"
-        )
-    out: list[np.ndarray] = [np.ones(1)]  # m = 0: empty output, N = 1
-    for m in range(1, n + 1):
-        codes = np.arange(2**m, dtype=np.int64)
-        # bit j (1-based) of each candidate y, MSB first
-        ybits = (codes[:, None] >> (m - 1 - np.arange(m))) & 1
-        rows = np.zeros((2**m, m + 1))
-        rows[:, 0] = 1.0
-        for xi in x.tolist():
-            eq = ybits == xi
-            rows[:, 1:] = rows[:, 1:] + eq * rows[:, :-1]
-        out.append(rows[:, m].copy())
-    return out
-
-
 def total_probability(x, d: float) -> float:
     """``sum over all y of p(y|x)`` — exactly 1 for a correct DP.
 
-    Enumerates every candidate output of every length (``n <= 12``) with
-    a batched DP and sums ``N(x,y) d^(n-m) (1-d)^m``.  Exposed as the
-    normalization self-check of the likelihood computation.
+    Enumerates every candidate output of every length (``n <= 12``), one
+    batched kernel call per length, and sums ``N(x,y) d^(n-m) (1-d)^m``.
+    Exposed as the normalization self-check of the likelihood computation.
     """
     if not 0.0 < d < 1.0:
         raise ValueError("total_probability requires 0 < d < 1")
     x = as_bits(x)
     n = x.size
-    counts = _embedding_counts_all_y(x)
+    if n > _ORACLE_MAX_N:
+        raise ValueError(
+            f"all-output enumeration supports n <= {_ORACLE_MAX_N}, got {n}"
+        )
     totals = []
     for m in range(n + 1):
+        codes = np.arange(2**m, dtype=np.int64)
+        # bit j (1-based) of each candidate y, MSB first
+        ys = ((codes[:, None] >> (m - 1 - np.arange(m))) & 1).astype(np.uint8)
+        top, scale = _band_counts(x, ys, np.full(codes.size, m))
         weight = d ** (n - m) * (1.0 - d) ** m
-        totals.append(float(counts[m].sum()) * weight)
+        totals.append(float(np.ldexp(top, scale).sum()) * weight)
     return math.fsum(totals)
 
 

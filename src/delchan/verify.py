@@ -20,6 +20,7 @@ that discrepancy honestly rather than adjusting either side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -239,59 +240,56 @@ def check_formula_pins(tol: float = DEFAULT_TOL) -> list[CheckResult]:
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _kept_positions(n: int, m: int) -> np.ndarray:
+    idx = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
+    idx.setflags(write=False)  # cached: one array for every caller
+    return idx
+
+
 def _brute_embedding_count(x: np.ndarray, y: np.ndarray) -> int:
-    n, m = x.size, y.size
-    if m == 0:
-        return 1
-    count = 0
-    for keep in itertools.combinations(range(n), m):
-        if np.array_equal(x[list(keep)], y):
-            count += 1
-    return count
+    """Count the kept-position sets of size m that spell y (enumeration)."""
+    return int((x[_kept_positions(x.size, y.size)] == y).all(axis=1).sum())
 
 
 def check_dp_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Embedding-count DP vs brute-force enumeration + normalization."""
     out = []
 
+    def compare(pairs) -> tuple[int, bool, float]:
+        count, ok, worst = 0, True, 0.0
+        for x, y in pairs:
+            brute = _brute_embedding_count(x, y)
+            got = embedding_count(x, y)
+            count += 1
+            if brute == 0:
+                ok = ok and got == float("-inf")
+            else:
+                err = abs(got - math.log2(brute))
+                worst = max(worst, err)
+                ok = ok and err <= 1e-12
+        return count, ok, worst
+
     # exhaustive over every (x, y) pair up to n = 6
-    pairs = 0
-    worst = 0.0
-    ok = True
-    for n in range(1, 7):
-        for xv in itertools.product((0, 1), repeat=n):
-            x = np.array(xv, dtype=np.uint8)
-            for m in range(0, n + 1):
-                for yv in itertools.product((0, 1), repeat=m):
-                    y = np.array(yv, dtype=np.uint8)
-                    brute = _brute_embedding_count(x, y)
-                    got = embedding_count(x, y)
-                    pairs += 1
-                    if brute == 0:
-                        ok = ok and got == float("-inf")
-                    else:
-                        err = abs(got - math.log2(brute))
-                        worst = max(worst, err)
-                        ok = ok and err <= 1e-12
+    pairs, ok, worst = compare(
+        (np.array(xv, dtype=np.uint8), np.array(yv, dtype=np.uint8))
+        for n in range(1, 7)
+        for xv in itertools.product((0, 1), repeat=n)
+        for m in range(0, n + 1)
+        for yv in itertools.product((0, 1), repeat=m)
+    )
     out.append(_flag(f"exhaustive DP equivalence ({pairs} pairs, n <= 6)", ok, worst))
 
     # random pairs up to n = 12
     rng = np.random.Generator(np.random.Philox(seed))
-    ok = True
-    worst = 0.0
-    for _ in range(10_000):
+
+    def random_pair():
         n = int(rng.integers(1, 13))
         m = int(rng.integers(0, n + 1))
         x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        y = rng.integers(0, 2, size=m, dtype=np.uint8)
-        brute = _brute_embedding_count(x, y)
-        got = embedding_count(x, y)
-        if brute == 0:
-            ok = ok and got == float("-inf")
-        else:
-            err = abs(got - math.log2(brute))
-            worst = max(worst, err)
-            ok = ok and err <= 1e-12
+        return x, rng.integers(0, 2, size=m, dtype=np.uint8)
+
+    _, ok, worst = compare(random_pair() for _ in range(10_000))
     out.append(_flag("random-pair DP equivalence (10000 pairs, n <= 12)", ok, worst))
 
     # sum over all outputs of the likelihood is exactly 1

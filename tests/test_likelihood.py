@@ -7,12 +7,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delchan.constants import binary_entropy
 from delchan.likelihood import (
     IMPOSSIBLE,
+    _band_counts,
     binomial_length_entropy,
     embedding_count,
     exact_block_information,
@@ -31,6 +32,40 @@ def brute_force_count(x: str, y: str) -> int:
         if "".join(x[i] for i in kept) == y:
             count += 1
     return count
+
+
+def big_int_count(x, y) -> int:
+    """Exact embedding count: the DP ``f[i][j] = f[i-1][j] + [x_i = y_j]
+    f[i-1][j-1]`` in Python integers, one row updated right to left."""
+    xs, ys = as_bits(x).tolist(), as_bits(y).tolist()
+    n, m = len(xs), len(ys)
+    row = [1] + [0] * m
+    for i, xi in enumerate(xs, start=1):
+        lo = max(1, m - (n - i))
+        for j in range(min(i, m), lo - 1, -1):
+            if xi == ys[j - 1]:
+                row[j] += row[j - 1]
+    return row[m]
+
+
+def kernel_log2(x, y, m) -> list[float]:
+    """``log2 N`` of each pair of one ``_band_counts`` call."""
+    top, scale = _band_counts(x, y, m)
+    return [math.log2(t) + s if t else IMPOSSIBLE
+            for t, s in zip(top.tolist(), scale.tolist())]
+
+
+@st.composite
+def channel_pairs(draw, max_n: int = 130):
+    """(x, y): y is x after deletions, with up to two bits then flipped."""
+    n = draw(st.integers(1, max_n))
+    x = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 dtype=np.uint8)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    y = x[np.array(keep)].copy()
+    if y.size:
+        y[draw(st.lists(st.integers(0, y.size - 1), max_size=2))] ^= 1
+    return x, y
 
 
 class TestEmbeddingCount:
@@ -88,13 +123,11 @@ class TestEmbeddingCount:
             x = rng.integers(0, 2, n).astype(np.uint8)
             keep = rng.random(n) >= 0.3
             y = x[keep]
-            exact = embedding_count(x, y)
-            scaled = embedding_count(x, y, force_scaled=True)
-            assert scaled == pytest.approx(exact, rel=1e-10)
+            exact = math.log2(big_int_count(x, y))
+            assert embedding_count(x, y) == pytest.approx(exact, rel=1e-10)
 
     def test_scaled_path_large_n(self):
-        # n > 64 exercises the scaled path organically; all-equal bits
-        # give the closed form N = C(n, m)
+        # all-equal bits give the closed form N = C(n, m)
         n, m = 200, 120
         got = embedding_count("1" * n, "1" * m)
         assert got == pytest.approx(log2_binomial(n, m), rel=1e-12)
@@ -110,6 +143,106 @@ class TestEmbeddingCount:
             assert got == IMPOSSIBLE
         else:
             assert got == pytest.approx(math.log2(expected))
+
+
+class TestBandKernel:
+    """The float64 band kernel against the big-integer DP."""
+
+    def test_big_int_oracle_matches_brute_force(self):
+        rng = np.random.Generator(np.random.Philox(4))
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            m = int(rng.integers(0, n + 1))
+            x = "".join("01"[b] for b in rng.integers(0, 2, n))
+            y = "".join("01"[b] for b in rng.integers(0, 2, m))
+            assert big_int_count(x, y) == brute_force_count(x, y)
+
+    @given(channel_pairs())
+    @example((np.ones(56, np.uint8), np.ones(28, np.uint8)))
+    @example((np.ones(57, np.uint8), np.ones(28, np.uint8)))
+    @example((np.ones(64, np.uint8), np.ones(32, np.uint8)))
+    @example((np.ones(65, np.uint8), np.ones(32, np.uint8)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_big_int_dp(self, pair):
+        # n runs from 1 past 64; for n <= 56 every count is below
+        # C(56, 28) < 2^53, so float64 must reproduce it exactly
+        x, y = pair
+        count = big_int_count(x, y)
+        got = embedding_count(x, y)
+        if count == 0 or x.size <= 56:
+            assert got == (math.log2(count) if count else IMPOSSIBLE)
+        else:
+            assert got == pytest.approx(math.log2(count), abs=1e-12)
+
+    def test_renormalizing_all_ones(self):
+        # C(2000, 1000) ~ 2^1994 overflows float64 without rescaling
+        got = embedding_count("1" * 2000, "1" * 1000)
+        assert got == pytest.approx(log2_binomial(2000, 1000), rel=1e-12)
+
+    def test_padding_never_matches(self):
+        # N = 1, but 4000 bits unlike y could extend y by thousands of bits:
+        # if the padding matched them, those counts (~2^3994) would drive
+        # the rescaling and flush the answer to zero
+        for b, c in ("01", "10"):
+            for x in (c * 4000 + b * 100, b * 100 + c * 4000):
+                assert embedding_count(x, b * 100) == 0.0
+
+    def test_impossible_and_boundary_lengths(self):
+        x = np.array([0, 1, 1, 0, 1, 0, 0, 1] * 10, dtype=np.uint8)
+        assert embedding_count(x, np.ones(41, np.uint8)) == IMPOSSIBLE
+        assert embedding_count(x, x[::-1]) == IMPOSSIBLE
+        assert embedding_count(x, []) == 0.0
+        assert embedding_count(x, x) == 0.0
+        top, scale = _band_counts(x, np.zeros((2, 0), np.uint8), [0, 0])
+        assert top.tolist() == [1.0, 1.0] and scale.tolist() == [0, 0]
+
+    @staticmethod
+    def _mixed_batch():
+        """Pairs at one n = 1100 with mixed m; the all-ones rows rescale."""
+        rng = np.random.Generator(np.random.Philox(11))
+        n = 1100
+        xs, ys = [], []
+        for d in (0.0, 0.02, 0.05, 0.1, 0.3, 1.0):
+            x = rng.integers(0, 2, n).astype(np.uint8)
+            xs.append(x)
+            ys.append(x[rng.random(n) >= d])
+        for m in (550, 1000):  # C(1100, 550) ~ 2^1095
+            xs.append(np.ones(n, np.uint8))
+            ys.append(np.ones(m, np.uint8))
+        for z in (4, 8):
+            # z zeros at either end delay the growth: these rows rescale
+            # at the same check as the all-ones rows, by other exponents
+            x = np.ones(n, np.uint8)
+            x[:z] = 0
+            xs += [x, x[::-1].copy()]
+            ys += [np.ones(550, np.uint8)] * 2
+        xs.append(np.zeros(n, np.uint8))
+        ys.append(rng.integers(0, 2, 900).astype(np.uint8))  # impossible
+        y = np.zeros((len(ys), n), np.uint8)
+        for r, yr in enumerate(ys):
+            y[r, : yr.size] = yr
+        return np.array(xs), y, np.array([yr.size for yr in ys]), ys
+
+    def test_mixed_m_batch_matches_big_int_dp(self):
+        xs, y, m, ys = self._mixed_batch()
+        got = kernel_log2(xs, y, m)
+        assert got[-1] == IMPOSSIBLE
+        for x, yr, value in zip(xs, ys, got):
+            count = big_int_count(x, yr)
+            if count == 0:
+                assert value == IMPOSSIBLE
+            else:
+                assert value == pytest.approx(math.log2(count), abs=1e-12)
+
+    def test_batch_bit_identical_to_single_rows(self):
+        xs, y, m, ys = self._mixed_batch()
+        top, scale = _band_counts(xs, y, m)
+        assert scale.max() > 0  # the batch exercises rescaling
+        for r in range(m.size):
+            alone = _band_counts(xs[r], ys[r][None, :], [m[r]])
+            assert (alone[0][0], alone[1][0]) == (top[r], scale[r])
+            assert kernel_log2(xs[r], ys[r][None, :], [m[r]])[0] == (
+                embedding_count(xs[r], ys[r]))
 
 
 class TestLogLikelihood:

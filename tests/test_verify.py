@@ -4,14 +4,17 @@ The expensive suites run at full budget in the acceptance tests; here
 we check report shapes, suite composition, and the cheap check groups.
 """
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from delchan.verify import (
     SUITES,
     CheckResult,
     SuiteReport,
+    _brute_embedding_count,
     check_markov_analytics,
     check_series_constants,
     run_suite,
@@ -67,3 +70,20 @@ class TestCheapChecks:
         assert report.suite == "constants"
         assert report.passed is True
         assert report.underpowered is False
+
+
+class TestBruteForceReference:
+    def test_matches_itertools_enumeration_n_le_6(self):
+        # the vectorized reference of check_dp_oracle against the plain
+        # enumeration of kept positions, on every pair with n <= 6
+        for n in range(1, 7):
+            for xv in itertools.product((0, 1), repeat=n):
+                x = np.array(xv, dtype=np.uint8)
+                for m in range(n + 1):
+                    for yv in itertools.product((0, 1), repeat=m):
+                        expected = sum(
+                            tuple(x[list(keep)]) == yv
+                            for keep in itertools.combinations(range(n), m)
+                        )
+                        y = np.array(yv, dtype=np.uint8)
+                        assert _brute_embedding_count(x, y) == expected
