@@ -89,14 +89,16 @@ def transmit(x, d: float, seed) -> DeletionRealization:
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
     x = as_bits(x)
-    rng = _rng_from(seed)
-    if d == 0.0:
-        mask = np.zeros(x.size, dtype=np.uint8)
-    elif d == 1.0:
-        mask = np.ones(x.size, dtype=np.uint8)
-    else:
-        mask = (rng.random(x.size) < d).astype(np.uint8)
+    mask = _deletion_mask(x.shape, d, _rng_from(seed))
     return DeletionRealization(x=x, mask=mask, y=apply_mask(x, mask))
+
+
+def _deletion_mask(shape, d: float, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. Bernoulli(d) deletion mask (1 = deleted) of any shape, e.g.
+    ``(rows, n)`` for a batch; draws nothing when ``d`` is 0 or 1."""
+    if d == 0.0 or d == 1.0:
+        return np.full(shape, d == 1.0, dtype=np.uint8)
+    return (rng.random(shape) < d).view(np.uint8)
 
 
 # --------------------------------------------------------------------------

@@ -19,9 +19,11 @@ an O(log n / n) term removed:
   (their output is not renewal), so the renewal estimator refuses them
   and ``estimate_rate`` labels the result ``"upper-bound"``.
 
-Replicas use per-index RNG streams spawned from the root seed, run in
-fixed chunks of 64 (threads map chunks) and are reduced in index order,
-so results are bit-identical for any thread count.
+Replicas run in fixed chunks of 64, each chunk on one RNG stream spawned
+by chunk index from the root seed: it samples its inputs as one matrix,
+draws one deletion mask and runs one batched DP.  Threads map chunks and
+values are reduced in index order, so results are bit-identical for any
+thread count.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delchan.channel import run_lengths, transmit
+from delchan.channel import _deletion_mask, run_lengths, transmit
 from delchan.likelihood import _band_counts, log2_binomial
-from delchan.sources import DEFAULT_SEED, SourceSpec, sample_sequence
+from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
 
 __all__ = [
     "RateEstimate",
@@ -49,8 +51,8 @@ _BURN_IN_RUNS = 64
 _L_CAP = 64
 _BOOTSTRAP_RESAMPLES = 200
 _MIN_COUNT_PER_SUPPORT_POINT = 100
-#: Replicas per batched embedding DP: fixed (so threads cannot change
-#: results) and small (so it bounds memory).
+#: Replicas per RNG stream and batched embedding DP: fixed (so threads
+#: cannot change results) and small (so it bounds memory).
 _CHUNK = 64
 
 
@@ -110,8 +112,8 @@ def estimate_h_cond(
     through the channel, and evaluates
     ``(log2 C(n, m) - log2 N(x, y)) / n`` — the exact conditional
     information of the received string given input and output length.
-    Replicas use index-derived RNG streams and run in fixed chunks of 64
-    (one batched DP each), so the result does not depend on ``threads``.
+    Replicas run in fixed chunks of 64, one RNG stream and one batched DP
+    per chunk, so the result does not depend on ``threads``.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -125,31 +127,30 @@ def estimate_h_cond(
         # every mask (all-keep / all-delete) is certain: p(y|x, m) = 1
         return 0.0, 0.0
 
-    children = _as_seed_sequence(seed).spawn(samples)
+    chunks = _as_seed_sequence(seed).spawn(-(-samples // _CHUNK))
+    log2_binom = np.array([log2_binomial(n, m) for m in range(n + 1)])
     values = np.empty(samples)
 
-    def chunk(start: int) -> None:
-        reals = []
-        for child in children[start : start + _CHUNK]:
-            rng = np.random.Generator(np.random.Philox(child))
-            reals.append(transmit(sample_sequence(spec, n, rng), d, rng))
-        ms = [real.y.size for real in reals]
-        ys = np.zeros((len(reals), n), dtype=np.uint8)
-        for row, real in zip(ys, reals):
-            row[: real.y.size] = real.y
-        top, scale = _band_counts(np.array([real.x for real in reals]), ys, ms)
+    def chunk(index: int) -> None:
+        start = index * _CHUNK
+        rows = min(_CHUNK, samples - start)
+        rng = np.random.Generator(np.random.Philox(chunks[index]))
+        xs = _sample_rows(spec, n, rows, rng)
+        keep = _deletion_mask(xs.shape, d, rng) == 0
+        ms = keep.sum(axis=1)
+        ys = np.zeros_like(xs)
+        ys[np.arange(n) < ms[:, None]] = xs[keep]
+        top, scale = _band_counts(xs, ys, ms)
         log_n = np.log2(top) + scale  # y is a subsequence of x: N >= 1
-        values[start : start + len(reals)] = [
-            (log2_binomial(n, m) - v) / n for m, v in zip(ms, log_n.tolist())
-        ]
+        values[start : start + rows] = (log2_binom[ms] - log_n) / n
 
-    starts = range(0, samples, _CHUNK)
+    indices = range(len(chunks))
     if threads == 1:
-        for start in starts:
-            chunk(start)
+        for index in indices:
+            chunk(index)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(chunk, starts))
+            list(pool.map(chunk, indices))
 
     mean = math.fsum(values.tolist()) / samples
     var = math.fsum(((v - mean) ** 2 for v in values.tolist()))

@@ -22,6 +22,9 @@ Monte Carlo never produces them but adversarial inputs do.
 ``exact_block_information`` enumerates all inputs and masks for
 ``n <= 12`` and returns exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` — the
 ground-truth oracle against which the Monte Carlo estimators are gated.
+It keys every (input, mask) pair by its output in one int32 matrix and
+reads it once, input by input: the output law of ``x`` gives both its
+share of ``p(y)`` and the term ``H(Y|X = x)``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from delchan.channel import run_lengths
 from delchan.sources import SourceSpec, as_bits
 
 __all__ = [
@@ -233,19 +235,20 @@ def _input_probs(spec: SourceSpec, bits_matrix: np.ndarray) -> np.ndarray:
         )
     dist = spec.dist
     assert dist is not None
-    tail = np.concatenate(
-        (np.cumsum(dist.probs[::-1])[::-1], [0.0])
-    )  # tail[l-1] = P(L >= l); tail beyond support = 0
-    probs = np.empty(rows)
-    for r in range(rows):
-        lens = run_lengths(bits_matrix[r])
-        p = 0.5
-        for l in lens[:-1].tolist():
-            p *= dist.prob(int(l))
-        last = int(lens[-1])
-        p *= tail[last - 1] if last <= dist.L_max else 0.0
-        probs[r] = p
-    return probs
+    # pmf[l] = P(L = l) and tail[l] = P(L >= l), zero beyond the support
+    pmf, tail = np.zeros(n + 1), np.zeros(n + 1)
+    top = min(dist.L_max, n)
+    pmf[1 : top + 1] = dist.probs[:top]
+    tail[1 : top + 1] = np.cumsum(dist.probs[::-1])[::-1][:top]
+    # runs of all rows in row-major order; every row starts a run
+    starts = np.ones((rows, n), dtype=bool)
+    np.not_equal(bits_matrix[:, 1:], bits_matrix[:, :-1], out=starts[:, 1:])
+    begin = np.flatnonzero(starts)
+    end = np.append(begin[1:], rows * n)
+    factors = np.where(end % n == 0, tail[end - begin], pmf[end - begin])
+    first = begin % n == 0
+    factors[first] *= 0.5
+    return np.multiply.reduceat(factors, np.flatnonzero(first))
 
 
 def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformation:
@@ -275,42 +278,31 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"input law sums to {total!r}")
 
-    mask_bits = ((codes[:, None] >> shifts) & 1).astype(np.int64)
+    mask_bits = bits.astype(np.int64)  # mask code mk deletes the 1-bits of mk
     weights_mask = d ** mask_bits.sum(axis=1) * (1.0 - d) ** (
         n - mask_bits.sum(axis=1)
     )
 
-    # y-code of input x under mask: sum over surviving positions of
-    # bit * 2^(number of survivors strictly to the right)
+    # key of (x, mask): the output y-code, sum over surviving positions of
+    # bit * 2^(survivors strictly to the right), plus 2^len(y) - 1 so that
+    # each output length owns its own block of keys
     keep = 1 - mask_bits
     suffix_keep = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
-    place = keep * (2**suffix_keep)
-    y_codes = np.rint(place.astype(np.float64) @ bits.T.astype(np.float64)).astype(
-        np.int32
-    )  # (mask, x) — exact: values < 2^12
-    y_len = keep.sum(axis=1).astype(np.int32)
-    offsets = (2**y_len) - 1  # sum_{j < L} 2^j distinct key blocks per length
-    keys = y_codes + offsets[:, None]
+    place = (keep * (2**suffix_keep)).astype(np.float32)
+    keys = (bits.astype(np.float32) @ place.T).astype(np.int32)  # exact: < 2^12
+    keys += (2 ** keep.sum(axis=1) - 1).astype(np.int32)
     n_keys = 2 ** (n + 1) - 1
 
-    # H(Y): accumulate p(y) mask-by-mask
+    # one pass over inputs: the output law of x gives p(y) and H(Y|X = x)
     p_y = np.zeros(n_keys)
-    for mk in range(size):
-        w = weights_mask[mk]
-        if w == 0.0:
-            continue
-        p_y += w * np.bincount(keys[mk], weights=p_x, minlength=n_keys)
-    nz = p_y > 0.0
-    H_Y = float(-np.sum(p_y[nz] * np.log2(p_y[nz])))
-
-    # H(Y|X): per input column, the output law across masks
     h_terms = []
-    for xi in range(size):
-        if p_x[xi] == 0.0:
-            continue
-        q = np.bincount(keys[:, xi], weights=weights_mask, minlength=n_keys)
+    for xi in np.flatnonzero(p_x).tolist():
+        q = np.bincount(keys[xi], weights=weights_mask, minlength=n_keys)
+        p_y += p_x[xi] * q
         qnz = q[q > 0.0]
         h_terms.append(p_x[xi] * float(-np.sum(qnz * np.log2(qnz))))
+    nz = p_y > 0.0
+    H_Y = float(-np.sum(p_y[nz] * np.log2(p_y[nz])))
     H_Y_given_X = math.fsum(h_terms)
 
     return BlockInformation(

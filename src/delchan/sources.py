@@ -15,14 +15,16 @@ Markov, and renewal sources, with either a run boundary at position 1
 
 Sequences are numpy ``uint8`` arrays of 0/1 values; ``as_bits`` accepts
 strings like ``"0110"`` for convenience.  Sampling uses the
-counter-based Philox generator so that per-replica streams can be
-derived deterministically (see ``delchan.estimation``).
+counter-based Philox generator so that parallel streams can be derived
+deterministically; a private row-batched sampler draws many paths from
+one stream (see ``delchan.estimation``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -143,6 +145,11 @@ class RunLengthDistribution:
     def lengths(self) -> np.ndarray:
         """Support lengths ``1..L_max``."""
         return np.arange(1, self.L_max + 1)
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """Cumulative pmf for inverse-CDF sampling, built once."""
+        return _inverse_cdf(self.probs)
 
     def prob(self, l: int) -> float:
         """``P(L = l)`` (0 outside the support)."""
@@ -276,10 +283,71 @@ class SourceSpec:
 # --------------------------------------------------------------------------
 
 
-def _sample_run_lengths(
-    rng: np.random.Generator, dist: RunLengthDistribution, count: int
+def _inverse_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative pmf as ``Generator.choice(p=probs)`` builds it."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _sample_lengths(rng: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
+    """Lengths ``1..`` drawn by inversion: the draws of ``rng.choice(p=...)``."""
+    lengths = np.searchsorted(cdf, rng.random(shape), side="right")
+    lengths += 1
+    return lengths
+
+
+def _sample_rows(
+    spec: SourceSpec,
+    n: int,
+    rows: int,
+    rng: np.random.Generator,
+    stationary_start: bool = False,
 ) -> np.ndarray:
-    return rng.choice(dist.lengths, size=count, p=dist.probs, replace=True)
+    """Sample ``rows`` independent paths of ``n >= 1`` bits, shape ``(rows, n)``.
+
+    Each draw is made for all rows at once, so one row draws exactly what
+    :func:`sample_sequence` documents.
+    """
+    if spec.kind == "bernoulli_half":
+        return rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+
+    if spec.kind == "markov":
+        first = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
+        flips = (rng.random((rows, n - 1)) >= spec.p_same).view(np.uint8)
+        steps = np.concatenate((first, flips), axis=1)
+        return np.bitwise_xor.accumulate(steps, axis=1)
+
+    # renewal: run j of a row has value ``value ^ (j & 1)``
+    dist = spec.dist
+    assert dist is not None
+    value = rng.integers(0, 2, size=(rows, 1))
+    parts: list[np.ndarray] = []
+    total = np.zeros(rows, dtype=np.int64)
+
+    if stationary_start:
+        size_biased = dist.lengths * dist.probs
+        size_biased = size_biased / size_biased.sum()
+        l0 = _sample_lengths(rng, _inverse_cdf(size_biased), (rows, 1))
+        # uniform offset inside the covering run: 1..l0 bits remain
+        parts.append(rng.integers(1, l0 + 1))
+        total += parts[-1][:, 0]
+
+    # Draw run lengths in deterministic-size batches until n bits are covered.
+    batch = max(16, int(n / dist.mean * 1.25) + 16)
+    while total.min() < n:
+        parts.append(_sample_lengths(rng, dist._cdf, (rows, batch)))
+        total += parts[-1].sum(axis=1)
+
+    # lengthen each row's last run so that all rows are equally long
+    parts[-1][:, -1] += total.max() - total
+    # a single batch (the usual case) is not copied: streams run to 1e7 runs
+    lengths = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    values = np.empty(lengths.shape, dtype=np.uint8)
+    values[:, 0::2] = value
+    values[:, 1::2] = value ^ 1
+    bits = np.repeat(values.ravel(), lengths.ravel())
+    return bits.reshape(rows, -1)[:, :n]
 
 
 def sample_sequence(
@@ -305,50 +373,7 @@ def sample_sequence(
     rng = _rng_from(seed)
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-
-    if spec.kind == "bernoulli_half":
-        return rng.integers(0, 2, size=n, dtype=np.uint8)
-
-    if spec.kind == "markov":
-        first = rng.integers(0, 2, dtype=np.uint8)
-        if n == 1:
-            return np.array([first], dtype=np.uint8)
-        flips = (rng.random(n - 1) >= spec.p_same).astype(np.int64)
-        bits = np.empty(n, dtype=np.uint8)
-        bits[0] = first
-        bits[1:] = (int(first) + np.cumsum(flips)) % 2
-        return bits
-
-    # renewal
-    dist = spec.dist
-    assert dist is not None
-    value = int(rng.integers(0, 2))
-    chunks: list[np.ndarray] = []
-    total = 0
-
-    if stationary_start:
-        size_biased = dist.lengths * dist.probs
-        size_biased = size_biased / size_biased.sum()
-        l0 = int(rng.choice(dist.lengths, p=size_biased))
-        # uniform offset inside the covering run: 1..l0 bits remain
-        remaining = int(rng.integers(1, l0 + 1))
-        chunks.append(np.full(min(remaining, n), value, dtype=np.uint8))
-        total += chunks[-1].size
-        value ^= 1
-
-    # Draw run lengths in deterministic-size batches until n bits are covered.
-    batch = max(16, int(n / dist.mean * 1.25) + 16)
-    while total < n:
-        lengths = _sample_run_lengths(rng, dist, batch)
-        values = np.empty(batch, dtype=np.uint8)
-        values[0::2] = value
-        values[1::2] = value ^ 1
-        chunk = np.repeat(values, lengths)
-        value = int(values[-1]) ^ 1
-        chunks.append(chunk)
-        total += chunk.size
-
-    return np.concatenate(chunks)[:n]
+    return _sample_rows(spec, n, 1, rng, stationary_start)[0]
 
 
 # --------------------------------------------------------------------------

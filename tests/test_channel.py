@@ -21,7 +21,13 @@ from delchan.channel import (
     segment_super_runs,
     transmit,
 )
-from delchan.sources import SourceSpec, as_bits, bits_to_str, sample_sequence
+from delchan.sources import (
+    SourceSpec,
+    _rng_from,
+    as_bits,
+    bits_to_str,
+    sample_sequence,
+)
 
 bit_strings = st.text(alphabet="01", min_size=0, max_size=64)
 nonempty_bits = st.text(alphabet="01", min_size=1, max_size=64)
@@ -62,6 +68,20 @@ class TestTransmit:
         a = transmit("0101110", 0.3, seed=42)
         b = transmit("0101110", 0.3, seed=42)
         np.testing.assert_array_equal(a.mask, b.mask)
+
+    @pytest.mark.parametrize("d", [0.0, 0.05, 0.5, 1.0])
+    def test_matches_scalar_reference(self, d):
+        for seed in range(50):
+            x = sample_sequence(SourceSpec.bernoulli_half(), 200, seed)
+            rng = _rng_from(seed)
+            if d in (0.0, 1.0):
+                mask = np.full(x.size, d, dtype=np.uint8)
+            else:
+                mask = (rng.random(x.size) < d).astype(np.uint8)
+            r = transmit(x, d, seed)
+            assert r.mask.dtype == np.uint8
+            np.testing.assert_array_equal(r.mask, mask)
+            np.testing.assert_array_equal(r.y, x[mask == 0])
 
     @given(bits=nonempty_bits, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)

@@ -15,14 +15,21 @@ import numpy as np
 import pytest
 
 from delchan.analytics import markov_rate_bound, optimal_markov_param
+from delchan.channel import _deletion_mask
 from delchan.estimation import (
+    _CHUNK,
     RateEstimate,
     estimate_h_cond,
     estimate_h_out_renewal,
     estimate_rate,
 )
-from delchan.likelihood import binomial_length_entropy, exact_block_information
-from delchan.sources import SourceSpec, geometric_half, point_mass
+from delchan.likelihood import (
+    binomial_length_entropy,
+    embedding_count,
+    exact_block_information,
+    log2_binomial,
+)
+from delchan.sources import SourceSpec, _sample_rows, geometric_half, point_mass
 
 
 def binary_entropy(p: float) -> float:
@@ -37,6 +44,23 @@ def exact_h_cond_per_bit(spec: SourceSpec, n: int, d: float) -> float:
     """
     info = exact_block_information(spec, n, d)
     return (info.H_Y_given_X - binomial_length_entropy(n, d)) / n
+
+
+def replica_loop_h_cond(spec, d, n, samples, seed):
+    """``estimate_h_cond`` with each chunk's draws evaluated one replica at
+    a time by ``embedding_count``; also returns the output lengths."""
+    chunks = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
+    values, ms = [], []
+    for index, child in enumerate(chunks):
+        rng = np.random.Generator(np.random.Philox(child))
+        xs = _sample_rows(spec, n, min(_CHUNK, samples - index * _CHUNK), rng)
+        for x, mask in zip(xs, _deletion_mask(xs.shape, d, rng)):
+            y = x[mask == 0]
+            values.append((log2_binomial(n, y.size) - embedding_count(x, y)) / n)
+            ms.append(y.size)
+    mean = math.fsum(values) / samples
+    var = math.fsum((v - mean) ** 2 for v in values)
+    return (mean, math.sqrt(var / (samples * (samples - 1)))), ms
 
 
 class TestEstimateHCond:
@@ -95,6 +119,27 @@ class TestEstimateHCond:
     def test_thread_count_invariance(self):
         args = (SourceSpec.dagger(0.1), 0.1, 200, 64, 2718)
         assert estimate_h_cond(*args, threads=1) == estimate_h_cond(*args, threads=4)
+
+    def test_thread_count_invariance_with_partial_chunk(self):
+        # 130 = 2 full chunks of 64 + 2 replicas
+        args = (SourceSpec.dagger(0.1), 0.1, 50, 130, 2718)
+        results = {estimate_h_cond(*args, threads=t) for t in (1, 2, 3)}
+        assert len(results) == 1
+
+    @pytest.mark.parametrize(
+        "spec,d,n",
+        [
+            (SourceSpec.bernoulli_half(), 0.7, 4),  # many rows with m = 0
+            (SourceSpec.markov(0.6), 0.2, 30),
+            (SourceSpec.dagger(0.1), 0.1, 200),
+        ],
+        ids=["empty-outputs", "markov", "dagger"],
+    )
+    def test_batched_chunks_match_replica_loop(self, spec, d, n):
+        want, ms = replica_loop_h_cond(spec, d, n, 130, 99)
+        assert estimate_h_cond(spec, d, n, 130, 99) == want
+        if n == 4:
+            assert 0 < ms[:_CHUNK].count(0) < _CHUNK
 
     def test_seed_reproducible_and_sensitive(self):
         args = (SourceSpec.bernoulli_half(), 0.2, 100, 20)

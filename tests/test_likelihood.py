@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delchan.constants import binary_entropy
+from delchan.channel import run_lengths
 from delchan.likelihood import (
     IMPOSSIBLE,
     _band_counts,
+    _input_probs,
     binomial_length_entropy,
     embedding_count,
     exact_block_information,
@@ -21,7 +23,7 @@ from delchan.likelihood import (
     log_likelihood,
     total_probability,
 )
-from delchan.sources import SourceSpec, as_bits, point_mass
+from delchan.sources import SourceSpec, as_bits, geometric_half, point_mass
 
 
 def brute_force_count(x: str, y: str) -> int:
@@ -318,7 +320,92 @@ class TestBinomialLengthEntropy:
         assert binomial_length_entropy(n, d) == pytest.approx(expected, rel=1e-10)
 
 
+def all_inputs(n: int) -> np.ndarray:
+    """Every bit string of length n, MSB first, one per row."""
+    return ((np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1).astype(np.uint8)
+
+
+def loop_input_probs(spec: SourceSpec, bits_matrix: np.ndarray) -> np.ndarray:
+    """Palm-start renewal law of every row, one run at a time."""
+    dist = spec.dist
+    tail = np.concatenate((np.cumsum(dist.probs[::-1])[::-1], [0.0]))
+    probs = np.empty(bits_matrix.shape[0])
+    for r, row in enumerate(bits_matrix):
+        lens = run_lengths(row)
+        p = 0.5
+        for l in lens[:-1].tolist():
+            p *= dist.prob(int(l))
+        last = int(lens[-1])
+        p *= tail[last - 1] if last <= dist.L_max else 0.0
+        probs[r] = p
+    return probs
+
+
+def two_pass_block_information(spec: SourceSpec, n: int, d: float):
+    """The enumeration oracle as a (mask, x) key matrix read twice: p(y)
+    mask by mask, then H(Y|X) input by input."""
+    size = 2**n
+    bits = all_inputs(n)
+    p_x = _input_probs(spec, bits)
+    mask_bits = bits.astype(np.int64)
+    weights_mask = d ** mask_bits.sum(axis=1) * (1.0 - d) ** (
+        n - mask_bits.sum(axis=1)
+    )
+    keep = 1 - mask_bits
+    suffix_keep = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
+    place = keep * (2**suffix_keep)
+    y_codes = np.rint(
+        place.astype(np.float64) @ bits.T.astype(np.float64)
+    ).astype(np.int32)
+    keys = y_codes + ((2 ** keep.sum(axis=1)) - 1)[:, None]
+    n_keys = 2 ** (n + 1) - 1
+    p_y = np.zeros(n_keys)
+    for mk in range(size):
+        if weights_mask[mk] != 0.0:
+            p_y += weights_mask[mk] * np.bincount(
+                keys[mk], weights=p_x, minlength=n_keys
+            )
+    nz = p_y > 0.0
+    H_Y = float(-np.sum(p_y[nz] * np.log2(p_y[nz])))
+    h_terms = []
+    for xi in range(size):
+        if p_x[xi] != 0.0:
+            q = np.bincount(keys[:, xi], weights=weights_mask, minlength=n_keys)
+            qnz = q[q > 0.0]
+            h_terms.append(p_x[xi] * float(-np.sum(qnz * np.log2(qnz))))
+    H_Y_given_X = math.fsum(h_terms)
+    return H_Y, H_Y_given_X, (H_Y - H_Y_given_X) / n
+
+
 class TestExactBlockInformation:
+    @pytest.mark.parametrize(
+        "spec",
+        [SourceSpec.bernoulli_half(), SourceSpec.markov(0.7), SourceSpec.dagger(0.05)],
+        ids=lambda s: s.kind,
+    )
+    def test_matches_two_pass_enumeration(self, spec):
+        for n in range(1, 11):
+            for d in (0.0, 0.05, 0.5, 1.0):
+                got = exact_block_information(spec, n, d)
+                want = two_pass_block_information(spec, n, d)
+                for g, w in zip(got, want):
+                    assert g == pytest.approx(w, abs=1e-12), (n, d)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SourceSpec.dagger(0.05),
+            SourceSpec.renewal(geometric_half(16)),
+            SourceSpec.renewal(point_mass(3)),  # final runs beyond L_max
+        ],
+        ids=["dagger", "geometric", "point3"],
+    )
+    def test_renewal_input_law_matches_run_loop(self, spec):
+        for n in range(1, 11):
+            bits = all_inputs(n)
+            got = _input_probs(spec, bits)
+            np.testing.assert_array_equal(got, loop_input_probs(spec, bits))
+
     def test_one_bit_channel(self):
         for d in (0.1, 0.25, 0.5, 0.9):
             info = exact_block_information(SourceSpec.bernoulli_half(), 1, d)

@@ -13,6 +13,10 @@ from hypothesis import given, settings, strategies as st
 from delchan.sources import (
     RunLengthDistribution,
     SourceSpec,
+    _inverse_cdf,
+    _rng_from,
+    _sample_lengths,
+    _sample_rows,
     as_bits,
     bits_to_str,
     dagger_distribution,
@@ -27,6 +31,56 @@ from delchan.sources import (
 # Independent oracle values.
 DAGGER1_AT_01 = 0.455342908957  # 2^-1 * (1 - 0.1 * c2 / 2)
 DAGGER2_AT_01 = 0.240000267985  # 2^-2 * (1 + 0.1 * (2 ln 2 - c2))
+
+
+def reference_sample_sequence(spec, n, seed, stationary_start=False):
+    """``sample_sequence`` as one scalar-draw loop with ``rng.choice``; the
+    batched sampler must reproduce it bit for bit."""
+    rng = _rng_from(seed)
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8)
+    if spec.kind == "bernoulli_half":
+        return rng.integers(0, 2, size=n, dtype=np.uint8)
+    if spec.kind == "markov":
+        first = rng.integers(0, 2, dtype=np.uint8)
+        if n == 1:
+            return np.array([first], dtype=np.uint8)
+        flips = (rng.random(n - 1) >= spec.p_same).astype(np.int64)
+        bits = np.empty(n, dtype=np.uint8)
+        bits[0] = first
+        bits[1:] = (int(first) + np.cumsum(flips)) % 2
+        return bits
+    dist = spec.dist
+    value = int(rng.integers(0, 2))
+    chunks, total = [], 0
+    if stationary_start:
+        size_biased = dist.lengths * dist.probs
+        size_biased = size_biased / size_biased.sum()
+        l0 = int(rng.choice(dist.lengths, p=size_biased))
+        remaining = int(rng.integers(1, l0 + 1))
+        chunks.append(np.full(min(remaining, n), value, dtype=np.uint8))
+        total += chunks[-1].size
+        value ^= 1
+    batch = max(16, int(n / dist.mean * 1.25) + 16)
+    while total < n:
+        lengths = rng.choice(dist.lengths, size=batch, p=dist.probs, replace=True)
+        values = np.empty(batch, dtype=np.uint8)
+        values[0::2] = value
+        values[1::2] = value ^ 1
+        chunk = np.repeat(values, lengths)
+        value = int(values[-1]) ^ 1
+        chunks.append(chunk)
+        total += chunk.size
+    return np.concatenate(chunks)[:n]
+
+
+ALL_KINDS = [
+    SourceSpec.bernoulli_half(),
+    SourceSpec.markov(0.3),
+    SourceSpec.dagger(0.05),
+    SourceSpec.renewal(geometric_half(16)),
+    SourceSpec.renewal(point_mass(3)),
+]
 
 
 class TestBitHelpers:
@@ -230,6 +284,41 @@ class TestSampling:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             sample_sequence(SourceSpec.bernoulli_half(), -1, seed=0)
+
+    def test_inverse_cdf_draws_match_choice(self):
+        for dist in (dagger_distribution(0.05, 22), point_mass(3)):
+            cdf = _inverse_cdf(dist.probs)
+            for seed in range(200):
+                a = np.random.Generator(np.random.Philox(seed))
+                b = np.random.Generator(np.random.Philox(seed))
+                expected = a.choice(dist.lengths, size=50, p=dist.probs)
+                np.testing.assert_array_equal(_sample_lengths(b, cdf, 50), expected)
+                assert a.random() == b.random()  # same number of draws
+
+    @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_matches_scalar_reference(self, spec, stationary):
+        for seed in range(50):
+            for n in (0, 1, 7, 300):
+                a = np.random.Generator(np.random.Philox(seed))
+                b = np.random.Generator(np.random.Philox(seed))
+                got = sample_sequence(spec, n, a, stationary_start=stationary)
+                want = reference_sample_sequence(spec, n, b, stationary)
+                assert got.dtype == want.dtype == np.uint8
+                np.testing.assert_array_equal(got, want)
+                assert a.random() == b.random()  # same number of draws
+
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_batched_rows_keep_the_run_law(self, stationary):
+        # point mass at l=2: every row, whatever the other rows drew, is a
+        # window of ...0011 0011...; a Palm start begins with a whole run
+        spec = SourceSpec.renewal(point_mass(2))
+        rows = _sample_rows(spec, 9, 64, _rng_from(5), stationary)
+        assert rows.shape == (64, 9)
+        np.testing.assert_array_equal(rows[:, 2:], rows[:, :-2] ^ 1)
+        if not stationary:
+            assert np.all(rows[:, 0] == rows[:, 1])
+            assert np.all(rows[:, 1] != rows[:, 2])
 
 
 class TestDistributionIO:
