@@ -388,9 +388,12 @@ def stats_cmd(source, n, d, l_cap, seed) -> None:
     spec = _parse_source(source, d if d is not None else 0.0)
     root = np.random.SeedSequence(seed)
     sample_seed, channel_seed = root.spawn(2)
-    bits = sample_sequence(spec, n, sample_seed)
-    if d is not None:
-        bits = transmit(bits, d, channel_seed).y
+    try:
+        bits = sample_sequence(spec, n, sample_seed)
+        if d is not None:
+            bits = transmit(bits, d, channel_seed).y
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     try:
         stats = empirical_run_distribution(bits, l_cap=l_cap)
     except ValueError as exc:

@@ -19,6 +19,10 @@ in any batch.  Counts are exact below 2^53 (every ``n <= 56``, so the
 Impossible outputs give the distinguished value ``-inf``, not an error:
 Monte Carlo never produces them but adversarial inputs do.
 
+``total_probability`` sums ``p(y|x)`` over every output.  A batch of inputs
+takes one kernel call per output length m on inputs x all 2^m outputs (split
+to cap the band cells per call); each sum is bit-identical to a lone input.
+
 ``exact_block_information`` enumerates all inputs and masks for
 ``n <= 12`` and returns exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` — the
 ground-truth oracle against which the Monte Carlo estimators are gated.
@@ -59,6 +63,8 @@ _SENTINEL = 2
 #: against 2^960 keeps them below 2^992.
 _RESCALE_EVERY = 32
 _RESCALE_ABOVE = 2.0**960
+#: Pairs x band width per ``_total_probabilities`` kernel call.
+_MAX_BAND_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -187,30 +193,46 @@ def binomial_length_entropy(n: int, d: float) -> float:
     return math.fsum(terms)
 
 
+def _all_words(n: int) -> np.ndarray:
+    """Every n-bit word, MSB first, as the rows of a ``(2^n, n)`` matrix."""
+    codes = np.arange(2**n, dtype=np.int64)
+    return ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(np.uint8)
+
+
+def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:
+    """``total_probability`` of each row of ``xs``, shape ``(R, n)``; a call
+    covers inputs x all 2^m outputs, at most ``_MAX_BAND_CELLS`` band cells."""
+    rows, n = xs.shape
+    totals = np.empty((rows, n + 1))
+    for m in range(n + 1):
+        ys = _all_words(m)
+        group = max(1, _MAX_BAND_CELLS // (2**m * (n - m + 1)))
+        for lo in range(0, rows, group):
+            x = np.repeat(xs[lo : lo + group], 2**m, axis=0)
+            y = np.tile(ys, (len(x) // 2**m, 1))
+            top, scale = _band_counts(x, y, np.full(len(x), m))
+            counts = np.ldexp(top, scale).reshape(-1, 2**m)
+            totals[lo : lo + group, m] = counts.sum(axis=1)
+        totals[:, m] *= d ** (n - m) * (1.0 - d) ** m
+    return np.array([math.fsum(row) for row in totals.tolist()])
+
+
 def total_probability(x, d: float) -> float:
     """``sum over all y of p(y|x)`` — exactly 1 for a correct DP.
 
     Enumerates every candidate output of every length (``n <= 12``), one
     batched kernel call per length, and sums ``N(x,y) d^(n-m) (1-d)^m``.
+    It is the one-row case of the batched ``_total_probabilities``.
     Exposed as the normalization self-check of the likelihood computation.
     """
     if not 0.0 < d < 1.0:
         raise ValueError("total_probability requires 0 < d < 1")
     x = as_bits(x)
-    n = x.size
-    if n > _ORACLE_MAX_N:
+    if x.size > _ORACLE_MAX_N:
         raise ValueError(
-            f"all-output enumeration supports n <= {_ORACLE_MAX_N}, got {n}"
+            f"all-output enumeration supports n <= {_ORACLE_MAX_N}, got {x.size}"
         )
-    totals = []
-    for m in range(n + 1):
-        codes = np.arange(2**m, dtype=np.int64)
-        # bit j (1-based) of each candidate y, MSB first
-        ys = ((codes[:, None] >> (m - 1 - np.arange(m))) & 1).astype(np.uint8)
-        top, scale = _band_counts(x, ys, np.full(codes.size, m))
-        weight = d ** (n - m) * (1.0 - d) ** m
-        totals.append(float(np.ldexp(top, scale).sum()) * weight)
-    return math.fsum(totals)
+    return float(_total_probabilities(x[None, :], d)[0])
 
 
 # --------------------------------------------------------------------------
@@ -268,10 +290,7 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
 
-    size = 2**n
-    shifts = n - 1 - np.arange(n)
-    codes = np.arange(size, dtype=np.int64)
-    bits = ((codes[:, None] >> shifts) & 1).astype(np.uint8)
+    bits = _all_words(n)
 
     p_x = _input_probs(spec, bits)
     total = math.fsum(p_x.tolist())

@@ -43,10 +43,11 @@ from delchan.constants import (
 )
 from delchan.estimation import estimate_h_cond, estimate_rate
 from delchan.likelihood import (
+    _all_words,
+    _band_counts,
+    _total_probabilities,
     binomial_length_entropy,
-    embedding_count,
     exact_block_information,
-    total_probability,
 )
 from delchan.runstats import (
     empirical_run_distribution,
@@ -247,58 +248,70 @@ def _kept_positions(n: int, m: int) -> np.ndarray:
     return idx
 
 
-def _brute_embedding_count(x: np.ndarray, y: np.ndarray) -> int:
-    """Count the kept-position sets of size m that spell y (enumeration)."""
-    return int((x[_kept_positions(x.size, y.size)] == y).all(axis=1).sum())
+def _brute_counts(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Kept-position sets spelling ``ys[r]`` in ``xs[r]`` (one n, one m)."""
+    kept = _kept_positions(xs.shape[1], ys.shape[1])
+    return (xs[:, kept] == ys[:, None, :]).all(axis=2).sum(axis=1)
+
+
+def _check_group(xs: np.ndarray, ys: np.ndarray) -> tuple[bool, float]:
+    """One kernel call on the pairs of one (n, m) vs brute force: impossible
+    pairs must give exactly -inf, the rest log2 N within 1e-12."""
+    brute = _brute_counts(xs, ys)
+    top, scale = _band_counts(xs, ys, np.full(len(xs), ys.shape[1]))
+    with np.errstate(divide="ignore"):
+        got = np.log2(top) + scale
+    possible = brute > 0
+    err = np.abs(got[possible] - np.log2(brute[possible]))
+    ok = bool((got[~possible] == -np.inf).all() and (err <= 1e-12).all())
+    return ok, float(err.max(initial=0.0))
 
 
 def check_dp_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Embedding-count DP vs brute-force enumeration + normalization."""
+    """Embedding-count DP vs brute-force enumeration + normalization.
+
+    Pairs are checked one (n, m) group at a time, each in one kernel
+    call; the normalization runs one batch of 100 inputs per (n, d).
+    """
     out = []
 
-    def compare(pairs) -> tuple[int, bool, float]:
-        count, ok, worst = 0, True, 0.0
-        for x, y in pairs:
-            brute = _brute_embedding_count(x, y)
-            got = embedding_count(x, y)
-            count += 1
-            if brute == 0:
-                ok = ok and got == float("-inf")
-            else:
-                err = abs(got - math.log2(brute))
-                worst = max(worst, err)
-                ok = ok and err <= 1e-12
-        return count, ok, worst
+    def compare(groups) -> tuple[int, bool, float]:
+        results = [(len(xs), *_check_group(xs, ys)) for xs, ys in groups]
+        counts, oks, worsts = zip(*results)
+        return sum(counts), all(oks), max(worsts)
 
     # exhaustive over every (x, y) pair up to n = 6
     pairs, ok, worst = compare(
-        (np.array(xv, dtype=np.uint8), np.array(yv, dtype=np.uint8))
+        (np.repeat(_all_words(n), 2**m, axis=0), np.tile(_all_words(m), (2**n, 1)))
         for n in range(1, 7)
-        for xv in itertools.product((0, 1), repeat=n)
-        for m in range(0, n + 1)
-        for yv in itertools.product((0, 1), repeat=m)
+        for m in range(n + 1)
     )
     out.append(_flag(f"exhaustive DP equivalence ({pairs} pairs, n <= 6)", ok, worst))
 
-    # random pairs up to n = 12
+    # random pairs up to n = 12, drawn pair by pair into padded buffers
     rng = np.random.Generator(np.random.Philox(seed))
-
-    def random_pair():
-        n = int(rng.integers(1, 13))
-        m = int(rng.integers(0, n + 1))
-        x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        return x, rng.integers(0, 2, size=m, dtype=np.uint8)
-
-    _, ok, worst = compare(random_pair() for _ in range(10_000))
+    ns, ms = np.empty((2, 10_000), dtype=np.uint8)
+    xbuf, ybuf = np.zeros((2, 10_000, 12), dtype=np.uint8)
+    for r in range(10_000):
+        ns[r] = n = int(rng.integers(1, 13))
+        ms[r] = m = int(rng.integers(0, n + 1))
+        xbuf[r, :n] = rng.integers(0, 2, size=n, dtype=np.uint8)
+        ybuf[r, :m] = rng.integers(0, 2, size=m, dtype=np.uint8)
+    _, ok, worst = compare(
+        (xbuf[rows, :n], ybuf[rows, :m])
+        for n in range(1, 13)
+        for m in range(n + 1)
+        if (rows := (ns == n) & (ms == m)).any()
+    )
     out.append(_flag("random-pair DP equivalence (10000 pairs, n <= 12)", ok, worst))
 
     # sum over all outputs of the likelihood is exactly 1
     worst = 0.0
     for n in range(4, 13):
         for d in (0.1, 0.5, 0.9):
-            for _ in range(100):
-                x = rng.integers(0, 2, size=n, dtype=np.uint8)
-                worst = max(worst, abs(total_probability(x, d) - 1.0))
+            xs = np.array([rng.integers(0, 2, size=n, dtype=np.uint8)
+                           for _ in range(100)])
+            worst = max(worst, float(np.abs(_total_probabilities(xs, d) - 1.0).max()))
     out.append(_pin("likelihood normalization max |sum - 1| (n=4..12)",
                     worst, 0.0, 1e-12))
     return out

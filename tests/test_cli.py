@@ -296,6 +296,14 @@ class TestStatsCommand:
         through = json.loads(invoke(runner, *args, "--d", "0.3").stdout)
         assert through["mu"] < plain["mu"] - 0.5
 
+    @pytest.mark.parametrize("bad", [["--d", "1.5"], ["--d", "-0.1"], ["--n", "-5"]])
+    def test_bad_input_is_usage_error(self, runner, bad):
+        # a domain error from sampling or the channel is a usage error
+        result = invoke(runner, "stats", "--n", "1000", *bad)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "Error:" in result.output
+
 
 class TestVerifyCommand:
     def test_constants_suite_passes(self, runner):

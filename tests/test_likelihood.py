@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from delchan.constants import binary_entropy
 from delchan.channel import run_lengths
+from delchan import likelihood
 from delchan.likelihood import (
     IMPOSSIBLE,
     _band_counts,
     _input_probs,
+    _total_probabilities,
     binomial_length_entropy,
     embedding_count,
     exact_block_information,
@@ -298,6 +300,54 @@ class TestLogLikelihood:
                     total += 2.0**ll.log_prob
         assert total == pytest.approx(1.0, abs=1e-12)
         assert total_probability(x, d) == pytest.approx(total, abs=1e-12)
+
+
+def loop_total_probability(x, ds) -> list[float]:
+    """``total_probability`` of one input at each d of ``ds``, one kernel
+    call per output length: the loop that ``_total_probabilities`` batches."""
+    x = as_bits(x)
+    n = x.size
+    sums = []
+    for m in range(n + 1):
+        codes = np.arange(2**m, dtype=np.int64)
+        ys = ((codes[:, None] >> (m - 1 - np.arange(m))) & 1).astype(np.uint8)
+        top, scale = _band_counts(x, ys, np.full(codes.size, m))
+        sums.append(float(np.ldexp(top, scale).sum()))
+    return [
+        math.fsum(s * (d ** (n - m) * (1.0 - d) ** m) for m, s in enumerate(sums))
+        for d in ds
+    ]
+
+
+class TestTotalProbabilities:
+    def test_bit_identical_to_length_loop_n_le_10(self):
+        for n in range(1, 11):
+            xs = all_inputs(n)
+            ds = (0.1, 0.5, 0.9)
+            expected = np.array([loop_total_probability(x, ds) for x in xs])
+            for i, d in enumerate(ds):
+                assert _total_probabilities(xs, d).tolist() == expected[:, i].tolist()
+
+    def test_split_batch_equals_one_row_calls(self, monkeypatch):
+        # at n = 12 the long outputs fill a call with one input, so the
+        # 100 rows split across many calls per length
+        xs = np.random.Generator(np.random.Philox(5)).integers(
+            0, 2, (100, 12), dtype=np.uint8
+        )
+        cells = []
+
+        def counting(x, y, m):
+            cells.append(len(x) * (x.shape[1] - m[0] + 1))
+            return _band_counts(x, y, m)
+
+        monkeypatch.setattr(likelihood, "_band_counts", counting)
+        got = _total_probabilities(xs, 0.3)
+        monkeypatch.undo()
+        assert len(cells) > 13  # more than one call per output length
+        assert max(cells) <= likelihood._MAX_BAND_CELLS
+        for x, total in zip(xs, got.tolist()):
+            assert total == total_probability(x, 0.3)
+            assert [total] == loop_total_probability(x, [0.3])
 
 
 class TestBinomialLengthEntropy:

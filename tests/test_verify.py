@@ -10,11 +10,16 @@ import json
 import numpy as np
 import pytest
 
+from delchan import verify
+from delchan.likelihood import _all_words, _band_counts
+from delchan.sources import DEFAULT_SEED
 from delchan.verify import (
     SUITES,
     CheckResult,
     SuiteReport,
-    _brute_embedding_count,
+    _brute_counts,
+    _check_group,
+    check_dp_oracle,
     check_markov_analytics,
     check_series_constants,
     run_suite,
@@ -72,18 +77,69 @@ class TestCheapChecks:
         assert report.underpowered is False
 
 
+def exhaustive_group(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (x, y) pair with |x| = n and |y| = m, as two matrices."""
+    return np.repeat(_all_words(n), 2**m, axis=0), np.tile(_all_words(m), (2**n, 1))
+
+
 class TestBruteForceReference:
     def test_matches_itertools_enumeration_n_le_6(self):
-        # the vectorized reference of check_dp_oracle against the plain
+        # the grouped reference of check_dp_oracle against the plain
         # enumeration of kept positions, on every pair with n <= 6
         for n in range(1, 7):
-            for xv in itertools.product((0, 1), repeat=n):
-                x = np.array(xv, dtype=np.uint8)
-                for m in range(n + 1):
-                    for yv in itertools.product((0, 1), repeat=m):
-                        expected = sum(
-                            tuple(x[list(keep)]) == yv
-                            for keep in itertools.combinations(range(n), m)
-                        )
-                        y = np.array(yv, dtype=np.uint8)
-                        assert _brute_embedding_count(x, y) == expected
+            for m in range(n + 1):
+                xs, ys = exhaustive_group(n, m)
+                expected = [
+                    sum(
+                        tuple(x[list(keep)]) == tuple(y)
+                        for keep in itertools.combinations(range(n), m)
+                    )
+                    for x, y in zip(xs, ys)
+                ]
+                assert _brute_counts(xs, ys).tolist() == expected
+
+
+class TestGroupedOracle:
+    def test_clean_groups_pass(self):
+        for n, m in [(1, 0), (4, 2), (6, 3), (6, 6)]:
+            assert _check_group(*exhaustive_group(n, m)) == (True, 0.0)
+
+    def test_count_off_by_one_fails(self, monkeypatch):
+        def off_by_one(x, y, m):
+            top, scale = _band_counts(x, y, m)
+            top[np.flatnonzero(top)[0]] += 1.0
+            return top, scale
+
+        monkeypatch.setattr(verify, "_band_counts", off_by_one)
+        ok, worst = _check_group(*exhaustive_group(4, 2))
+        assert not ok and worst > 1e-12
+
+    def test_finite_value_on_impossible_pair_fails(self, monkeypatch):
+        def finite_impossible(x, y, m):
+            top, scale = _band_counts(x, y, m)
+            top[np.flatnonzero(top == 0.0)[0]] = 1.0
+            return top, scale
+
+        monkeypatch.setattr(verify, "_band_counts", finite_impossible)
+        ok, worst = _check_group(*exhaustive_group(4, 2))
+        assert not ok and worst == 0.0
+
+    def test_failing_group_fails_its_check(self, monkeypatch):
+        def faulty_at_n5_m2(x, y, m):
+            top, scale = _band_counts(x, y, m)
+            if x.shape[1] == 5 and m[0] == 2:
+                top[0] += 1.0
+            return top, scale
+
+        monkeypatch.setattr(verify, "_band_counts", faulty_at_n5_m2)
+        passed = [c.passed for c in check_dp_oracle(DEFAULT_SEED)]
+        assert passed == [False, False, True]
+
+    def test_check_names_and_pair_count(self):
+        checks = check_dp_oracle(DEFAULT_SEED)
+        assert [c.name for c in checks] == [
+            "exhaustive DP equivalence (10794 pairs, n <= 6)",
+            "random-pair DP equivalence (10000 pairs, n <= 12)",
+            "likelihood normalization max |sum - 1| (n=4..12)",
+        ]
+        assert all(c.passed for c in checks)
