@@ -18,6 +18,10 @@ Segmentation utilities decompose a sequence into maximal runs, into
 runs), and into *parent blocks*: the grouping ``X(1)..X(M)`` of input
 runs that produced each output run ``Y(1)..Y(M)``, together with the
 block-length vector ``K = (|X(1)|, ..., |X(M-1)|)``.
+
+Long output streams run through a private path that applies the channel
+and the run segmentation in fixed blocks of input bits, drawing the same
+Philox numbers as ``transmit``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from delchan.sources import _rng_from, as_bits
+from delchan.sources import _BLOCK, _rng_from, as_bits
 
 __all__ = [
     "DeletionRealization",
@@ -93,12 +97,45 @@ def transmit(x, d: float, seed) -> DeletionRealization:
     return DeletionRealization(x=x, mask=mask, y=apply_mask(x, mask))
 
 
-def _deletion_mask(shape, d: float, rng: np.random.Generator) -> np.ndarray:
+def _deletion_mask(shape, d: float, rng: np.random.Generator, out=None) -> np.ndarray:
     """I.i.d. Bernoulli(d) deletion mask (1 = deleted) of any shape, e.g.
-    ``(rows, n)`` for a batch; draws nothing when ``d`` is 0 or 1."""
+    ``(rows, n)`` for a batch; draws nothing when ``d`` is 0 or 1.
+    ``out``, if given, is a float buffer of ``shape`` for the uniforms."""
     if d == 0.0 or d == 1.0:
         return np.full(shape, d == 1.0, dtype=np.uint8)
-    return (rng.random(shape) < d).view(np.uint8)
+    return (rng.random(shape, out=out) < d).view(np.uint8)
+
+
+def _output_run_lengths(
+    x: np.ndarray, d: float, rng: np.random.Generator
+) -> np.ndarray:
+    """``run_lengths(transmit(x, d, rng).y)`` from the same draws, run over
+    blocks of ``_BLOCK`` input bits with no per-bit mask or output array;
+    the run open at the end of a block carries into the next."""
+    u = np.empty(min(_BLOCK, x.size))
+    # at most one run per output bit; only the pages written are touched
+    lengths = np.empty(x.size, dtype=np.int64)
+    runs = m = 0  # runs ended and output bits so far
+    start = last = 0  # start position and value of the open run
+    for lo in range(0, x.size, _BLOCK):
+        xb = x[lo : lo + _BLOCK]
+        yb = apply_mask(xb, _deletion_mask(xb.shape, d, rng, u[: xb.size]))
+        if yb.size == 0:
+            continue
+        starts = np.flatnonzero(yb[1:] != yb[:-1])
+        starts += m + 1
+        if m and yb[0] != last:  # the block starts a new run
+            starts = np.concatenate(([m], starts))
+        if starts.size:
+            lengths[runs : runs + starts.size] = np.diff(starts, prepend=start)
+            runs += starts.size
+            start = int(starts[-1])
+        m += yb.size
+        last = yb[-1]
+    if m == 0:
+        return lengths[:0]
+    lengths[runs] = m - start
+    return lengths[: runs + 1]
 
 
 # --------------------------------------------------------------------------

@@ -224,7 +224,8 @@ def main() -> None:
 
 
 @main.command("constants")
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
+@click.option("--tol", type=click.FloatRange(min=0.0, min_open=True),
+              default=DEFAULT_TOL, show_default=True,
               help="Certified absolute accuracy of each series constant.")
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -317,11 +318,13 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
               help="bernoulli | markov:<p> | dagger[:<d>] | renewal:<file>.")
 @click.option("--n", type=int, default=1000, show_default=True,
               help="Input block length per replica.")
-@click.option("--samples", type=int, default=200, show_default=True,
+@click.option("--samples", type=click.IntRange(min=2), default=200,
+              show_default=True,
               help="Monte Carlo replicas for the conditional entropy.")
 @click.option("--out-bits", type=int, default=1_000_000, show_default=True,
               help="Output-stream budget for the output entropy.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
+              show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--format", "out_format", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
@@ -329,12 +332,16 @@ def rate_cmd(d, source, n, samples, out_bits, seed, threads, out_format) -> None
     """Estimate the achievable information rate of a source."""
     spec = _parse_source(source, d)
     try:
-        result = estimate_rate(
-            spec, d, n=n, samples=samples, out_bits=out_bits,
-            threads=threads, seed=seed,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = estimate_rate(
+                spec, d, n=n, samples=samples, out_bits=out_bits,
+                threads=threads, seed=seed,
+            )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    for w in caught:
+        click.echo(f"warning: {w.message}", err=True)
     if out_format == "json":
         click.echo(result.to_json())
     else:
@@ -381,8 +388,9 @@ def dist_cmd(kind, out, d, l_max) -> None:
               help="Bits to sample.")
 @click.option("--d", type=float, default=None,
               help="If set, report statistics of the channel output.")
-@click.option("--l-cap", type=int, default=64, show_default=True)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--l-cap", type=click.IntRange(min=1), default=64, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
+              show_default=True)
 def stats_cmd(source, n, d, l_cap, seed) -> None:
     """Empirical run-length statistics of a source (or channel output)."""
     spec = _parse_source(source, d if d is not None else 0.0)
@@ -404,11 +412,12 @@ def stats_cmd(source, n, d, l_cap, seed) -> None:
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(SUITES))
-@click.option("--samples", type=int, default=None,
+@click.option("--samples", type=click.IntRange(min=2), default=None,
               help="Monte Carlo replicas (rates suite only).")
 @click.option("--out-bits", type=int, default=None,
               help="Output-stream budget (rates suite only).")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
+              show_default=True)
 def verify_cmd(suite, samples, out_bits, seed) -> None:
     """Run a verification suite; exit 1 on failure.
 

@@ -17,7 +17,10 @@ an O(log n / n) term removed:
   last 64 runs discarded as burn-in) and a block bootstrap standard
   error.  For Markov inputs the same formula is only an upper bound
   (their output is not renewal), so the renewal estimator refuses them
-  and ``estimate_rate`` labels the result ``"upper-bound"``.
+  and ``estimate_rate`` labels the result ``"upper-bound"``.  The
+  stream's source, channel and run segmentation run in fixed blocks of
+  input bits from the same Philox stream, so no per-bit float array is
+  held and the result does not depend on the block size.
 
 Replicas run in fixed chunks of 64, each chunk on one RNG stream spawned
 by chunk index from the root seed: it samples its inputs as one matrix,
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delchan.channel import _deletion_mask, run_lengths, transmit
+from delchan.channel import _deletion_mask, _output_run_lengths
 from delchan.likelihood import _band_counts, log2_binomial
 from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
 
@@ -158,8 +161,7 @@ def estimate_h_cond(
     return mean, std_err
 
 
-def _interior_output_run_lengths(y: np.ndarray) -> np.ndarray:
-    lengths = run_lengths(y)
+def _interior_output_run_lengths(lengths: np.ndarray) -> np.ndarray:
     burn = _BURN_IN_RUNS if lengths.size >= 2 * _BURN_IN_RUNS + 16 else 1
     if lengths.size < 2 * burn + 1:
         raise ValueError(
@@ -200,13 +202,23 @@ def _h_out_from_stream(
     n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
     rng = np.random.Generator(np.random.Philox(sample_seed))
     x = sample_sequence(spec, n_in, rng)
-    y = transmit(x, d, rng).y
-    interior = _interior_output_run_lengths(y)
+    interior = _interior_output_run_lengths(_output_run_lengths(x, d, rng))
     n_runs = int(interior.size)
 
-    capped = np.minimum(interior, _L_CAP + 1)  # overflow pooled at L_CAP+1
-    counts = np.bincount(capped, minlength=_L_CAP + 2).astype(np.float64)
-    support_counts = counts[1 : _L_CAP + 1]
+    # run counts per contiguous block of runs, for the bootstrap below;
+    # overflow is pooled at L_CAP+1
+    n_blocks = max(8, min(64, n_runs // 200))
+    edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)
+    block_counts = np.zeros((n_blocks, _L_CAP), dtype=np.float64)
+    block_runs = np.zeros(n_blocks)
+    block_length_sums = np.zeros(n_blocks)
+    for b in range(n_blocks):
+        seg = interior[edges[b] : edges[b + 1]]
+        c = np.bincount(np.minimum(seg, _L_CAP + 1), minlength=_L_CAP + 2)
+        block_counts[b] = c[1 : _L_CAP + 1]
+        block_runs[b] = seg.size
+        block_length_sums[b] = seg.sum()
+    support_counts = block_counts.sum(axis=0)  # integers: the sum is exact
     length_sum = float(interior.sum())
 
     # lengths never observed are structural zeros (e.g. deterministic run
@@ -232,19 +244,7 @@ def _h_out_from_stream(
     )
     h_out = (1.0 - d) * h_over_mu
 
-    # block bootstrap over contiguous run blocks
-    n_blocks = max(8, min(64, n_runs // 200))
-    edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)
-    block_counts = np.zeros((n_blocks, _L_CAP), dtype=np.float64)
-    block_runs = np.zeros(n_blocks)
-    block_length_sums = np.zeros(n_blocks)
-    for b in range(n_blocks):
-        seg = capped[edges[b] : edges[b + 1]]
-        c = np.bincount(seg, minlength=_L_CAP + 2).astype(np.float64)
-        block_counts[b] = c[1 : _L_CAP + 1]
-        block_runs[b] = seg.size
-        block_length_sums[b] = interior[edges[b] : edges[b + 1]].sum()
-
+    # block bootstrap over the contiguous run blocks
     boot_rng = np.random.Generator(np.random.Philox(boot_seed))
     replicas = np.empty(_BOOTSTRAP_RESAMPLES)
     for r in range(_BOOTSTRAP_RESAMPLES):

@@ -17,7 +17,9 @@ Sequences are numpy ``uint8`` arrays of 0/1 values; ``as_bits`` accepts
 strings like ``"0110"`` for convenience.  Sampling uses the
 counter-based Philox generator so that parallel streams can be derived
 deterministically; a private row-batched sampler draws many paths from
-one stream (see ``delchan.estimation``).
+one stream (see ``delchan.estimation``).  A single long path is simulated
+in fixed blocks of ``_BLOCK`` draws from the same Philox stream, in the
+same order, so the bits do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ DEFAULT_SEED = 0xDC0DE
 #: Default truncation point for constructed distributions.  The
 #: geometric-type laws used here leave < 2^-60 mass beyond 64.
 DEFAULT_L_MAX = 64
+
+#: Draws (input bits) per block of a long simulated path; results do not
+#: depend on it, and a block's temporaries stay in cache.
+_BLOCK = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -290,11 +296,29 @@ def _inverse_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample_lengths(rng: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
-    """Lengths ``1..`` drawn by inversion: the draws of ``rng.choice(p=...)``."""
-    lengths = np.searchsorted(cdf, rng.random(shape), side="right")
+def _sample_lengths(rng, cdf: np.ndarray, shape, out=None) -> np.ndarray:
+    """Lengths ``1..`` drawn by inversion: the draws of ``rng.choice(p=...)``
+    (the uniforms go to the float buffer ``out`` if given)."""
+    lengths = np.searchsorted(cdf, rng.random(shape, out=out), side="right")
     lengths += 1
     return lengths
+
+
+def _put_runs(row, pos: int, runs: int, value: int, parts: list) -> tuple[int, int]:
+    """Expand the run-length blocks ``parts`` of one row into ``row[pos:]``, cut
+    at its end, and empty the list.  Run ``j`` of the row (``runs`` are done)
+    has value ``value ^ (j & 1)``.  Returns the new ``(pos, runs)``."""
+    for lengths in parts:
+        first = value ^ (runs & 1)
+        values = np.empty(lengths.size, dtype=np.uint8)
+        values[0::2] = first
+        values[1::2] = first ^ 1
+        bits = np.repeat(values, lengths.ravel())[: row.size - pos]
+        row[pos : pos + bits.size] = bits
+        pos += bits.size
+        runs += lengths.size
+    parts.clear()
+    return pos, runs
 
 
 def _sample_rows(
@@ -307,16 +331,24 @@ def _sample_rows(
     """Sample ``rows`` independent paths of ``n >= 1`` bits, shape ``(rows, n)``.
 
     Each draw is made for all rows at once, so one row draws exactly what
-    :func:`sample_sequence` documents.
+    :func:`sample_sequence` documents.  One row runs in blocks of
+    ``_BLOCK`` draws, the same numbers as one whole draw.
     """
     if spec.kind == "bernoulli_half":
         return rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
 
     if spec.kind == "markov":
-        first = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
-        flips = (rng.random((rows, n - 1)) >= spec.p_same).view(np.uint8)
-        steps = np.concatenate((first, flips), axis=1)
-        return np.bitwise_xor.accumulate(steps, axis=1)
+        step = _BLOCK if rows == 1 else n
+        bits = np.empty((rows, n), dtype=np.uint8)
+        bits[:, :1] = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
+        u = np.empty((rows, min(step, n - 1)))
+        for lo in range(1, n, step):
+            block = bits[:, lo - 1 : lo + step]  # carries the previous bit in
+            flips = block[:, 1:].view(np.bool_)
+            uniforms = rng.random(out=u[:, : flips.shape[1]])
+            np.greater_equal(uniforms, spec.p_same, out=flips)
+            np.bitwise_xor.accumulate(block, axis=1, out=block)
+        return bits
 
     # renewal: run j of a row has value ``value ^ (j & 1)``
     dist = spec.dist
@@ -334,14 +366,30 @@ def _sample_rows(
         total += parts[-1][:, 0]
 
     # Draw run lengths in deterministic-size batches until n bits are covered.
+    # One row inverts and expands block by block until it is covered; the
+    # rest of its batch is still drawn, so later draws do not move.
     batch = max(16, int(n / dist.mean * 1.25) + 16)
+    step = min(_BLOCK, batch) if rows == 1 else batch
+    u = np.empty((rows, step))
+    row = np.empty(n, dtype=np.uint8) if rows == 1 else None
+    pos = runs = 0
     while total.min() < n:
-        parts.append(_sample_lengths(rng, dist._cdf, (rows, batch)))
-        total += parts[-1].sum(axis=1)
+        for lo in range(0, batch, step):
+            k = min(step, batch - lo)
+            if lo and total.min() >= n:
+                rng.random(out=u[:, :k])
+                continue
+            parts.append(_sample_lengths(rng, dist._cdf, (rows, k), u[:, :k]))
+            total += parts[-1].sum(axis=1)
+            if rows == 1:  # expand now, while the block is in cache
+                pos, runs = _put_runs(row, pos, runs, int(value[0, 0]), parts)
+    if rows == 1:
+        _put_runs(row, pos, runs, int(value[0, 0]), parts)
+        return row[None]
 
     # lengthen each row's last run so that all rows are equally long
     parts[-1][:, -1] += total.max() - total
-    # a single batch (the usual case) is not copied: streams run to 1e7 runs
+    # a single batch (the usual case) is not copied
     lengths = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     values = np.empty(lengths.shape, dtype=np.uint8)
     values[:, 0::2] = value

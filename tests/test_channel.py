@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from delchan.channel import (
     SuperRunType,
+    _output_run_lengths,
     apply_mask,
     modified_mask,
     parent_segmentation,
@@ -22,10 +23,13 @@ from delchan.channel import (
     transmit,
 )
 from delchan.sources import (
+    _BLOCK,
     SourceSpec,
     _rng_from,
     as_bits,
     bits_to_str,
+    geometric_half,
+    point_mass,
     sample_sequence,
 )
 
@@ -88,6 +92,86 @@ class TestTransmit:
     def test_reconstruction_roundtrip(self, bits, seed):
         r = transmit(bits, 0.35, seed=seed)
         np.testing.assert_array_equal(reconstruct_input(r), r.x)
+
+
+class ScriptedUniforms:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+        self.used = 0
+
+    def random(self, shape, out=None):
+        size = int(np.prod(shape))
+        draw = self.uniforms[self.used : self.used + size].reshape(shape)
+        self.used += size
+        if out is None:
+            return draw.copy()
+        out[...] = draw
+        return out
+
+
+class TestOutputRunLengths:
+    """The blocked stream path against the whole-array ``transmit``."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SourceSpec.bernoulli_half(),
+            SourceSpec.markov(0.3),
+            SourceSpec.markov(0.9),
+            SourceSpec.dagger(0.05),
+            SourceSpec.renewal(geometric_half(16)),
+            SourceSpec.renewal(point_mass(3)),
+        ],
+        ids=lambda s: s.kind,
+    )
+    @pytest.mark.parametrize("d", [0.0, 0.05, 0.5, 0.99])
+    def test_matches_transmit_run_lengths(self, spec, d):
+        for n in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+            x = sample_sequence(spec, n, n)
+            a = _rng_from(n + 1)
+            b = _rng_from(n + 1)
+            got = _output_run_lengths(x, d, a)
+            want = run_lengths(transmit(x, d, b).y)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+            assert a.random() == b.random()  # same number of draws
+
+    def test_all_deleted(self):
+        x = sample_sequence(SourceSpec.bernoulli_half(), 2 * _BLOCK + 3, 1)
+        for d in (1.0, 1.0 - 2.0**-53):
+            a = _rng_from(2)
+            b = _rng_from(2)
+            got = _output_run_lengths(x, d, a)
+            assert got.size == 0 and got.dtype == np.int64
+            assert transmit(x, d, b).y.size == 0
+            assert a.random() == b.random()
+        assert _output_run_lengths(x[:0], 0.5, _rng_from(2)).size == 0
+
+    @pytest.mark.parametrize(
+        "values,keep,want",
+        [
+            # a run that crosses two block boundaries
+            ((0, 0, 0), (1, 1, 1), [3 * _BLOCK]),
+            # each block starts a new run exactly at its first output bit
+            ((0, 1, 0), (1, 1, 1), [_BLOCK] * 3),
+            # a block with no survivors between two blocks of equal value
+            ((1, 0, 1), (1, 0, 1), [2 * _BLOCK]),
+            # ... and between two blocks of different values
+            ((1, 1, 0), (1, 0, 1), [_BLOCK, _BLOCK]),
+            # an empty first block, and an empty last block
+            ((0, 1, 1), (0, 1, 0), [_BLOCK]),
+        ],
+    )
+    def test_block_boundaries(self, values, keep, want):
+        x = np.repeat(np.array(values, dtype=np.uint8), _BLOCK)
+        uniforms = np.repeat([0.75 if k else 0.25 for k in keep], _BLOCK)
+        rng = ScriptedUniforms(uniforms)
+        got = _output_run_lengths(x, 0.5, rng)
+        assert rng.used == x.size
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, run_lengths(x[uniforms >= 0.5]))
 
 
 class TestSegmentation:

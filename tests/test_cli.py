@@ -6,10 +6,15 @@ exit codes, stdout/stderr separation, and file I/O are all observable.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import delchan
 from delchan.cli import (
     DEFAULT_D_GRID,
     BoundsTable,
@@ -18,7 +23,8 @@ from delchan.cli import (
     table_rows,
 )
 from delchan.constants import capacity_estimate
-from delchan.sources import read_distribution, dagger_distribution
+from delchan.estimation import estimate_rate
+from delchan.sources import SourceSpec, read_distribution, dagger_distribution
 
 # several commands run deliberately tiny Monte Carlo budgets
 pytestmark = pytest.mark.filterwarnings(
@@ -33,6 +39,46 @@ def runner():
 
 def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+
+
+def run_module(*args):
+    """Run ``python -m delchan ARGS`` in a fresh interpreter."""
+    src = str(Path(delchan.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "delchan", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_module("--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith("Usage: delchan ")
+    assert "rate" in result.stdout and "verify" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["constants", "--tol", "0"],
+        ["constants", "--tol", "-1"],
+        ["verify", "dp", "--seed", "-1"],
+        ["verify", "rates", "--samples", "1"],
+        ["stats", "--n", "1000", "--seed", "-1"],
+        ["stats", "--n", "1000", "--l-cap", "0"],
+        ["rate", "--d", "0.1", "--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_option_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "Invalid value for" in result.output
 
 
 class TestBoundsTable:
@@ -247,6 +293,24 @@ class TestRateCommand:
     def test_bad_sample_budget_is_usage_error(self, runner):
         result = runner.invoke(main, ["rate", "--d", "0.1", "--samples", "1"])
         assert result.exit_code == 2
+
+    def test_warnings_print_as_messages(self):
+        # an underpowered output stream warns; stderr carries the message
+        # alone, not Python's warning location and source line
+        args = ["--d", "0.3", "--source", "dagger", "--n", "50",
+                "--samples", "4", "--out-bits", "2000"]
+        result = run_module("rate", *args)
+        assert result.returncode == 0
+        lines = result.stderr.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert "underpowered output-entropy estimate" in result.stderr
+        assert "estimate_rate(" not in result.stderr
+        assert "UserWarning" not in result.stderr
+        expected = estimate_rate(
+            SourceSpec.dagger(0.3), 0.3, n=50, samples=4, out_bits=2000,
+            seed=0xDC0DE,
+        ).to_json()
+        assert result.stdout == expected + "\n"
 
     def test_deterministic_for_fixed_seed(self, runner):
         args = ["rate", "--d", "0.1", "--n", "60", "--samples", "20",

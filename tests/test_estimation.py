@@ -17,8 +17,13 @@ import pytest
 from delchan.analytics import markov_rate_bound, optimal_markov_param
 from delchan.channel import _deletion_mask
 from delchan.estimation import (
+    _BOOTSTRAP_RESAMPLES,
+    _BURN_IN_RUNS,
     _CHUNK,
+    _L_CAP,
     RateEstimate,
+    _h_out_from_stream,
+    _plug_in_h_over_mu,
     estimate_h_cond,
     estimate_h_out_renewal,
     estimate_rate,
@@ -29,7 +34,24 @@ from delchan.likelihood import (
     exact_block_information,
     log2_binomial,
 )
-from delchan.sources import SourceSpec, _sample_rows, geometric_half, point_mass
+from delchan.channel import run_lengths, transmit
+from delchan.sources import (
+    DEFAULT_SEED,
+    SourceSpec,
+    _sample_rows,
+    geometric_half,
+    point_mass,
+)
+from test_sources import whole_array_sample_rows
+
+#: ``estimate_rate(...).to_json()`` for the arguments of acceptance
+#: criterion 8, recorded before the output stream was built in blocks.
+CRITERION_8_JSON = (
+    '{"rate": 0.7321611592542608, "h_out": 0.9478245725738542, '
+    '"h_cond": 0.2156634133195934, "std_err": 0.0006669966619364962, '
+    '"n": 2000, "samples": 500, "d": 0.05, "seed": 901342, '
+    '"mode": "exact-renewal"}'
+)
 
 
 def binary_entropy(p: float) -> float:
@@ -162,6 +184,79 @@ class TestEstimateHCond:
         m1, s1 = estimate_h_cond(spec, 0.1, 1000, 100, 42)
         m2, s2 = estimate_h_cond(spec, 0.1, 2000, 50, 42)
         assert abs(m1 - m2) <= 2.0 * math.hypot(s1, s2)
+
+
+def whole_array_h_out(spec, d, out_bits, seed, miller_madow=False):
+    """``_h_out_from_stream`` as it was before the stream ran in blocks:
+    the whole input, mask and output as arrays, one ``run_lengths`` and
+    one capped copy of the run lengths."""
+    sample_seed, boot_seed = np.random.SeedSequence(seed).spawn(2)
+    n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
+    rng = np.random.Generator(np.random.Philox(sample_seed))
+    x = whole_array_sample_rows(spec, n_in, 1, rng)[0]
+    lengths = run_lengths(transmit(x, d, rng).y)
+    burn = _BURN_IN_RUNS if lengths.size >= 2 * _BURN_IN_RUNS + 16 else 1
+    interior = lengths[burn:-burn]
+    n_runs = interior.size
+    capped = np.minimum(interior, _L_CAP + 1)
+    counts = np.bincount(capped, minlength=_L_CAP + 2).astype(np.float64)
+    h_out = (1.0 - d) * _plug_in_h_over_mu(
+        counts[1 : _L_CAP + 1], float(n_runs), float(interior.sum()), miller_madow
+    )
+    n_blocks = max(8, min(64, n_runs // 200))
+    edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)
+    blocks = [
+        (capped[lo:hi], interior[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    block_counts = np.array(
+        [np.bincount(c, minlength=_L_CAP + 2)[1 : _L_CAP + 1] for c, _ in blocks],
+        dtype=np.float64,
+    )
+    block_runs = np.array([c.size for c, _ in blocks], dtype=np.float64)
+    block_sums = np.array([l.sum() for _, l in blocks], dtype=np.float64)
+    boot_rng = np.random.Generator(np.random.Philox(boot_seed))
+    replicas = []
+    for _ in range(_BOOTSTRAP_RESAMPLES):
+        picks = boot_rng.integers(0, n_blocks, n_blocks)
+        replicas.append((1.0 - d) * _plug_in_h_over_mu(
+            block_counts[picks].sum(axis=0), float(block_runs[picks].sum()),
+            float(block_sums[picks].sum()), miller_madow,
+        ))
+    return h_out, float(np.std(replicas, ddof=1))
+
+
+class TestBlockedStream:
+    """The blocked output stream gives the whole-array stream's numbers."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SourceSpec.bernoulli_half(),
+            SourceSpec.markov(0.56),
+            SourceSpec.dagger(0.1),
+            SourceSpec.renewal(point_mass(3)),
+        ],
+        ids=lambda s: s.kind,
+    )
+    @pytest.mark.parametrize("d", [0.0, 0.05, 0.1, 0.5])
+    def test_matches_whole_array_stream(self, spec, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for out_bits, mm in ((2000, False), (65_536, True), (300_000, False)):
+                got = _h_out_from_stream(spec, d, out_bits, 5, miller_madow=mm)
+                assert got == whole_array_h_out(spec, d, out_bits, 5, mm)
+
+    def test_criterion_8_json_unchanged(self):
+        r = estimate_rate(
+            SourceSpec.dagger(0.05), 0.05, n=2000, samples=500,
+            out_bits=10**7, seed=DEFAULT_SEED,
+        )
+        assert r.to_json() == CRITERION_8_JSON
+
+    def test_underpowered_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="underpowered") as record:
+            estimate_h_out_renewal(SourceSpec.bernoulli_half(), 0.1, 3000, 2)
+        assert record[0].filename == __file__
 
 
 class TestEstimateHOutRenewal:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delchan.sources import (
+    _BLOCK,
     RunLengthDistribution,
     SourceSpec,
     _inverse_cdf,
@@ -74,6 +75,45 @@ def reference_sample_sequence(spec, n, seed, stationary_start=False):
     return np.concatenate(chunks)[:n]
 
 
+def whole_array_sample_rows(spec, n, rows, rng, stationary_start=False):
+    """``_sample_rows`` as it was before long rows were built in blocks:
+    every draw and every expansion as one whole array.  The blocked
+    sampler must reproduce it bit for bit and leave ``rng`` in the same
+    state."""
+    if spec.kind == "bernoulli_half":
+        return rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+    if spec.kind == "markov":
+        first = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
+        flips = (rng.random((rows, n - 1)) >= spec.p_same).view(np.uint8)
+        steps = np.concatenate((first, flips), axis=1)
+        return np.bitwise_xor.accumulate(steps, axis=1)
+    dist = spec.dist
+    value = rng.integers(0, 2, size=(rows, 1))
+    parts = []
+    total = np.zeros(rows, dtype=np.int64)
+    if stationary_start:
+        size_biased = dist.lengths * dist.probs
+        size_biased = size_biased / size_biased.sum()
+        l0 = _sample_lengths(rng, _inverse_cdf(size_biased), (rows, 1))
+        parts.append(rng.integers(1, l0 + 1))
+        total += parts[-1][:, 0]
+    batch = max(16, int(n / dist.mean * 1.25) + 16)
+    while total.min() < n:
+        parts.append(_sample_lengths(rng, dist._cdf, (rows, batch)))
+        total += parts[-1].sum(axis=1)
+    parts[-1][:, -1] += total.max() - total
+    lengths = np.concatenate(parts, axis=1)
+    values = np.empty(lengths.shape, dtype=np.uint8)
+    values[:, 0::2] = value
+    values[:, 1::2] = value ^ 1
+    bits = np.repeat(values.ravel(), lengths.ravel())
+    return bits.reshape(rows, -1)[:, :n]
+
+
+#: Mostly 1s with rare 64s: a batch sized by the mean often falls short,
+#: so rows need a second batch.
+HEAVY_TAIL = RunLengthDistribution.from_weights([0.9] + [0.0] * 62 + [0.1])
+
 ALL_KINDS = [
     SourceSpec.bernoulli_half(),
     SourceSpec.markov(0.3),
@@ -81,6 +121,9 @@ ALL_KINDS = [
     SourceSpec.renewal(geometric_half(16)),
     SourceSpec.renewal(point_mass(3)),
 ]
+
+#: Row lengths around the block boundaries of the one-row sampler.
+BLOCK_LENGTHS = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
 
 
 class TestBitHelpers:
@@ -307,6 +350,55 @@ class TestSampling:
                 assert got.dtype == want.dtype == np.uint8
                 np.testing.assert_array_equal(got, want)
                 assert a.random() == b.random()  # same number of draws
+
+    @pytest.mark.parametrize(
+        "spec", ALL_KINDS + [SourceSpec.renewal(HEAVY_TAIL)], ids=lambda s: s.kind
+    )
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_blocked_row_matches_whole_array(self, spec, stationary):
+        # at 10^6 bits the row is covered blocks before its batch ends, and
+        # the rest of the batch must still be drawn
+        for n in BLOCK_LENGTHS + (10**6,):
+            for seed in (0, 1):
+                a = _rng_from(seed)
+                b = _rng_from(seed)
+                got = sample_sequence(spec, n, a, stationary_start=stationary)
+                want = whole_array_sample_rows(spec, n, 1, b, stationary)[0]
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, want)
+                assert a.random() == b.random()  # same number of draws
+
+    def test_short_rows_need_second_batches(self):
+        # the one-row loop over batches, not only over blocks, matches
+        spec = SourceSpec.renewal(HEAVY_TAIL)
+        second = 0
+        for seed in range(40):
+            a = _rng_from(seed)
+            b = _rng_from(seed)
+            got = sample_sequence(spec, 200, a)
+            np.testing.assert_array_equal(
+                got, whole_array_sample_rows(spec, 200, 1, b)[0]
+            )
+            assert a.random() == b.random()
+            probe = _rng_from(seed)
+            probe.integers(0, 2, size=(1, 1))
+            batch = max(16, int(200 / HEAVY_TAIL.mean * 1.25) + 16)
+            second += _sample_lengths(probe, HEAVY_TAIL._cdf, batch).sum() < 200
+        assert second > 0
+
+    @pytest.mark.parametrize(
+        "spec", ALL_KINDS + [SourceSpec.renewal(HEAVY_TAIL)], ids=lambda s: s.kind
+    )
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_batched_rows_match_whole_array(self, spec, stationary):
+        for rows, n in ((64, 1), (64, 10), (64, 200), (64, 2000), (3, _BLOCK + 5)):
+            a = _rng_from(rows + n)
+            b = _rng_from(rows + n)
+            got = _sample_rows(spec, n, rows, a, stationary)
+            want = whole_array_sample_rows(spec, n, rows, b, stationary)
+            assert got.shape == (rows, n) and got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+            assert a.random() == b.random()
 
     @pytest.mark.parametrize("stationary", [False, True])
     def test_batched_rows_keep_the_run_law(self, stationary):
