@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -170,6 +171,15 @@ def run_table(bounds_file=None, out_format: str = "csv") -> str:
     return _rows_to_csv(rows, columns)
 
 
+@contextmanager
+def _usage_errors():
+    """Report a ``ValueError`` raised inside the block as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _parse_source(text: str, channel_d: float) -> SourceSpec:
     """Parse ``bernoulli | markov:<p> | dagger[:<d>] | renewal:<file>``."""
     if text == "bernoulli":
@@ -321,7 +331,8 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
 @click.option("--samples", type=click.IntRange(min=2), default=200,
               show_default=True,
               help="Monte Carlo replicas for the conditional entropy.")
-@click.option("--out-bits", type=int, default=1_000_000, show_default=True,
+@click.option("--out-bits", type=click.IntRange(min=1), default=1_000_000,
+              show_default=True,
               help="Output-stream budget for the output entropy.")
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
               show_default=True)
@@ -331,15 +342,12 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
 def rate_cmd(d, source, n, samples, out_bits, seed, threads, out_format) -> None:
     """Estimate the achievable information rate of a source."""
     spec = _parse_source(source, d)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = estimate_rate(
-                spec, d, n=n, samples=samples, out_bits=out_bits,
-                threads=threads, seed=seed,
-            )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    with _usage_errors(), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = estimate_rate(
+            spec, d, n=n, samples=samples, out_bits=out_bits,
+            threads=threads, seed=seed,
+        )
     for w in caught:
         click.echo(f"warning: {w.message}", err=True)
     if out_format == "json":
@@ -365,10 +373,8 @@ def dist_cmd(kind, out, d, l_max) -> None:
     if kind == "dagger":
         if d is None:
             raise click.UsageError("dagger requires --d")
-        try:
+        with _usage_errors():
             dist = dagger_distribution(d, l_max)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
         label = f"capacity-achieving run law at d={d!r}, L_max={l_max}"
     else:
         dist = geometric_half(l_max)
@@ -396,17 +402,11 @@ def stats_cmd(source, n, d, l_cap, seed) -> None:
     spec = _parse_source(source, d if d is not None else 0.0)
     root = np.random.SeedSequence(seed)
     sample_seed, channel_seed = root.spawn(2)
-    try:
+    with _usage_errors():
         bits = sample_sequence(spec, n, sample_seed)
         if d is not None:
             bits = transmit(bits, d, channel_seed).y
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    try:
         stats = empirical_run_distribution(bits, l_cap=l_cap)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
     click.echo(stats_to_json(stats, indent=2))
 
 
@@ -414,7 +414,7 @@ def stats_cmd(source, n, d, l_cap, seed) -> None:
 @click.argument("suite", type=click.Choice(SUITES))
 @click.option("--samples", type=click.IntRange(min=2), default=None,
               help="Monte Carlo replicas (rates suite only).")
-@click.option("--out-bits", type=int, default=None,
+@click.option("--out-bits", type=click.IntRange(min=1), default=None,
               help="Output-stream budget (rates suite only).")
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
               show_default=True)

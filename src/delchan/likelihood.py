@@ -26,9 +26,16 @@ to cap the band cells per call); each sum is bit-identical to a lone input.
 ``exact_block_information`` enumerates all inputs and masks for
 ``n <= 12`` and returns exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` — the
 ground-truth oracle against which the Monte Carlo estimators are gated.
-It keys every (input, mask) pair by its output in one int32 matrix and
-reads it once, input by input: the output law of ``x`` gives both its
-share of ``p(y)`` and the term ``H(Y|X = x)``.
+I.i.d. deletions commute with reversal R and complement C, so it reads
+one input per orbit of {identity, R, C, R∘C}, the smallest code ``c``
+(1056 of 4096 inputs at n = 12).  It keys every (representative, mask)
+pair by its output in one int32 matrix and reads it once, representative
+by representative: the output law ``q_c`` gives ``H(Y|X = x)`` for the
+whole orbit and, weighted by ``p(g·c) / |Stab(c)|``, one accumulator per
+g.  The accumulators are mapped back to ``p(y)`` by key permutations that
+apply g to the code bits within each output length.  The weights use
+``p(g·c)`` itself because the source law need not be symmetric (the
+renewal start censors only the last run).
 """
 
 from __future__ import annotations
@@ -273,12 +280,37 @@ def _input_probs(spec: SourceSpec, bits_matrix: np.ndarray) -> np.ndarray:
     return np.multiply.reduceat(factors, np.flatnonzero(first))
 
 
+def _group_codes(n: int) -> np.ndarray:
+    """``g·c`` for every n-bit code ``c`` (MSB first) and each g of the group
+    (identity, reversal R, complement C, R∘C), as the rows of a ``(4, 2^n)``
+    matrix.  Every g is an involution, so each row is its own inverse map."""
+    codes = np.arange(2**n, dtype=np.int64)
+    reversed_ = _all_words(n).astype(np.int64) @ (1 << np.arange(n))
+    full = 2**n - 1
+    return np.stack([codes, reversed_, codes ^ full, reversed_ ^ full])
+
+
+def _key_maps(n: int) -> np.ndarray:
+    """``key(g·y)`` for every output key of an n-bit input and each g, shape
+    ``(4, 2^(n+1) - 1)``: the outputs of length m own keys ``2^m - 1 +
+    code``, and g acts on the code bits within that block."""
+    return np.concatenate(
+        [2**m - 1 + _group_codes(m) for m in range(n + 1)], axis=1
+    )
+
+
 def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformation:
     """Exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` by full enumeration (n <= 12).
 
-    Enumerates all ``2^n`` inputs weighted by the source law (renewal
-    sources: run-boundary start) and all ``2^n`` deletion masks.  Raises
-    ``ValueError`` with guidance above the exhaustive limit.
+    Covers all ``2^n`` inputs weighted by the source law (renewal sources:
+    run-boundary start) and all ``2^n`` deletion masks.  Reversal R and
+    complement C commute with i.i.d. deletions, so the output law of
+    ``g·x`` is that of ``x`` with g applied to the outputs, and only one
+    input per orbit of {identity, R, C, R∘C} is enumerated: the smallest
+    code ``c``.  Its output law ``q_c`` gives ``H(Y|X = x)`` for the whole
+    orbit and adds ``p(g·c) / |Stab(c)| * q_c(g·y)`` to ``p(y)`` for each g;
+    the source law need not be symmetric.  Raises ``ValueError`` with
+    guidance above the exhaustive limit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -297,29 +329,41 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"input law sums to {total!r}")
 
+    # orbit representatives c (the smallest code of each orbit), the weight
+    # p(g·c) / |Stab(c)| of each g, and the orbit's probability
+    orbit = _group_codes(n)
+    reps = np.flatnonzero(orbit.min(axis=0) == orbit[0])
+    orbit = orbit[:, reps]
+    weights = p_x[orbit] / (orbit == reps).sum(axis=0)
+    p_orbit = weights.sum(axis=0)
+    live = p_orbit > 0.0
+    reps, weights, p_orbit = reps[live], weights[:, live], p_orbit[live]
+
     mask_bits = bits.astype(np.int64)  # mask code mk deletes the 1-bits of mk
     weights_mask = d ** mask_bits.sum(axis=1) * (1.0 - d) ** (
         n - mask_bits.sum(axis=1)
     )
 
-    # key of (x, mask): the output y-code, sum over surviving positions of
+    # key of (c, mask): the output y-code, sum over surviving positions of
     # bit * 2^(survivors strictly to the right), plus 2^len(y) - 1 so that
     # each output length owns its own block of keys
     keep = 1 - mask_bits
     suffix_keep = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
     place = (keep * (2**suffix_keep)).astype(np.float32)
-    keys = (bits.astype(np.float32) @ place.T).astype(np.int32)  # exact: < 2^12
+    keys = (bits[reps].astype(np.float32) @ place.T).astype(np.int32)  # < 2^12
     keys += (2 ** keep.sum(axis=1) - 1).astype(np.int32)
     n_keys = 2 ** (n + 1) - 1
 
-    # one pass over inputs: the output law of x gives p(y) and H(Y|X = x)
-    p_y = np.zeros(n_keys)
+    # one pass over representatives: q_c gives H(Y|X = x) on the orbit and,
+    # through accumulator g, the share of every g·c in p(y)
+    acc = np.zeros((4, n_keys))
     h_terms = []
-    for xi in np.flatnonzero(p_x).tolist():
-        q = np.bincount(keys[xi], weights=weights_mask, minlength=n_keys)
-        p_y += p_x[xi] * q
+    for i in range(reps.size):
+        q = np.bincount(keys[i], weights=weights_mask, minlength=n_keys)
+        acc += weights[:, i, None] * q
         qnz = q[q > 0.0]
-        h_terms.append(p_x[xi] * float(-np.sum(qnz * np.log2(qnz))))
+        h_terms.append(p_orbit[i] * float(-np.sum(qnz * np.log2(qnz))))
+    p_y = np.take_along_axis(acc, _key_maps(n), axis=1).sum(axis=0)
     nz = p_y > 0.0
     H_Y = float(-np.sum(p_y[nz] * np.log2(p_y[nz])))
     H_Y_given_X = math.fsum(h_terms)

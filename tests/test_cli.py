@@ -71,6 +71,9 @@ def test_python_dash_m_runs_the_cli():
         ["stats", "--n", "1000", "--seed", "-1"],
         ["stats", "--n", "1000", "--l-cap", "0"],
         ["rate", "--d", "0.1", "--seed", "-1"],
+        ["rate", "--d", "0.1", "--out-bits", "0"],
+        ["verify", "rates", "--out-bits", "0"],
+        ["verify", "rates", "--out-bits", "-5"],
     ],
     ids=" ".join,
 )
@@ -367,6 +370,13 @@ class TestStatsCommand:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
         assert "Error:" in result.output
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_few_runs_is_usage_error(self, runner, n):
+        result = runner.invoke(main, ["stats", "--n", n])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "Error: too few runs" in result.output
 
 
 class TestVerifyCommand:

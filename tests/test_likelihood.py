@@ -16,7 +16,9 @@ from delchan import likelihood
 from delchan.likelihood import (
     IMPOSSIBLE,
     _band_counts,
+    _group_codes,
     _input_probs,
+    _key_maps,
     _total_probabilities,
     binomial_length_entropy,
     embedding_count,
@@ -427,15 +429,48 @@ def two_pass_block_information(spec: SourceSpec, n: int, d: float):
     return H_Y, H_Y_given_X, (H_Y - H_Y_given_X) / n
 
 
+def output_key_counts(n: int) -> np.ndarray:
+    """Masks mapping each n-bit input (row, MSB first) to each output key
+    ``2^m - 1 + code(y)``, one deleted-position pattern at a time."""
+    bits = all_inputs(n).astype(np.int64)
+    counts = np.zeros((2**n, 2 ** (n + 1) - 1), dtype=np.int64)
+    for mask in itertools.product((False, True), repeat=n):
+        kept = bits[:, ~np.array(mask, dtype=bool)]
+        m = kept.shape[1]
+        keys = 2**m - 1 + kept @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
+        counts[np.arange(2**n), keys] += 1
+    return counts
+
+
+def word_code(bits: np.ndarray) -> np.ndarray:
+    """MSB-first code of each row of a bit matrix."""
+    n = bits.shape[1]
+    return bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+#: (input law, block lengths, deletion probabilities) checked against the
+#: two-pass enumeration; the renewal laws are not reversal-symmetric, and the
+#: last case is the benchmark's n = 12 call and its neighbour.
+TWO_PASS_CASES = [
+    pytest.param(SourceSpec.bernoulli_half(), range(1, 11), (0.0, 0.05, 0.5, 1.0),
+                 id="bernoulli_half"),
+    pytest.param(SourceSpec.markov(0.7), range(1, 11), (0.0, 0.05, 0.5, 1.0),
+                 id="markov"),
+    pytest.param(SourceSpec.dagger(0.05), range(1, 11), (0.0, 0.05, 0.5, 1.0),
+                 id="renewal"),
+    pytest.param(SourceSpec.renewal(geometric_half(16)), range(1, 11),
+                 (0.0, 0.05, 0.5, 1.0), id="geometric"),
+    pytest.param(SourceSpec.renewal(point_mass(3)), range(1, 11),
+                 (0.0, 0.05, 0.5, 1.0), id="point3"),
+    pytest.param(SourceSpec.dagger(0.05), (11, 12), (0.05,), id="dagger-n11-12"),
+]
+
+
 class TestExactBlockInformation:
-    @pytest.mark.parametrize(
-        "spec",
-        [SourceSpec.bernoulli_half(), SourceSpec.markov(0.7), SourceSpec.dagger(0.05)],
-        ids=lambda s: s.kind,
-    )
-    def test_matches_two_pass_enumeration(self, spec):
-        for n in range(1, 11):
-            for d in (0.0, 0.05, 0.5, 1.0):
+    @pytest.mark.parametrize("spec, ns, ds", TWO_PASS_CASES)
+    def test_matches_two_pass_enumeration(self, spec, ns, ds):
+        for n in ns:
+            for d in ds:
                 got = exact_block_information(spec, n, d)
                 want = two_pass_block_information(spec, n, d)
                 for g, w in zip(got, want):
@@ -455,6 +490,28 @@ class TestExactBlockInformation:
             bits = all_inputs(n)
             got = _input_probs(spec, bits)
             np.testing.assert_array_equal(got, loop_input_probs(spec, bits))
+
+    def test_renewal_laws_are_not_reversal_symmetric(self):
+        # the orbit weights p(g·c) matter: a Palm start censors only the
+        # last run, so reversing an input changes its probability
+        bits = all_inputs(7)
+        for spec in (SourceSpec.dagger(0.05), SourceSpec.renewal(geometric_half(16)),
+                     SourceSpec.renewal(point_mass(3))):
+            p = _input_probs(spec, bits)
+            assert not np.array_equal(p, p[word_code(bits[:, ::-1])])
+
+    def test_output_law_commutes_with_reversal_and_complement(self):
+        # for every input x: the outputs of g·x are the outputs of x with g
+        # applied, so count(g·x -> y) = count(x -> g·y) for each g
+        for n in range(1, 9):
+            counts = output_key_counts(n)
+            bits = all_inputs(n)
+            images = [bits, bits[:, ::-1], 1 - bits, 1 - bits[:, ::-1]]
+            group_codes, key_maps = _group_codes(n), _key_maps(n)
+            for g, image in enumerate(images):
+                gx = word_code(image)
+                np.testing.assert_array_equal(group_codes[g], gx)
+                np.testing.assert_array_equal(counts[gx], counts[:, key_maps[g]])
 
     def test_one_bit_channel(self):
         for d in (0.1, 0.25, 0.5, 0.9):
