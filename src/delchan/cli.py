@@ -180,6 +180,16 @@ def _usage_errors():
         raise click.UsageError(str(exc)) from exc
 
 
+@contextmanager
+def _io_errors():
+    """Report an ``OSError`` or ``ValueError`` in the block as an I/O error."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
+
+
 def _parse_source(text: str, channel_d: float) -> SourceSpec:
     """Parse ``bernoulli | markov:<p> | dagger[:<d>] | renewal:<file>``."""
     if text == "bernoulli":
@@ -204,11 +214,8 @@ def _parse_source(text: str, channel_d: float) -> SourceSpec:
         except ValueError as exc:
             raise click.UsageError(f"bad markov parameter {arg!r}: {exc}") from exc
     if kind == "renewal" and arg:
-        try:
+        with _io_errors():
             return SourceSpec.renewal(read_distribution(arg))
-        except (OSError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
     raise click.UsageError(
         f"unknown source {text!r}; expected bernoulli, markov:<p>, "
         "dagger[:<d>], or renewal:<file>"
@@ -262,17 +269,15 @@ def constants_cmd(tol: float, out_format: str) -> None:
               default="csv", show_default=True)
 def table_cmd(bounds_file, out_format: str) -> None:
     """Capacity estimates next to the published bounds."""
-    try:
+    with _io_errors():
         click.echo(run_table(bounds_file, out_format), nl=False)
-    except (OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
 
 
 @main.command("plot-data")
 @click.option("--bounds-file", type=click.Path(), default=None,
               help="CSV of published bounds (default: bundled table).")
-@click.option("--points", type=int, default=99, show_default=True,
+@click.option("--points", type=click.IntRange(min=2), default=99,
+              show_default=True,
               help="Number of grid points for the estimate curve.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the CSV here instead of stdout.")
@@ -284,16 +289,11 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
     Grid points without published bounds carry ``nan`` in the bounds
     columns, which gnuplot treats as missing.
     """
-    if points < 2:
-        raise click.UsageError("--points must be >= 2")
     if gnuplot_script is not None and out_path is None:
         raise click.UsageError("--gnuplot-script requires --out")
-    try:
+    with _io_errors():
         bounds = (BoundsTable.bundled() if bounds_file is None
                   else BoundsTable.parse(bounds_file))
-    except (OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
 
     consts = compute_constants(DEFAULT_TOL)
     known = {round(d, 6): (lower, upper) for d, lower, upper in bounds.rows}
@@ -308,7 +308,7 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
                      "C_est": capacity_estimate(d, consts), "upper": upper})
     text = _rows_to_csv(rows, ["d", "lower", "C_est", "upper"])
 
-    try:
+    with _io_errors():
         if out_path is None:
             click.echo(text, nl=False)
         else:
@@ -317,9 +317,6 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
         if gnuplot_script is not None:
             with open(gnuplot_script, "w", encoding="utf-8") as fh:
                 fh.write(_GNUPLOT_TEMPLATE.format(csv=out_path))
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
 
 
 @main.command("rate")
@@ -336,7 +333,8 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
               help="Output-stream budget for the output entropy.")
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
               show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              help="2 runs the two halves of the estimate at once; more adds nothing.")
 @click.option("--format", "out_format", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 def rate_cmd(d, source, n, samples, out_bits, seed, threads, out_format) -> None:
@@ -367,7 +365,8 @@ def rate_cmd(d, source, n, samples, out_bits, seed, threads, out_format) -> None
 @click.argument("out", type=click.Path())
 @click.option("--d", type=float, default=None,
               help="Deletion probability (required for dagger).")
-@click.option("--l-max", type=int, default=DEFAULT_L_MAX, show_default=True)
+@click.option("--l-max", type=click.IntRange(min=1), default=DEFAULT_L_MAX,
+              show_default=True)
 def dist_cmd(kind, out, d, l_max) -> None:
     """Write a run-length distribution file usable as renewal:<file>."""
     if kind == "dagger":
@@ -379,11 +378,8 @@ def dist_cmd(kind, out, d, l_max) -> None:
     else:
         dist = geometric_half(l_max)
         label = f"truncated geometric(1/2) run law, L_max={l_max}"
-    try:
+    with _io_errors():
         write_distribution(out, dist, comment=label)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
     click.echo(f"wrote {label} to {out}", err=True)
 
 

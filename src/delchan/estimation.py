@@ -22,11 +22,11 @@ an O(log n / n) term removed:
   input bits from the same Philox stream, so no per-bit float array is
   held and the result does not depend on the block size.
 
-Replicas run in fixed chunks of 64, each chunk on one RNG stream spawned
-by chunk index from the root seed: it samples its inputs as one matrix,
-draws one deletion mask and runs one batched DP.  Threads map chunks and
-values are reduced in index order, so results are bit-identical for any
-thread count.
+Replicas run one after another in fixed chunks of 64, each chunk on one
+RNG stream spawned by chunk index from the root seed: it samples its
+inputs as one matrix, draws one deletion mask and runs one batched DP.
+``estimate_rate`` draws its two halves from separate seeds, so running
+them at the same time (``threads > 1``) gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import numpy as np
 from delchan.channel import _deletion_mask, _output_run_lengths
 from delchan.likelihood import _band_counts, log2_binomial
 from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
+from delchan.sources import _as_seed_sequence, _rng_from
 
 __all__ = [
     "RateEstimate",
@@ -54,8 +55,8 @@ _BURN_IN_RUNS = 64
 _L_CAP = 64
 _BOOTSTRAP_RESAMPLES = 200
 _MIN_COUNT_PER_SUPPORT_POINT = 100
-#: Replicas per RNG stream and batched embedding DP: fixed (so threads
-#: cannot change results) and small (so it bounds memory).
+#: Replicas per RNG stream and batched embedding DP: fixed (the draws
+#: depend on it) and small (so it bounds memory).
 _CHUNK = 64
 
 
@@ -94,20 +95,12 @@ class RateEstimate:
         return json.dumps(doc, indent=indent)
 
 
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(int(seed))
-
-
 def estimate_h_cond(
     spec: SourceSpec,
     d: float,
     n: int,
     samples: int,
     seed,
-    *,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of ``H(Y|X, M)/n`` with its standard error.
 
@@ -116,7 +109,7 @@ def estimate_h_cond(
     ``(log2 C(n, m) - log2 N(x, y)) / n`` — the exact conditional
     information of the received string given input and output length.
     Replicas run in fixed chunks of 64, one RNG stream and one batched DP
-    per chunk, so the result does not depend on ``threads``.
+    per chunk.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -124,8 +117,6 @@ def estimate_h_cond(
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if d == 0.0 or d == 1.0:
         # every mask (all-keep / all-delete) is certain: p(y|x, m) = 1
         return 0.0, 0.0
@@ -133,11 +124,10 @@ def estimate_h_cond(
     chunks = _as_seed_sequence(seed).spawn(-(-samples // _CHUNK))
     log2_binom = np.array([log2_binomial(n, m) for m in range(n + 1)])
     values = np.empty(samples)
-
-    def chunk(index: int) -> None:
+    for index, child in enumerate(chunks):
         start = index * _CHUNK
         rows = min(_CHUNK, samples - start)
-        rng = np.random.Generator(np.random.Philox(chunks[index]))
+        rng = _rng_from(child)
         xs = _sample_rows(spec, n, rows, rng)
         keep = _deletion_mask(xs.shape, d, rng) == 0
         ms = keep.sum(axis=1)
@@ -146,14 +136,6 @@ def estimate_h_cond(
         top, scale = _band_counts(xs, ys, ms)
         log_n = np.log2(top) + scale  # y is a subsequence of x: N >= 1
         values[start : start + rows] = (log2_binom[ms] - log_n) / n
-
-    indices = range(len(chunks))
-    if threads == 1:
-        for index in indices:
-            chunk(index)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(chunk, indices))
 
     mean = math.fsum(values.tolist()) / samples
     var = math.fsum(((v - mean) ** 2 for v in values.tolist()))
@@ -187,7 +169,6 @@ def _h_out_from_stream(
     d: float,
     out_bits: int,
     seed,
-    *,
     miller_madow: bool = False,
 ) -> tuple[float, float]:
     """Shared estimation path: (1-d) * H(q_hat)/mu_hat + bootstrap error."""
@@ -200,7 +181,7 @@ def _h_out_from_stream(
     sample_seed, boot_seed = _as_seed_sequence(seed).spawn(2)
 
     n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
-    rng = np.random.Generator(np.random.Philox(sample_seed))
+    rng = _rng_from(sample_seed)
     x = sample_sequence(spec, n_in, rng)
     interior = _interior_output_run_lengths(_output_run_lengths(x, d, rng))
     n_runs = int(interior.size)
@@ -245,7 +226,7 @@ def _h_out_from_stream(
     h_out = (1.0 - d) * h_over_mu
 
     # block bootstrap over the contiguous run blocks
-    boot_rng = np.random.Generator(np.random.Philox(boot_seed))
+    boot_rng = _rng_from(boot_seed)
     replicas = np.empty(_BOOTSTRAP_RESAMPLES)
     for r in range(_BOOTSTRAP_RESAMPLES):
         picks = boot_rng.integers(0, n_blocks, n_blocks)
@@ -301,20 +282,34 @@ def estimate_rate(
     components estimate their limits consistently) and
     ``"upper-bound"`` for Markov sources, whose output entropy is
     bounded by the run-length formula rather than equal to it.  The
-    result is deterministic given ``seed`` and the sampling sizes, and
-    independent of ``threads``.
+    result is deterministic given ``seed`` and the sampling sizes.  The
+    two halves draw from separate seeds; ``threads > 1`` runs
+    ``estimate_h_cond`` on a worker thread during the output stream,
+    which changes neither the result nor the errors raised.  More than
+    2 threads add nothing.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     seed = int(seed)
     cond_seed, out_seed = np.random.SeedSequence(seed).spawn(2)
-    h_cond, se_cond = estimate_h_cond(
-        spec, d, n, samples, cond_seed, threads=threads
-    )
-    if d == 1.0:
-        h_out, se_out = 0.0, 0.0
+    cond_args = (spec, d, n, samples, cond_seed)
+    out_args = (spec, d, out_bits, out_seed, miller_madow)
+    h_out, se_out = 0.0, 0.0  # d == 1: the output is empty
+    if threads == 1:
+        h_cond, se_cond = estimate_h_cond(*cond_args)
+        if d != 1.0:
+            h_out, se_out = _h_out_from_stream(*out_args)
     else:
-        h_out, se_out = _h_out_from_stream(
-            spec, d, out_bits, out_seed, miller_madow=miller_madow
-        )
+        # the stream stays on this thread, so its warning still points at
+        # the caller and reaches the caller's warnings.catch_warnings
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            cond = pool.submit(estimate_h_cond, *cond_args)
+            try:
+                if d != 1.0:
+                    h_out, se_out = _h_out_from_stream(*out_args)
+            finally:
+                # an h_cond error wins over a stream error, as at threads=1
+                h_cond, se_cond = cond.result()
     mode = "exact-renewal" if spec.is_renewal_like else "upper-bound"
     return RateEstimate(
         rate=h_out - h_cond,

@@ -88,13 +88,18 @@ def bits_to_str(bits: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in np.asarray(bits).tolist())
 
 
+def _as_seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` itself if it is a SeedSequence, else one seeded by ``int(seed)``."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(int(seed))
+
+
 def _rng_from(seed) -> np.random.Generator:
     """Build a Philox generator from an int seed, SeedSequence, or Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return np.random.Generator(np.random.Philox(_as_seed_sequence(seed)))
 
 
 # --------------------------------------------------------------------------

@@ -74,6 +74,9 @@ def test_python_dash_m_runs_the_cli():
         ["rate", "--d", "0.1", "--out-bits", "0"],
         ["verify", "rates", "--out-bits", "0"],
         ["verify", "rates", "--out-bits", "-5"],
+        ["dist", "geometric", "unused.tsv", "--l-max", "0"],
+        ["rate", "--d", "0.1", "--threads", "0"],
+        ["plot-data", "--points", "1"],
     ],
     ids=" ".join,
 )
@@ -242,6 +245,13 @@ class TestPlotDataCommand:
     def test_points_validated(self, runner):
         assert runner.invoke(main, ["plot-data", "--points", "1"]).exit_code == 2
 
+    def test_unwritable_out_exits_3(self, runner, tmp_path):
+        out = tmp_path / "missing" / "f.csv"
+        result = runner.invoke(main, ["plot-data", "--out", str(out)])
+        assert result.exit_code == 3
+        assert "error: " in result.output
+        assert "Traceback" not in result.output
+
 
 class TestRateCommand:
     def test_json_output_schema(self, runner):
@@ -302,18 +312,19 @@ class TestRateCommand:
         # alone, not Python's warning location and source line
         args = ["--d", "0.3", "--source", "dagger", "--n", "50",
                 "--samples", "4", "--out-bits", "2000"]
-        result = run_module("rate", *args)
-        assert result.returncode == 0
-        lines = result.stderr.splitlines()
-        assert lines and all(line.startswith("warning: ") for line in lines)
-        assert "underpowered output-entropy estimate" in result.stderr
-        assert "estimate_rate(" not in result.stderr
-        assert "UserWarning" not in result.stderr
         expected = estimate_rate(
             SourceSpec.dagger(0.3), 0.3, n=50, samples=4, out_bits=2000,
             seed=0xDC0DE,
         ).to_json()
-        assert result.stdout == expected + "\n"
+        for threads in ("1", "2"):
+            result = run_module("rate", *args, "--threads", threads)
+            assert result.returncode == 0
+            lines = result.stderr.splitlines()
+            assert lines and all(line.startswith("warning: ") for line in lines)
+            assert "underpowered output-entropy estimate" in result.stderr
+            assert "estimate_rate(" not in result.stderr
+            assert "UserWarning" not in result.stderr
+            assert result.stdout == expected + "\n"
 
     def test_deterministic_for_fixed_seed(self, runner):
         args = ["rate", "--d", "0.1", "--n", "60", "--samples", "20",
@@ -346,6 +357,13 @@ class TestDistCommand:
             main, ["dist", "dagger", str(tmp_path / "x.tsv"), "--d", "-0.1"]
         )
         assert result.exit_code == 2
+
+    def test_unwritable_out_exits_3(self, runner, tmp_path):
+        out = tmp_path / "missing" / "f.tsv"
+        result = runner.invoke(main, ["dist", "geometric", str(out)])
+        assert result.exit_code == 3
+        assert "error: " in result.output
+        assert "Traceback" not in result.output
 
 
 class TestStatsCommand:

@@ -9,6 +9,7 @@ enumeration is an exact target for any source kind.
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -100,11 +101,9 @@ class TestEstimateHCond:
             (dict(d=0.1, n=0, samples=10), "n must be"),
             (dict(d=-0.1, n=20, samples=10), "deletion probability"),
             (dict(d=1.5, n=20, samples=10), "deletion probability"),
-            (dict(d=0.1, n=20, samples=10, threads=0), "threads"),
         ],
     )
     def test_validation(self, kwargs, msg):
-        threads = kwargs.pop("threads", 1)
         with pytest.raises(ValueError, match=msg):
             estimate_h_cond(
                 SourceSpec.bernoulli_half(),
@@ -112,7 +111,6 @@ class TestEstimateHCond:
                 kwargs["n"],
                 kwargs["samples"],
                 7,
-                threads=threads,
             )
 
     def test_matches_exact_oracle_bernoulli(self):
@@ -137,16 +135,6 @@ class TestEstimateHCond:
         # the conditional entropy per bit never exceeds h(d)
         mean, _ = estimate_h_cond(SourceSpec.bernoulli_half(), 0.1, 2000, 50, 5)
         assert 0.0 <= mean <= binary_entropy(0.1)
-
-    def test_thread_count_invariance(self):
-        args = (SourceSpec.dagger(0.1), 0.1, 200, 64, 2718)
-        assert estimate_h_cond(*args, threads=1) == estimate_h_cond(*args, threads=4)
-
-    def test_thread_count_invariance_with_partial_chunk(self):
-        # 130 = 2 full chunks of 64 + 2 replicas
-        args = (SourceSpec.dagger(0.1), 0.1, 50, 130, 2718)
-        results = {estimate_h_cond(*args, threads=t) for t in (1, 2, 3)}
-        assert len(results) == 1
 
     @pytest.mark.parametrize(
         "spec,d,n",
@@ -349,6 +337,65 @@ class TestEstimateRate:
         assert r.rate == r.h_out - r.h_cond
         assert r.std_err > 0.0
         assert 0.0 <= r.rate <= 1.0 + 3.0 * r.std_err
+
+    @staticmethod
+    def quiet_rate_json(n, samples, threads):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return estimate_rate(
+                SourceSpec.dagger(0.1), 0.1, n=n, samples=samples,
+                out_bits=20000, threads=threads, seed=2718,
+            ).to_json()
+
+    def test_thread_count_invariance(self):
+        assert self.quiet_rate_json(200, 64, 1) == self.quiet_rate_json(200, 64, 4)
+
+    def test_thread_count_invariance_with_partial_chunk(self):
+        # 130 = 2 full chunks of 64 + 2 replicas
+        results = {self.quiet_rate_json(50, 130, t) for t in (1, 2, 3)}
+        assert len(results) == 1
+
+    @pytest.mark.parametrize(
+        "kwargs,msg",
+        [
+            pytest.param(dict(threads=0), "threads must be >= 1, got 0", id="threads"),
+            pytest.param(
+                dict(d=1.5), "deletion probability must be in [0, 1], got 1.5", id="d"
+            ),
+            pytest.param(dict(samples=1), "need at least 2 samples, got 1", id="samples"),
+            pytest.param(dict(n=0), "n must be >= 1, got 0", id="n"),
+            pytest.param(dict(out_bits=0), "out_bits must be >= 1, got 0", id="out_bits"),
+        ],
+    )
+    def test_validation(self, kwargs, msg):
+        # with threads=2 both halves may fail; the error is the one the
+        # serial order raises (h_cond's before the stream's)
+        for threads in (1, 2):
+            args = dict(d=0.1, n=20, samples=10, out_bits=2000, threads=threads)
+            args.update(kwargs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                    estimate_rate(SourceSpec.bernoulli_half(), **args)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_full_deletion_skips_the_stream(self, threads):
+        # the stream refuses d = 1, so a result shows it was not run
+        r = estimate_rate(
+            SourceSpec.bernoulli_half(), 1.0, n=20, samples=5, out_bits=1000,
+            threads=threads, seed=1,
+        )
+        assert r.h_out == 0.0 and r.h_cond == 0.0 and r.rate == 0.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_underpowered_warning_points_at_the_caller(self, threads):
+        with pytest.warns(UserWarning, match="underpowered") as record:
+            estimate_rate(
+                SourceSpec.bernoulli_half(), 0.1, n=20, samples=10,
+                out_bits=3000, threads=threads, seed=2,
+            )
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
     def test_thread_count_determinism(self):
         docs = []
