@@ -24,9 +24,11 @@ supplied run-length law:
   ``B(d) 2^-l 2^(d(-S l/2 + l log2 l))`` on ``l <= ell`` with
   ``S = c2/ln 2``.
 
-All probabilities of k-tuples of runs are formed as products of the
-single-run pmf (renewal assumption), and every returned value is in
-bits (bits per bit for rates).
+The series constants are absolute, so the formulas that use them read
+``compute_constants()`` (the ``DEFAULT_TOL`` constants) and depend on
+``d`` and the run law alone.  All probabilities of k-tuples of runs are
+formed as products of the single-run pmf (renewal assumption), and every
+returned value is in bits (bits per bit for rates).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 
 import numpy as np
 
-from delchan.constants import DEFAULT_TOL, LN2, SeriesConstants, compute_constants
+from delchan.constants import LN2, compute_constants
 from delchan.sources import RunLengthDistribution
 
 __all__ = [
@@ -163,11 +165,7 @@ def output_formula_cutoff(d: float, L_max: int = 64) -> int:
     return min(int(math.floor(4.0 * math.log2(1.0 / d))), L_max)
 
 
-def hy_given_x_formula(
-    q: RunLengthDistribution,
-    d: float,
-    consts: "SeriesConstants | None" = None,
-) -> float:
+def hy_given_x_formula(q: RunLengthDistribution, d: float) -> float:
     """Per-bit entropy of (output, parent blocks) given the input.
 
     ``q`` is the OUTPUT run-length law.  Evaluates, in bits, with the
@@ -184,8 +182,7 @@ def hy_given_x_formula(
     _check_d(d)
     if d == 0.0:
         return 0.0
-    if consts is None:
-        consts = compute_constants(DEFAULT_TOL)
+    consts = compute_constants()
     ell = output_formula_cutoff(d, q.L_max)
     lengths = np.arange(1, ell + 1, dtype=np.float64)
     probs = q.probs[:ell]
@@ -201,25 +198,23 @@ def hy_given_x_formula(
     )
 
 
-def markov_rate_bound(d: float, consts: "SeriesConstants | None" = None) -> float:
+def markov_rate_bound(d: float) -> float:
     """Second-order ceiling ``1 - d log2(1/d) - A1 d + A2' d^2`` on the
     information rate of first-order Markov sources."""
     _check_d(d)
-    if consts is None:
-        consts = compute_constants(DEFAULT_TOL)
     if d == 0.0:
         return 1.0
+    consts = compute_constants()
     return 1.0 - d * math.log2(1.0 / d) - consts.A1 * d + consts.A2_prime * d * d
 
 
-def jigsaw_rate_bound(d: float, consts: "SeriesConstants | None" = None) -> float:
+def jigsaw_rate_bound(d: float) -> float:
     """Second-order rate ``1 - d log2(1/d) - A1 d + (A2' - c4) d^2``
     achieved by jigsaw-style decoding of Markov sources."""
     _check_d(d)
-    if consts is None:
-        consts = compute_constants(DEFAULT_TOL)
     if d == 0.0:
         return 1.0
+    consts = compute_constants()
     return (
         1.0
         - d * math.log2(1.0 / d)
@@ -228,7 +223,7 @@ def jigsaw_rate_bound(d: float, consts: "SeriesConstants | None" = None) -> floa
     )
 
 
-def optimal_markov_param(d: float, consts: "SeriesConstants | None" = None) -> float:
+def optimal_markov_param(d: float) -> float:
     """Optimizing Markov stay-probability ``1/2 + c5 d``.
 
     Raises ``ValueError`` when the first-order expression leaves the
@@ -237,9 +232,7 @@ def optimal_markov_param(d: float, consts: "SeriesConstants | None" = None) -> f
     """
     if d < 0.0:
         raise ValueError(f"deletion probability must be nonnegative, got {d!r}")
-    if consts is None:
-        consts = compute_constants(DEFAULT_TOL)
-    value = 0.5 + consts.c5 * d
+    value = 0.5 + compute_constants().c5 * d
     if value >= 1.0:
         raise ValueError(
             f"1/2 + c5 d = {value} >= 1 is not a probability; "
@@ -248,13 +241,7 @@ def optimal_markov_param(d: float, consts: "SeriesConstants | None" = None) -> f
     return value
 
 
-def optimal_truncated_qstar(
-    d: float,
-    ell: int,
-    consts: "SeriesConstants | None" = None,
-    *,
-    return_normalizer: bool = False,
-):
+def optimal_truncated_qstar(d: float, ell: int, *, return_normalizer: bool = False):
     """Run-law maximizer ``B(d) 2^-l 2^(d(-S l/2 + l log2 l))``, l <= ell.
 
     ``S = c2/ln 2`` and ``B(d)`` normalizes over the truncated support;
@@ -266,9 +253,7 @@ def optimal_truncated_qstar(
         raise ValueError(f"maximizer defined for 0 < d < 0.3, got {d!r}")
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
-    if consts is None:
-        consts = compute_constants(DEFAULT_TOL)
-    S = consts.c2 / LN2
+    S = compute_constants().c2 / LN2
     lengths = np.arange(1, ell + 1, dtype=np.float64)
     exponent = d * (-S * lengths / 2.0 + lengths * np.log2(lengths))
     weights = 2.0**-lengths * 2.0**exponent

@@ -18,7 +18,7 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import click
@@ -121,16 +121,13 @@ class BoundsTable:
 
 def table_rows(bounds: BoundsTable) -> list[dict]:
     """Rows (d, lower, C_est, upper); bounds ``None`` in degraded mode."""
-    consts = compute_constants(DEFAULT_TOL)
     if not bounds.rows:
         return [
-            {"d": d, "lower": None, "C_est": capacity_estimate(d, consts),
-             "upper": None}
+            {"d": d, "lower": None, "C_est": capacity_estimate(d), "upper": None}
             for d in DEFAULT_D_GRID
         ]
     return [
-        {"d": d, "lower": lower, "C_est": capacity_estimate(d, consts),
-         "upper": upper}
+        {"d": d, "lower": lower, "C_est": capacity_estimate(d), "upper": upper}
         for d, lower, upper in bounds.rows
     ]
 
@@ -248,12 +245,7 @@ def main() -> None:
               default="csv", show_default=True)
 def constants_cmd(tol: float, out_format: str) -> None:
     """Report the capacity-expansion series constants."""
-    consts = compute_constants(tol)
-    values = {
-        name: getattr(consts, name)
-        for name in ("c2", "c3", "c4", "c5", "A1", "A2", "A2_prime",
-                     "truncation_error_bound")
-    }
+    values = asdict(compute_constants(tol))
     if out_format == "json":
         click.echo(json.dumps(values, indent=2))
     else:
@@ -295,7 +287,6 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
         bounds = (BoundsTable.bundled() if bounds_file is None
                   else BoundsTable.parse(bounds_file))
 
-    consts = compute_constants(DEFAULT_TOL)
     known = {round(d, 6): (lower, upper) for d, lower, upper in bounds.rows}
     grid = sorted(
         {round(float(d), 6) for d in np.linspace(0.01, 0.50, points)}
@@ -304,8 +295,8 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
     rows = []
     for d in grid:
         lower, upper = known.get(d, (math.nan, math.nan))
-        rows.append({"d": d, "lower": lower,
-                     "C_est": capacity_estimate(d, consts), "upper": upper})
+        rows.append({"d": d, "lower": lower, "C_est": capacity_estimate(d),
+                     "upper": upper})
     text = _rows_to_csv(rows, ["d", "lower", "C_est", "upper"])
 
     with _io_errors():
@@ -323,7 +314,7 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
 @click.option("--d", type=float, required=True, help="Deletion probability.")
 @click.option("--source", default="bernoulli", show_default=True,
               help="bernoulli | markov:<p> | dagger[:<d>] | renewal:<file>.")
-@click.option("--n", type=int, default=1000, show_default=True,
+@click.option("--n", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Input block length per replica.")
 @click.option("--samples", type=click.IntRange(min=2), default=200,
               show_default=True,
@@ -351,12 +342,10 @@ def rate_cmd(d, source, n, samples, out_bits, seed, threads, out_format) -> None
     if out_format == "json":
         click.echo(result.to_json())
     else:
-        cols = ["rate", "h_out", "h_cond", "std_err", "n", "samples", "d",
-                "seed", "mode"]
-        click.echo(",".join(cols))
-        doc = json.loads(result.to_json())
+        doc = asdict(result)
+        click.echo(",".join(doc))
         click.echo(",".join(
-            doc[c] if c == "mode" else repr(doc[c]) for c in cols
+            v if isinstance(v, str) else repr(v) for v in doc.values()
         ))
 
 

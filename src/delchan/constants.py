@@ -39,8 +39,8 @@ so ``g(L+k) <= g(L) * e^(k*(a+b)/L)`` and the tail beyond ``L`` is at
 most ``2^-L * g(L) * rho/(1-rho)`` with ``rho = e^((a+b)/L) / 2 < 1``.
 The double sum in ``c4`` is truncated by shells ``s = i + j`` with the
 product majorant ``|term| <= 2^-(s+1) * s^3`` (using ``h <= 1``), whose
-tail obeys the same geometric bound.  All summation uses Kahan-style
-compensated accumulation; results are cached per tolerance.
+tail obeys the same geometric bound.  Every partial sum is the correctly
+rounded ``math.fsum``; results are cached per tolerance.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-#: Default truncation tolerance used by other modules when they need the
-#: constants internally.
+#: Truncation tolerance of the constants every other module reads, and of
+#: ``compute_constants()`` without an argument.
 DEFAULT_TOL = 1e-12
 
 # Propagation factor: assembled constants (A1, A2, A2') are smooth
@@ -102,18 +102,6 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _kahan_sum(terms) -> float:
-    """Compensated (Kahan) summation of an iterable of floats."""
-    total = 0.0
-    carry = 0.0
-    for t in terms:
-        y = t - carry
-        tmp = total + y
-        carry = (tmp - total) - y
-        total = tmp
-    return total
-
-
 def _tail_bound(L: int, kappa: float, a: int, b: int) -> float:
     """Upper bound on ``sum_{l>L} 2^-l * kappa * l^a * (ln l)^b`` (L >= 8)."""
     deg = a + b
@@ -141,12 +129,12 @@ def _choose_L(tol: float, kappa: float, a: int, b: int, start: int = 8) -> int:
 
 def _c2_sum(L: int) -> float:
     # |term| * 2^l = l ln l            -> kappa=1, a=1, b=1
-    return _kahan_sum(2.0**-l * l * math.log(l) for l in range(2, L + 1))
+    return math.fsum(2.0**-l * l * math.log(l) for l in range(2, L + 1))
 
 
 def _a1_series_sum(L: int) -> float:
     # direct route: sum 2^-(l+1) l log2 l;  majorant kappa=1/(2 ln2), a=1, b=1
-    return _kahan_sum(2.0 ** -(l + 1) * l * math.log2(l) for l in range(2, L + 1))
+    return math.fsum(2.0 ** -(l + 1) * l * math.log2(l) for l in range(2, L + 1))
 
 
 def _c3_bracket(l: int) -> float:
@@ -160,13 +148,13 @@ def _c3_bracket(l: int) -> float:
 
 def _c3_sum(L: int) -> float:
     # |bracket| <= 8 l^2 log2 l for l >= 3 -> kappa=8/ln2, a=2, b=1
-    s = _kahan_sum(2.0**-l * _c3_bracket(l) for l in range(3, L + 1))
+    s = math.fsum(2.0**-l * _c3_bracket(l) for l in range(3, L + 1))
     return (-1.0 + s) / 2.0
 
 
 def _c4a_sum(J: int) -> float:
     # |term| * 2^(2+j) = (j-1)(j-3) h(1/(j-1)) <= j^2 -> kappa=4, a=2, b=0
-    return _kahan_sum(
+    return math.fsum(
         2.0 ** -(2 + j) * (j - 1) * (j - 3) * binary_entropy(1.0 / (j - 1))
         for j in range(4, J + 1)
     )
@@ -187,22 +175,22 @@ def _c4b_sum(S: int) -> float:
                     * binary_entropy((i + 1) / (s - 1))
                 )
 
-    return _kahan_sum(shells())
+    return math.fsum(shells())
 
 
 def _sa_sum(L: int) -> float:
     # (l ln l)^2 -> kappa=1, a=2, b=2
-    return _kahan_sum(2.0**-l * (l * math.log(l)) ** 2 for l in range(2, L + 1))
+    return math.fsum(2.0**-l * (l * math.log(l)) ** 2 for l in range(2, L + 1))
 
 
 def _sb_sum(L: int) -> float:
     # l^2 ln l -> kappa=1, a=2, b=1
-    return _kahan_sum(2.0**-l * l * l * math.log(l) for l in range(2, L + 1))
+    return math.fsum(2.0**-l * l * l * math.log(l) for l in range(2, L + 1))
 
 
 def _c5_sum(L: int) -> float:
     # l|l-3| log2 l <= l^2 log2 l -> kappa=1/ln2, a=2, b=1
-    return (LN2 / 4.0) * _kahan_sum(
+    return (LN2 / 4.0) * math.fsum(
         2.0**-l * l * (l - 3) * math.log2(l) for l in range(2, L + 1)
     )
 
@@ -210,14 +198,15 @@ def _c5_sum(L: int) -> float:
 _cache: dict[float, SeriesConstants] = {}
 
 
-def compute_constants(tol: float = 1e-9) -> SeriesConstants:
+def compute_constants(tol: float = DEFAULT_TOL) -> SeriesConstants:
     """Compute all series constants with truncation error certified below ``tol``.
 
     Every constant is obtained by summing its defining series to an index
     at which the geometric-tail majorant (module docstring) drops below
     ``tol / 8``; the factor 8 covers error propagation into the assembled
-    constants.  Results are cached per tolerance.  Raises ``ValueError``
-    if ``tol <= 0``.
+    constants.  Without an argument it returns the ``DEFAULT_TOL``
+    constants that the rest of the package uses.  Results are cached per
+    tolerance.  Raises ``ValueError`` if ``tol <= 0``.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -274,7 +263,7 @@ def compute_constants(tol: float = 1e-9) -> SeriesConstants:
     return result
 
 
-def capacity_estimate(d: float, consts: SeriesConstants | None = None) -> float:
+def capacity_estimate(d: float) -> float:
     """Second-order capacity expansion ``1 + d log2 d - A1 d + A2 d^2`` in bits.
 
     ``d`` must lie in ``[0, 1)``; at ``d = 0`` the ``d log d`` term is 0
@@ -282,8 +271,7 @@ def capacity_estimate(d: float, consts: SeriesConstants | None = None) -> float:
     """
     if not 0.0 <= d < 1.0:
         raise ValueError(f"capacity_estimate requires 0 <= d < 1, got {d!r}")
-    if consts is None:
-        consts = compute_constants(DEFAULT_TOL)
     if d == 0.0:
         return 1.0
+    consts = compute_constants()
     return 1.0 + d * math.log2(d) - consts.A1 * d + consts.A2 * d * d

@@ -35,7 +35,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,18 +81,16 @@ class RateEstimate:
     mode: str
 
     def to_json(self, *, indent: "int | None" = None) -> str:
-        doc = {
-            "rate": self.rate,
-            "h_out": self.h_out,
-            "h_cond": self.h_cond,
-            "std_err": self.std_err,
-            "n": self.n,
-            "samples": self.samples,
-            "d": self.d,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
-        return json.dumps(doc, indent=indent)
+        return json.dumps(asdict(self), indent=indent)
+
+
+def _check_h_cond_args(d: float, n: int, samples: int) -> None:
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
 
 
 def estimate_h_cond(
@@ -111,12 +109,7 @@ def estimate_h_cond(
     Replicas run in fixed chunks of 64, one RNG stream and one batched DP
     per chunk.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
+    _check_h_cond_args(d, n, samples)
     if d == 0.0 or d == 1.0:
         # every mask (all-keep / all-delete) is certain: p(y|x, m) = 1
         return 0.0, 0.0
@@ -283,33 +276,28 @@ def estimate_rate(
     ``"upper-bound"`` for Markov sources, whose output entropy is
     bounded by the run-length formula rather than equal to it.  The
     result is deterministic given ``seed`` and the sampling sizes.  The
-    two halves draw from separate seeds; ``threads > 1`` runs
-    ``estimate_h_cond`` on a worker thread during the output stream,
-    which changes neither the result nor the errors raised.  More than
-    2 threads add nothing.
+    arguments of ``estimate_h_cond`` are checked before either half
+    starts.  The two halves draw from separate seeds; ``threads > 1``
+    runs ``estimate_h_cond`` on a worker thread during the output
+    stream, which changes neither the result nor the errors raised.
+    More than 2 threads add nothing.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_h_cond_args(d, n, samples)
     seed = int(seed)
     cond_seed, out_seed = np.random.SeedSequence(seed).spawn(2)
     cond_args = (spec, d, n, samples, cond_seed)
-    out_args = (spec, d, out_bits, out_seed, miller_madow)
     h_out, se_out = 0.0, 0.0  # d == 1: the output is empty
-    if threads == 1:
-        h_cond, se_cond = estimate_h_cond(*cond_args)
+    # the stream stays on this thread, so its warning still points at the
+    # caller and reaches the caller's warnings.catch_warnings
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        cond = pool.submit(estimate_h_cond, *cond_args) if threads > 1 else None
         if d != 1.0:
-            h_out, se_out = _h_out_from_stream(*out_args)
-    else:
-        # the stream stays on this thread, so its warning still points at
-        # the caller and reaches the caller's warnings.catch_warnings
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            cond = pool.submit(estimate_h_cond, *cond_args)
-            try:
-                if d != 1.0:
-                    h_out, se_out = _h_out_from_stream(*out_args)
-            finally:
-                # an h_cond error wins over a stream error, as at threads=1
-                h_cond, se_cond = cond.result()
+            h_out, se_out = _h_out_from_stream(
+                spec, d, out_bits, out_seed, miller_madow
+            )
+    h_cond, se_cond = cond.result() if cond else estimate_h_cond(*cond_args)
     mode = "exact-renewal" if spec.is_renewal_like else "upper-bound"
     return RateEstimate(
         rate=h_out - h_cond,

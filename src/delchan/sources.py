@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from delchan.constants import DEFAULT_TOL, compute_constants
+from delchan.constants import compute_constants
 
 __all__ = [
     "DEFAULT_SEED",
@@ -186,29 +186,17 @@ def point_mass(l: int) -> RunLengthDistribution:
     return RunLengthDistribution.from_weights(weights)
 
 
-def dagger_mass(
-    l: int,
-    d: float,
-    c2: float | None = None,
-    log_fn: Callable[[float], float] = math.log,
-) -> float:
-    """Pre-truncation mass ``2^-l * (1 + d*(l*log_fn(l) - c2*l/2))``.
+def dagger_mass(l: int, d: float) -> float:
+    """Pre-truncation mass ``2^-l * (1 + d*(l*ln(l) - c2*l/2))``.
 
-    ``log_fn`` defaults to the natural log — the only base for which the
-    perturbation sums to zero, making the full series a probability
-    distribution.  It is exposed as a diagnostic override so tests can
-    demonstrate that a base-2 variant fails normalization by Theta(d).
+    The log is natural: only then does the perturbation sum to zero over
+    all ``l``, so that the full series is a probability distribution.
     """
-    if c2 is None:
-        c2 = compute_constants(DEFAULT_TOL).c2
-    return 2.0**-l * (1.0 + d * (l * log_fn(l) - c2 * l / 2.0))
+    c2 = compute_constants().c2
+    return 2.0**-l * (1.0 + d * (l * math.log(l) - c2 * l / 2.0))
 
 
-def dagger_distribution(
-    d: float,
-    L_max: int = DEFAULT_L_MAX,
-    log_fn: Callable[[float], float] = math.log,
-) -> RunLengthDistribution:
+def dagger_distribution(d: float, L_max: int = DEFAULT_L_MAX) -> RunLengthDistribution:
     """First-order capacity-achieving run-length law, truncated to ``L_max``.
 
     ``p(l) ∝ 2^-l * (1 + d*(l*ln(l) - c2*l/2))`` renormalized over
@@ -220,10 +208,7 @@ def dagger_distribution(
         raise ValueError("d must be >= 0")
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
-    c2 = compute_constants(DEFAULT_TOL).c2
-    weights = np.array(
-        [dagger_mass(l, d, c2, log_fn) for l in range(1, L_max + 1)]
-    )
+    weights = np.array([dagger_mass(l, d) for l in range(1, L_max + 1)])
     nonpos = np.flatnonzero(weights <= 0.0)
     if nonpos.size:
         l_bad = int(nonpos[0]) + 1
@@ -483,8 +468,6 @@ def read_distribution(path) -> RunLengthDistribution:
                 )
             if not entries and l != 1:
                 raise ValueError(f"{path}: line {lineno}: lengths must start at 1")
-            if l < 1:
-                raise ValueError(f"{path}: line {lineno}: run length must be >= 1")
             entries.append((l, p))
     if not entries:
         raise ValueError(f"{path}: no distribution entries found")

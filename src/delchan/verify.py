@@ -24,7 +24,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,7 @@ from delchan.analytics import (
     optimal_markov_param,
 )
 from delchan.channel import modified_mask, run_lengths, transmit
-from delchan.constants import (
-    DEFAULT_TOL,
-    SeriesConstants,
-    capacity_estimate,
-    compute_constants,
-)
+from delchan.constants import capacity_estimate, compute_constants
 from delchan.estimation import estimate_h_cond, estimate_rate
 from delchan.likelihood import (
     _all_words,
@@ -116,13 +111,7 @@ class CheckResult:
     tol: float
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "target": self.target,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def _pin(name: str, value: float, target: float, tol: float) -> CheckResult:
@@ -171,9 +160,9 @@ class SuiteReport:
 # --------------------------------------------------------------------------
 
 
-def check_series_constants(tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def check_series_constants() -> list[CheckResult]:
     """Series constants vs published 8-decimal values; closed-form identity."""
-    consts = compute_constants(tol)
+    consts = compute_constants()
     out = [
         _pin(f"constant {name}", getattr(consts, name), target, 1e-7)
         for name, target in PUBLISHED_CONSTANTS.items()
@@ -183,16 +172,15 @@ def check_series_constants(tol: float = DEFAULT_TOL) -> list[CheckResult]:
     return out
 
 
-def check_capacity_table(tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def check_capacity_table() -> list[CheckResult]:
     """Capacity estimates vs the printed 4-decimal column + crossover."""
-    consts = compute_constants(tol)
     out = []
     worst = 0.0
     for d, (_, printed, _) in PUBLISHED_TABLE.items():
-        worst = max(worst, abs(capacity_estimate(d, consts) - printed))
+        worst = max(worst, abs(capacity_estimate(d) - printed))
     out.append(_pin("capacity table max |C_est - printed|", worst, 0.0, 5e-5))
     for d, (_, _, upper) in PUBLISHED_TABLE.items():
-        est = capacity_estimate(d, consts)
+        est = capacity_estimate(d)
         expect_above = d >= 0.40
         out.append(
             _flag(
@@ -205,14 +193,14 @@ def check_capacity_table(tol: float = DEFAULT_TOL) -> list[CheckResult]:
     return out
 
 
-def check_markov_analytics(tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def check_markov_analytics() -> list[CheckResult]:
     """Second-order Markov quantities vs their published roundings."""
-    consts = compute_constants(tol)
+    consts = compute_constants()
     gap = consts.A2 - consts.A2_prime
     return [
         _pin("A2 - A2'", gap, 0.10018339, 1e-7),
         _pin("optimal Markov parameter at d=0.05",
-             optimal_markov_param(0.05, consts), 0.530204804, 1e-8),
+             optimal_markov_param(0.05), 0.530204804, 1e-8),
         # the published rounding 0.904 disagrees with the defining
         # series (A2 - A2' + c4 = 0.790197); reported as-is
         _pin("printed second-order gap A2 - A2' + c4",
@@ -220,9 +208,9 @@ def check_markov_analytics(tol: float = DEFAULT_TOL) -> list[CheckResult]:
     ]
 
 
-def check_formula_pins(tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def check_formula_pins() -> list[CheckResult]:
     """Entropy formulas reduce to their series coefficients on p*."""
-    consts = compute_constants(tol)
+    consts = compute_constants()
     p_star = geometric_half()
     s1 = math.fsum(
         p * l * math.log2(l)
@@ -341,7 +329,6 @@ def check_formula_vs_simulation(
 ) -> list[CheckResult]:
     """MC conditional entropy vs the closed-form prediction at d=0.02."""
     d, n = 0.02, 2000
-    consts = compute_constants(DEFAULT_TOL)
     spec = SourceSpec.dagger(d)
 
     mean, se = estimate_h_cond(spec, d, n, samples, seed)
@@ -350,7 +337,7 @@ def check_formula_vs_simulation(
     # the replica streams (distinct entropy family, not a spawn child)
     x = sample_sequence(spec, 10**6, np.random.SeedSequence([seed, 1]))
     q_hat = empirical_run_distribution(x).pmf
-    predicted = hy_given_x_formula(q_hat, d, consts) - consts.c4 * d * d
+    predicted = hy_given_x_formula(q_hat, d) - compute_constants().c4 * d * d
 
     return [_pin("conditional entropy vs second-order formula",
                  mean, predicted, max(4.0 * se, 5e-4))]

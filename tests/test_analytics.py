@@ -17,13 +17,13 @@ from delchan.analytics import (
     optimal_truncated_qstar,
     output_formula_cutoff,
 )
-from delchan.constants import DEFAULT_TOL, LN2, capacity_estimate, compute_constants
+from delchan.constants import LN2, capacity_estimate, compute_constants
 from delchan.sources import dagger_distribution, geometric_half, point_mass
 
 
 @pytest.fixture(scope="module")
 def consts():
-    return compute_constants(DEFAULT_TOL)
+    return compute_constants()
 
 
 def s1_bits() -> float:
@@ -112,44 +112,44 @@ class TestHyGivenXFormula:
     def test_geometric_cancellation(self, consts, d):
         # the two q-sums cancel for q = 2^-l, leaving the explicit
         # d log2(1/d) + (d/ln2)(1 - c2/2) block plus the quadratic term
-        value = hy_given_x_formula(geometric_half(64), d, consts)
+        value = hy_given_x_formula(geometric_half(64), d)
         diff = value - d * math.log2(1.0 / d) - (d / LN2) * (1.0 - consts.c2 / 2.0)
         quad = (-consts.c3 - 1.0 / (2.0 * LN2)) * d * d
         assert diff == pytest.approx(quad, rel=1e-6)
 
-    def test_monotone_in_d(self, consts):
+    def test_monotone_in_d(self):
         q = geometric_half(64)
         grid = np.geomspace(1e-4, 0.05, 40)
-        values = [hy_given_x_formula(q, float(d), consts) for d in grid]
+        values = [hy_given_x_formula(q, float(d)) for d in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_regression_pin_geometric_d002(self, consts):
+    def test_regression_pin_geometric_d002(self):
         # frozen after first computation; cross-validated against Monte
         # Carlo in the acceptance suite
-        value = hy_given_x_formula(geometric_half(64), 0.02, consts)
+        value = hy_given_x_formula(geometric_half(64), 0.02)
         assert value == pytest.approx(HY_PIN_GEOM_D002, abs=1e-12)
 
 
 class TestRateBounds:
-    def test_markov_d_zero(self, consts):
-        assert markov_rate_bound(0.0, consts) == 1.0
+    def test_markov_d_zero(self):
+        assert markov_rate_bound(0.0) == 1.0
 
-    def test_markov_d01_value(self, consts):
-        assert markov_rate_bound(0.1, consts) == pytest.approx(0.5682, abs=1e-4)
+    def test_markov_d01_value(self):
+        assert markov_rate_bound(0.1) == pytest.approx(0.5682, abs=1e-4)
 
     def test_gap_identity(self, consts):
         gap_coeff = consts.A2 - consts.A2_prime
         for d in (0.05, 0.1, 0.25):
-            gap = capacity_estimate(d, consts) - markov_rate_bound(d, consts)
+            gap = capacity_estimate(d) - markov_rate_bound(d)
             assert gap == pytest.approx(gap_coeff * d * d, abs=1e-12)
 
-    def test_jigsaw_d_zero(self, consts):
-        assert jigsaw_rate_bound(0.0, consts) == 1.0
+    def test_jigsaw_d_zero(self):
+        assert jigsaw_rate_bound(0.0) == 1.0
 
     def test_jigsaw_identity(self, consts):
         for d in (0.05, 0.1):
-            assert jigsaw_rate_bound(d, consts) == pytest.approx(
-                markov_rate_bound(d, consts) - consts.c4 * d * d, abs=1e-12
+            assert jigsaw_rate_bound(d) == pytest.approx(
+                markov_rate_bound(d) - consts.c4 * d * d, abs=1e-12
             )
 
     def test_jigsaw_gap_coefficient_true_value(self, consts):
@@ -161,60 +161,60 @@ class TestRateBounds:
         gap = consts.A2 - consts.A2_prime + consts.c4
         assert gap == pytest.approx(0.790196600895829, abs=1e-9)
 
-    def test_bound_ordering(self, consts):
+    def test_bound_ordering(self):
         for d in np.linspace(0.01, 0.3, 15):
-            c = capacity_estimate(float(d), consts)
-            m = markov_rate_bound(float(d), consts)
-            j = jigsaw_rate_bound(float(d), consts)
+            c = capacity_estimate(float(d))
+            m = markov_rate_bound(float(d))
+            j = jigsaw_rate_bound(float(d))
             assert c >= m >= j
 
 
 class TestOptimalMarkovParam:
-    def test_d_zero(self, consts):
-        assert optimal_markov_param(0.0, consts) == 0.5
+    def test_d_zero(self):
+        assert optimal_markov_param(0.0) == 0.5
 
-    def test_published_value(self, consts):
-        assert optimal_markov_param(0.05, consts) == pytest.approx(
+    def test_published_value(self):
+        assert optimal_markov_param(0.05) == pytest.approx(
             0.530204804, abs=1e-8
         )
 
-    def test_oracle_value(self, consts):
-        assert optimal_markov_param(0.05, consts) == pytest.approx(
+    def test_oracle_value(self):
+        assert optimal_markov_param(0.05) == pytest.approx(
             0.530204804552, abs=1e-9
         )
 
-    def test_out_of_range(self, consts):
+    def test_out_of_range(self):
         with pytest.raises(ValueError):
-            optimal_markov_param(0.9, consts)
+            optimal_markov_param(0.9)
         with pytest.raises(ValueError):
-            optimal_markov_param(-0.01, consts)
+            optimal_markov_param(-0.01)
 
 
 class TestOptimalTruncatedQstar:
-    def test_d_to_zero_geometric(self, consts):
-        q = optimal_truncated_qstar(1e-9, 16, consts)
+    def test_d_to_zero_geometric(self):
+        q = optimal_truncated_qstar(1e-9, 16)
         norm = 1.0 - 2.0**-16
         for l in range(1, 17):
             assert q.prob(l) == pytest.approx(2.0**-l / norm, abs=1e-8)
 
-    def test_normalizer_near_one(self, consts):
-        _, B = optimal_truncated_qstar(0.01, 64, consts, return_normalizer=True)
+    def test_normalizer_near_one(self):
+        _, B = optimal_truncated_qstar(0.01, 64, return_normalizer=True)
         assert abs(B - 1.0) <= 1e-3
 
-    def test_first_order_matches_dagger(self, consts):
+    def test_first_order_matches_dagger(self):
         d = 0.01
-        q = optimal_truncated_qstar(d, 64, consts)
+        q = optimal_truncated_qstar(d, 64)
         dag = dagger_distribution(d)
         errs = [abs(q.prob(l) - dag.prob(l)) for l in range(1, 17)]
         assert max(errs) <= 10.0 * d * d
 
-    def test_domain_errors(self, consts):
+    def test_domain_errors(self):
         with pytest.raises(ValueError):
-            optimal_truncated_qstar(0.0, 16, consts)
+            optimal_truncated_qstar(0.0, 16)
         with pytest.raises(ValueError):
-            optimal_truncated_qstar(0.35, 16, consts)
+            optimal_truncated_qstar(0.35, 16)
         with pytest.raises(ValueError):
-            optimal_truncated_qstar(0.1, 1, consts)
+            optimal_truncated_qstar(0.1, 1)
 
 
 HY_PIN_GEOM_D002 = 0.11602659669146685

@@ -76,6 +76,7 @@ def test_python_dash_m_runs_the_cli():
         ["verify", "rates", "--out-bits", "-5"],
         ["dist", "geometric", "unused.tsv", "--l-max", "0"],
         ["rate", "--d", "0.1", "--threads", "0"],
+        ["rate", "--d", "0.1", "--n", "0"],
         ["plot-data", "--points", "1"],
     ],
     ids=" ".join,
@@ -272,6 +273,7 @@ class TestRateCommand:
         doc = json.loads(invoke(runner, *args).stdout)
         lines = invoke(runner, *args, "--format", "csv").stdout.strip().splitlines()
         header, row = lines[0].split(","), lines[1].split(",")
+        assert header == list(doc)
         parsed = dict(zip(header, row))
         assert float(parsed["rate"]) == doc["rate"]
         assert int(parsed["n"]) == doc["n"]

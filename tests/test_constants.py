@@ -157,24 +157,22 @@ class TestComputeConstants:
 
 
 class TestCapacityEstimate:
-    def test_perfect_channel(self, consts):
-        assert capacity_estimate(0.0, consts) == 1.0
+    def test_perfect_channel(self):
+        assert capacity_estimate(0.0) == 1.0
 
-    def test_published_table_column(self, consts):
+    def test_published_table_column(self):
         for d, want in CEST_TABLE.items():
-            assert abs(capacity_estimate(d, consts) - want) <= 5e-5, d
+            assert abs(capacity_estimate(d) - want) <= 5e-5, d
 
-    def test_monotone_decreasing_on_small_d(self, consts):
+    def test_monotone_decreasing_on_small_d(self):
         grid = [i * 1e-3 for i in range(0, 301)]
-        values = [capacity_estimate(d, consts) for d in grid]
+        values = [capacity_estimate(d) for d in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_domain_errors(self, consts):
+    def test_domain_errors(self):
         for bad in (-0.01, 1.0, 1.5):
             with pytest.raises(ValueError):
-                capacity_estimate(bad, consts)
+                capacity_estimate(bad)
 
     def test_default_constants_used_when_omitted(self):
-        assert capacity_estimate(0.1) == pytest.approx(
-            capacity_estimate(0.1, compute_constants(DEFAULT_TOL)), abs=0
-        )
+        assert compute_constants() is compute_constants(DEFAULT_TOL)

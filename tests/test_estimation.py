@@ -368,8 +368,8 @@ class TestEstimateRate:
         ],
     )
     def test_validation(self, kwargs, msg):
-        # with threads=2 both halves may fail; the error is the one the
-        # serial order raises (h_cond's before the stream's)
+        # h_cond's arguments are checked before either half starts, so
+        # every thread count raises the same error
         for threads in (1, 2):
             args = dict(d=0.1, n=20, samples=10, out_bits=2000, threads=threads)
             args.update(kwargs)
@@ -377,6 +377,22 @@ class TestEstimateRate:
                 warnings.simplefilter("ignore")
                 with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
                     estimate_rate(SourceSpec.bernoulli_half(), **args)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bad_n_is_reported_before_the_stream(self, monkeypatch, threads):
+        calls = []
+
+        def stream(*args):
+            calls.append(args)
+            return 0.0, 0.0
+
+        monkeypatch.setattr("delchan.estimation._h_out_from_stream", stream)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            estimate_rate(
+                SourceSpec.bernoulli_half(), 0.1, n=0, samples=10,
+                out_bits=2000, threads=threads,
+            )
+        assert calls == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_full_deletion_skips_the_stream(self, threads):
