@@ -93,6 +93,11 @@ def _check_h_cond_args(d: float, n: int, samples: int) -> None:
         raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
 
 
+def _check_out_bits(out_bits: int) -> None:
+    if out_bits < 1:
+        raise ValueError(f"out_bits must be >= 1, got {out_bits}")
+
+
 def estimate_h_cond(
     spec: SourceSpec,
     d: float,
@@ -165,8 +170,7 @@ def _h_out_from_stream(
     miller_madow: bool = False,
 ) -> tuple[float, float]:
     """Shared estimation path: (1-d) * H(q_hat)/mu_hat + bootstrap error."""
-    if out_bits < 1:
-        raise ValueError(f"out_bits must be >= 1, got {out_bits}")
+    _check_out_bits(out_bits)
     if not 0.0 <= d < 1.0:
         raise ValueError(
             f"deletion probability must be in [0, 1) for output simulation, got {d!r}"
@@ -276,15 +280,16 @@ def estimate_rate(
     ``"upper-bound"`` for Markov sources, whose output entropy is
     bounded by the run-length formula rather than equal to it.  The
     result is deterministic given ``seed`` and the sampling sizes.  The
-    arguments of ``estimate_h_cond`` are checked before either half
-    starts.  The two halves draw from separate seeds; ``threads > 1``
-    runs ``estimate_h_cond`` on a worker thread during the output
-    stream, which changes neither the result nor the errors raised.
+    arguments of ``estimate_h_cond`` and ``out_bits`` are checked before
+    either half starts.  The two halves draw from separate seeds;
+    ``threads > 1`` runs ``estimate_h_cond`` on a worker thread during the
+    output stream, which changes neither the result nor the errors raised.
     More than 2 threads add nothing.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_h_cond_args(d, n, samples)
+    _check_out_bits(out_bits)
     seed = int(seed)
     cond_seed, out_seed = np.random.SeedSequence(seed).spawn(2)
     cond_args = (spec, d, n, samples, cond_seed)

@@ -14,14 +14,18 @@ y_{i-delta}] f_{i-1}[delta]`` in O(n (k + 1)) time on a batch of pairs of
 one input length at once, outputs padded with a sentinel that matches no
 input bit.  A pair whose band peak nears overflow is rescaled by an exact
 power of two kept as a log2 scale, so its value is bit-identical alone or
-in any batch.  Counts are exact below 2^53 (every ``n <= 56``, so the
-``n <= 12`` oracles); above, the relative error is about ``n * 2^-53``.
+in any batch.  Band values at most double per input bit, so the peak
+checks start after bit 960.  Counts are exact below 2^53 (every
+``n <= 56``, so the ``n <= 12`` oracles); above, the relative error is
+about ``n * 2^-53``.
 Impossible outputs give the distinguished value ``-inf``, not an error:
 Monte Carlo never produces them but adversarial inputs do.
 
 ``total_probability`` sums ``p(y|x)`` over every output.  A batch of inputs
 takes one kernel call per output length m on inputs x all 2^m outputs (split
 to cap the band cells per call); each sum is bit-identical to a lone input.
+At ``n <= 12`` no pair is rescaled, so the sums read the kernel's counts
+directly.
 
 ``exact_block_information`` enumerates all inputs and masks for
 ``n <= 12`` and returns exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` — the
@@ -66,10 +70,12 @@ IMPOSSIBLE = float("-inf")
 _ORACLE_MAX_N = 12
 #: Pads the outputs in ``_band_counts``; matches no input bit.
 _SENTINEL = 2
-#: Band values at most double per input bit: a peak check every 32 bits
-#: against 2^960 keeps them below 2^992.
+#: Band values at most double per input bit, so they stay <= 2^960 over
+#: the first 960 bits; after that a peak check every 32 bits against 2^960
+#: keeps them below 2^992.
 _RESCALE_EVERY = 32
-_RESCALE_ABOVE = 2.0**960
+_RESCALE_AFTER_BITS = 960
+_RESCALE_ABOVE = 2.0**_RESCALE_AFTER_BITS
 #: Pairs x band width per ``_total_probabilities`` kernel call.
 _MAX_BAND_CELLS = 1 << 12
 
@@ -118,7 +124,12 @@ def _band_counts(
     # its answer is entry K.  Run back to front (N is unchanged), every y
     # starts at offset K of ypad: the step reading x[u] meets ypad[u + c].
     ypad = np.full((n + K, rows), _SENTINEL, dtype=np.uint8)
-    ypad[K : K + width] = np.where(np.arange(width)[:, None] < m, y.T, _SENTINEL)
+    if (m == width).all():
+        ypad[K : K + width] = y.T
+    else:
+        ypad[K : K + width] = np.where(
+            np.arange(width)[:, None] < m, y.T, _SENTINEL
+        )
     windows = np.ndarray((n, K + 1, rows), np.uint8, ypad, 0, (rows, rows, 1))
     f = np.zeros((K + 1, rows))
     f[K - k, np.arange(rows)] = 1.0
@@ -132,6 +143,8 @@ def _band_counts(
             np.multiply(f, eq[u], out=g)
             g[1:] += f[:-1]
             f, g = g, f
+        if n - lo <= _RESCALE_AFTER_BITS:  # every value <= 2^(n - lo)
+            continue
         peak = f.max(axis=0)
         e = np.where(peak > _RESCALE_ABOVE, np.frexp(peak)[1], 0)
         np.ldexp(f, -e, out=f)
@@ -217,9 +230,9 @@ def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:
         for lo in range(0, rows, group):
             x = np.repeat(xs[lo : lo + group], 2**m, axis=0)
             y = np.tile(ys, (len(x) // 2**m, 1))
-            top, scale = _band_counts(x, y, np.full(len(x), m))
-            counts = np.ldexp(top, scale).reshape(-1, 2**m)
-            totals[lo : lo + group, m] = counts.sum(axis=1)
+            # n <= 12 never rescales: scale is 0 and top is the count
+            top, _ = _band_counts(x, y, np.full(len(x), m))
+            totals[lo : lo + group, m] = top.reshape(-1, 2**m).sum(axis=1)
         totals[:, m] *= d ** (n - m) * (1.0 - d) ** m
     return np.array([math.fsum(row) for row in totals.tolist()])
 

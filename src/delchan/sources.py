@@ -192,7 +192,10 @@ def dagger_mass(l: int, d: float) -> float:
     The log is natural: only then does the perturbation sum to zero over
     all ``l``, so that the full series is a probability distribution.
     """
-    c2 = compute_constants().c2
+    return _dagger_mass(l, d, compute_constants().c2)
+
+
+def _dagger_mass(l: int, d: float, c2: float) -> float:
     return 2.0**-l * (1.0 + d * (l * math.log(l) - c2 * l / 2.0))
 
 
@@ -208,7 +211,8 @@ def dagger_distribution(d: float, L_max: int = DEFAULT_L_MAX) -> RunLengthDistri
         raise ValueError("d must be >= 0")
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
-    weights = np.array([dagger_mass(l, d) for l in range(1, L_max + 1)])
+    c2 = compute_constants().c2
+    weights = np.array([_dagger_mass(l, d, c2) for l in range(1, L_max + 1)])
     nonpos = np.flatnonzero(weights <= 0.0)
     if nonpos.size:
         l_bad = int(nonpos[0]) + 1

@@ -276,17 +276,14 @@ def check_dp_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     )
     out.append(_flag(f"exhaustive DP equivalence ({pairs} pairs, n <= 6)", ok, worst))
 
-    # random pairs up to n = 12, drawn pair by pair into padded buffers
+    # random pairs up to n = 12, drawn in bulk: lengths, then 12-bit rows
+    # of which pair r reads its first n and m bits
     rng = np.random.Generator(np.random.Philox(seed))
-    ns, ms = np.empty((2, 10_000), dtype=np.uint8)
-    xbuf, ybuf = np.zeros((2, 10_000, 12), dtype=np.uint8)
-    for r in range(10_000):
-        ns[r] = n = int(rng.integers(1, 13))
-        ms[r] = m = int(rng.integers(0, n + 1))
-        xbuf[r, :n] = rng.integers(0, 2, size=n, dtype=np.uint8)
-        ybuf[r, :m] = rng.integers(0, 2, size=m, dtype=np.uint8)
+    ns = rng.integers(1, 13, size=10_000)
+    ms = rng.integers(0, ns + 1)
+    xbits, ybits = rng.integers(0, 2, size=(2, 10_000, 12), dtype=np.uint8)
     _, ok, worst = compare(
-        (xbuf[rows, :n], ybuf[rows, :m])
+        (xbits[rows, :n], ybits[rows, :m])
         for n in range(1, 13)
         for m in range(n + 1)
         if (rows := (ns == n) & (ms == m)).any()
@@ -297,8 +294,7 @@ def check_dp_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     worst = 0.0
     for n in range(4, 13):
         for d in (0.1, 0.5, 0.9):
-            xs = np.array([rng.integers(0, 2, size=n, dtype=np.uint8)
-                           for _ in range(100)])
+            xs = rng.integers(0, 2, size=(100, n), dtype=np.uint8)
             worst = max(worst, float(np.abs(_total_probabilities(xs, d) - 1.0).max()))
     out.append(_pin("likelihood normalization max |sum - 1| (n=4..12)",
                     worst, 0.0, 1e-12))

@@ -395,6 +395,22 @@ class TestEstimateRate:
         assert calls == []
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_bad_out_bits_is_reported_before_h_cond(self, monkeypatch, threads):
+        calls = []
+
+        def h_cond(*args):
+            calls.append(args)
+            return 0.0, 0.0
+
+        monkeypatch.setattr("delchan.estimation.estimate_h_cond", h_cond)
+        with pytest.raises(ValueError, match="out_bits must be >= 1, got 0"):
+            estimate_rate(
+                SourceSpec.bernoulli_half(), 0.1, n=20, samples=10,
+                out_bits=0, threads=threads,
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_full_deletion_skips_the_stream(self, threads):
         # the stream refuses d = 1, so a result shows it was not run
         r = estimate_rate(

@@ -202,6 +202,34 @@ class TestBandKernel:
         top, scale = _band_counts(x, np.zeros((2, 0), np.uint8), [0, 0])
         assert top.tolist() == [1.0, 1.0] and scale.tolist() == [0, 0]
 
+    @pytest.mark.parametrize("n", [959, 960, 961, 992, 993, 1100])
+    def test_rescale_boundary_all_ones(self, n):
+        # peak checks start after bit 960; C(1100, 550) ~ 2^1095 overflows
+        # float64 unless a check fires after it
+        m = n // 2
+        got = kernel_log2(np.ones(n, np.uint8), np.ones((1, m), np.uint8), [m])
+        assert got[0] == pytest.approx(log2_binomial(n, m), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [959, 960, 961, 992, 993, 1100])
+    def test_rescale_boundary_batch_bit_identical_to_single_rows(self, n):
+        rng = np.random.Generator(np.random.Philox(n))
+        ones = np.ones(n, np.uint8)
+        late = ones.copy()
+        late[-8:] = 0  # read first: its counts grow later than all-ones
+        noisy = rng.integers(0, 2, n).astype(np.uint8)
+        xs = [ones, ones, late, noisy, np.zeros(n, np.uint8), ones]
+        ys = [ones[: n // 2], ones[: n - 3], ones[: n // 2],
+              noisy[rng.random(n) >= 0.05], ones[:5], ones[:0]]
+        y = np.zeros((len(ys), n), np.uint8)
+        for r, yr in enumerate(ys):
+            y[r, : yr.size] = yr
+        m = [yr.size for yr in ys]
+        top, scale = _band_counts(np.array(xs), y, m)
+        assert top[4] == 0.0 and top[5] == 1.0  # impossible, and m = 0
+        for r in range(len(ys)):
+            alone = _band_counts(xs[r], ys[r][None, :], [m[r]])
+            assert (alone[0][0], alone[1][0]) == (top[r], scale[r])
+
     @staticmethod
     def _mixed_batch():
         """Pairs at one n = 1100 with mixed m; the all-ones rows rescale."""

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delchan import sources
 from delchan.sources import (
     _BLOCK,
     RunLengthDistribution,
@@ -177,6 +178,33 @@ class TestDistributions:
         # discarded tail beyond 64 is ~2^-60 but the estimate inherits
         # the certified 1e-12 accuracy of the series constant inside
         assert abs(d.discarded_mass) < 1e-12
+
+    def test_dagger_distribution_reads_the_constants_once(self, monkeypatch):
+        calls = []
+        real = sources.compute_constants
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sources, "compute_constants", counting)
+        for L_max in (1, 22, 64):
+            calls.clear()
+            dagger_distribution(0.05, L_max)
+            assert len(calls) == 1
+
+    def test_dagger_distribution_renormalizes_dagger_mass(self):
+        # the distribution's one constants read gives the same weights, bit
+        # for bit, as the public per-length dagger_mass
+        for d in (0.0, 0.05, 0.1, 0.5):
+            for L_max in (1, 22, 64):
+                weights = [dagger_mass(l, d) for l in range(1, L_max + 1)]
+                expected = RunLengthDistribution.from_weights(
+                    weights, discarded_mass=1.0 - math.fsum(weights)
+                )
+                got = dagger_distribution(d, L_max)
+                assert got.probs.tolist() == expected.probs.tolist()
+                assert got.discarded_mass == expected.discarded_mass
 
     def test_dagger_negative_mass_names_offender(self):
         with pytest.raises(ValueError, match="l=1"):

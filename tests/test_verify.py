@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from delchan import verify
+from delchan import likelihood, verify
 from delchan.likelihood import _all_words, _band_counts
 from delchan.sources import DEFAULT_SEED
 from delchan.verify import (
@@ -143,3 +143,46 @@ class TestGroupedOracle:
             "likelihood normalization max |sum - 1| (n=4..12)",
         ]
         assert all(c.passed for c in checks)
+
+
+#: ``check_dp_oracle``'s report for every seed while the kernel is right:
+#: the pair errors are exact zeros for n <= 12, and sum_y N(x, y) = C(n, m)
+#: exactly, so the normalization deviation depends only on (n, d).
+DP_ORACLE_JSON = json.dumps([
+    {"name": "exhaustive DP equivalence (10794 pairs, n <= 6)",
+     "passed": True, "value": 0.0, "target": 0.0, "tol": 0.0},
+    {"name": "random-pair DP equivalence (10000 pairs, n <= 12)",
+     "passed": True, "value": 0.0, "target": 0.0, "tol": 0.0},
+    {"name": "likelihood normalization max |sum - 1| (n=4..12)",
+     "passed": True, "value": 4.440892098500626e-16, "target": 0.0,
+     "tol": 1e-12},
+])
+
+
+class TestOracleWorkAndOutput:
+    def test_kernel_calls_and_groups(self, monkeypatch):
+        calls, groups = [], []
+
+        def counting_kernel(x, y, m):
+            calls.append(len(m))
+            return _band_counts(x, y, m)
+
+        def recording_group(xs, ys, check=verify._check_group):
+            groups.append((xs.shape[1], ys.shape[1], len(xs)))
+            return check(xs, ys)
+
+        monkeypatch.setattr(verify, "_band_counts", counting_kernel)
+        monkeypatch.setattr(likelihood, "_band_counts", counting_kernel)
+        monkeypatch.setattr(verify, "_check_group", recording_group)
+        check_dp_oracle(DEFAULT_SEED)
+        # 27 exhaustive + 90 random groups, 2634 normalization calls
+        assert len(calls) == 2751
+        exhaustive = [(n, m) for n in range(1, 7) for m in range(n + 1)]
+        random_ = [(n, m) for n in range(1, 13) for m in range(n + 1)]
+        assert [g[:2] for g in groups] == exhaustive + random_
+        assert sum(g[2] for g in groups[len(exhaustive):]) == 10_000
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, DEFAULT_SEED])
+    def test_report_is_pinned(self, seed):
+        checks = check_dp_oracle(seed)
+        assert json.dumps([c.as_dict() for c in checks]) == DP_ORACLE_JSON
