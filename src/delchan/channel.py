@@ -291,15 +291,3 @@ def parent_segmentation(x, mask) -> ParentSegmentation:
         y_blocks=["".join(parts) for parts in y_blocks],
         K=tuple(len("".join(parts)) for parts in x_blocks[:-1]),
     )
-
-
-def reconstruct_input(realization: DeletionRealization) -> np.ndarray:
-    """Interleave ``y`` with the deleted bits per ``mask`` to rebuild ``x``.
-
-    Used by tests to check that output extraction is order-preserving.
-    """
-    x = np.empty(realization.mask.size, dtype=np.uint8)
-    keep = realization.mask == 0
-    x[keep] = realization.y
-    x[~keep] = realization.x[~keep]
-    return x

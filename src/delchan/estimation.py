@@ -15,7 +15,9 @@ an O(log n / n) term removed:
   renewal, so ``H(Y)/n -> (1-d) H(q_L)/mu(Y)`` exactly; estimated with
   the plug-in entropy of the interior output run lengths (first and
   last 64 runs discarded as burn-in) and a block bootstrap standard
-  error.  For Markov inputs the same formula is only an upper bound
+  error.  Runs longer than 64 enter the mean run length but not the
+  entropy, which biases the estimate low; a ``UserWarning`` reports how
+  many there were.  For Markov inputs the same formula is only an upper bound
   (their output is not renewal), so the renewal estimator refuses them
   and ``estimate_rate`` labels the result ``"upper-bound"``.  The
   stream's source, channel and run segmentation run in fixed blocks of
@@ -120,8 +122,8 @@ def estimate_h_cond(
         return 0.0, 0.0
 
     chunks = _as_seed_sequence(seed).spawn(-(-samples // _CHUNK))
-    log2_binom = np.array([log2_binomial(n, m) for m in range(n + 1)])
-    values = np.empty(samples)
+    ms_all = np.empty(samples, dtype=np.int64)
+    log_n_all = np.empty(samples)
     for index, child in enumerate(chunks):
         start = index * _CHUNK
         rows = min(_CHUNK, samples - start)
@@ -132,8 +134,14 @@ def estimate_h_cond(
         ys = np.zeros_like(xs)
         ys[np.arange(n) < ms[:, None]] = xs[keep]
         top, scale = _band_counts(xs, ys, ms)
-        log_n = np.log2(top) + scale  # y is a subsequence of x: N >= 1
-        values[start : start + rows] = (log2_binom[ms] - log_n) / n
+        ms_all[start : start + rows] = ms
+        # y is a subsequence of x: N >= 1
+        log_n_all[start : start + rows] = np.log2(top) + scale
+
+    # log2 C(n, m) only at the output lengths drawn (a few dozen of n + 1)
+    drawn, which = np.unique(ms_all, return_inverse=True)
+    log2_binom = np.array([log2_binomial(n, m) for m in drawn.tolist()])
+    values = (log2_binom[which] - log_n_all) / n
 
     mean = math.fsum(values.tolist()) / samples
     var = math.fsum(((v - mean) ** 2 for v in values.tolist()))
@@ -215,6 +223,15 @@ def _h_out_from_stream(
             UserWarning,
             stacklevel=3,
         )
+    over_cap = n_runs - int(support_counts.sum())
+    if over_cap:
+        warnings.warn(
+            f"{over_cap} of {n_runs} output runs ({over_cap / n_runs:.2e}) "
+            f"are longer than {_L_CAP}: they count toward the mean run length "
+            "but not the entropy, so h_out is biased low",
+            UserWarning,
+            stacklevel=3,
+        )
 
     # point estimate: entropy over the capped support, mean over all runs
     h_over_mu = _plug_in_h_over_mu(
@@ -248,8 +265,10 @@ def estimate_h_out_renewal(
     Simulates enough input to produce about ``out_bits`` output bits,
     discards 64 burn-in runs at each end, and applies the plug-in
     entropy over run lengths (capped at 64; longer runs count toward
-    ``mu_hat`` only).  ``miller_madow`` adds the (K-1)/(2N ln 2) bias
-    correction.  The standard error is a contiguous-block bootstrap.
+    ``mu_hat`` only, which biases the estimate low, and a ``UserWarning``
+    reports how many there were).  ``miller_madow`` adds the
+    (K-1)/(2N ln 2) bias correction.  The standard error is a
+    contiguous-block bootstrap.
     Markov sources are refused — their channel output is not renewal —
     use ``estimate_rate``, which reports the same formula as an
     explicit upper bound.

@@ -20,6 +20,15 @@ deterministically; a private row-batched sampler draws many paths from
 one stream (see ``delchan.estimation``).  A single long path is simulated
 in fixed blocks of ``_BLOCK`` draws from the same Philox stream, in the
 same order, so the bits do not depend on the block size.
+
+Run lengths are drawn by inverting the cumulative pmf, one uniform per
+length, which gives exactly the draws of ``Generator.choice(p=probs)``.
+The inversion goes through a guide table (indexed search: Chen & Asau,
+AIIE Transactions 6(2), 1974; Devroye 1986, sec. III.2.4) of
+``_GUIDE_CELLS`` equal cells of ``[0, 1)``: a cell that no cdf point
+splits holds its one length, so most uniforms take one table lookup, and
+only those in a split cell are searched in the cdf.  The answer is the
+same ``searchsorted`` result either way.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +67,11 @@ DEFAULT_L_MAX = 64
 #: Draws (input bits) per block of a long simulated path; results do not
 #: depend on it, and a block's temporaries stay in cache.
 _BLOCK = 1 << 16
+
+#: Cells of the run-length guide table: cell ``c`` holds the uniforms in
+#: ``[c/_GUIDE_CELLS, (c+1)/_GUIDE_CELLS)``.  A power of 2, so that
+#: ``u * _GUIDE_CELLS`` is exact.
+_GUIDE_CELLS = 1 << 12
 
 
 # --------------------------------------------------------------------------
@@ -158,9 +172,16 @@ class RunLengthDistribution:
         return np.arange(1, self.L_max + 1)
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
-        """Cumulative pmf for inverse-CDF sampling, built once."""
+    def _cdf(self) -> "_InverseCdf":
+        """Cumulative pmf and guide table for inverse-CDF sampling, built once."""
         return _inverse_cdf(self.probs)
+
+    @cached_property
+    def _size_biased_cdf(self) -> "_InverseCdf":
+        """The same for the size-biased law ``l*p(l)/mu`` of the run that
+        covers a stationary start."""
+        size_biased = self.lengths * self.probs
+        return _inverse_cdf(size_biased / size_biased.sum())
 
     def prob(self, l: int) -> float:
         """``P(L = l)`` (0 outside the support)."""
@@ -283,18 +304,46 @@ class SourceSpec:
 # --------------------------------------------------------------------------
 
 
-def _inverse_cdf(probs: np.ndarray) -> np.ndarray:
-    """The cumulative pmf as ``Generator.choice(p=probs)`` builds it."""
+class _InverseCdf(NamedTuple):
+    """A run-length law as :func:`_sample_lengths` inverts it."""
+
+    cdf: np.ndarray
+    #: the length ``1..`` of every uniform in the cell, or 0 when a cdf
+    #: point lies strictly inside the cell (the length depends on ``u``)
+    guide: np.ndarray
+
+
+def _inverse_cdf(probs: np.ndarray) -> _InverseCdf:
+    """The cumulative pmf as ``Generator.choice(p=probs)`` builds it, and its
+    guide table of ``_GUIDE_CELLS`` cells.
+
+    The length of a uniform ``u`` is ``searchsorted(cdf, u, "right") + 1``,
+    which never decreases in ``u``.  Over a cell ``[a, b)`` it therefore lies
+    between its value at ``a`` and ``searchsorted(cdf, b, "left") + 1``; the
+    two agree exactly when no cdf point lies strictly inside the cell, and
+    then the table holds that length.
+    """
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    return cdf
+    edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS  # exact
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    hi = np.searchsorted(cdf, edges[1:], side="left")
+    return _InverseCdf(cdf, np.where(lo == hi, lo + 1, 0))
 
 
-def _sample_lengths(rng, cdf: np.ndarray, shape, out=None) -> np.ndarray:
+def _sample_lengths(rng, inv: _InverseCdf, shape, out=None) -> np.ndarray:
     """Lengths ``1..`` drawn by inversion: the draws of ``rng.choice(p=...)``
-    (the uniforms go to the float buffer ``out`` if given)."""
-    lengths = np.searchsorted(cdf, rng.random(shape, out=out), side="right")
-    lengths += 1
+    (the uniforms go to the float buffer ``out`` if given).
+
+    Each uniform reads the guide entry of its cell (``u * _GUIDE_CELLS`` is
+    exact, and truncation gives the cell); only the uniforms in a cell that
+    a cdf point splits are searched in the cdf.
+    """
+    u = rng.random(shape, out=out)
+    lengths = inv.guide[(u * _GUIDE_CELLS).astype(np.intp)]
+    split = lengths == 0
+    if split.any():
+        lengths[split] = np.searchsorted(inv.cdf, u[split], side="right") + 1
     return lengths
 
 
@@ -352,9 +401,7 @@ def _sample_rows(
     total = np.zeros(rows, dtype=np.int64)
 
     if stationary_start:
-        size_biased = dist.lengths * dist.probs
-        size_biased = size_biased / size_biased.sum()
-        l0 = _sample_lengths(rng, _inverse_cdf(size_biased), (rows, 1))
+        l0 = _sample_lengths(rng, dist._size_biased_cdf, (rows, 1))
         # uniform offset inside the covering run: 1..l0 bits remain
         parts.append(rng.integers(1, l0 + 1))
         total += parts[-1][:, 0]

@@ -16,7 +16,6 @@ from delchan.channel import (
     modified_mask,
     parent_segmentation,
     perturbed_mask,
-    reconstruct_input,
     run_lengths,
     segment_runs,
     segment_super_runs,
@@ -39,6 +38,16 @@ nonempty_bits = st.text(alphabet="01", min_size=1, max_size=64)
 # A reference string whose run lengths are 1,2,1,3,2,1,1,2 and whose
 # interior super-runs are (2,1),(3,0),(2,2); used across segmentation tests.
 REFERENCE = "1001000110100"
+
+
+def reconstruct_input(realization) -> np.ndarray:
+    """Interleave ``y`` with the deleted bits per ``mask`` to rebuild ``x``,
+    which checks that output extraction is order-preserving."""
+    x = np.empty(realization.mask.size, dtype=np.uint8)
+    keep = realization.mask == 0
+    x[keep] = realization.y
+    x[~keep] = realization.x[~keep]
+    return x
 
 
 class TestTransmit:

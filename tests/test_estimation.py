@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from delchan import estimation
 from delchan.analytics import markov_rate_bound, optimal_markov_param
 from delchan.channel import _deletion_mask
 from delchan.estimation import (
@@ -151,6 +152,26 @@ class TestEstimateHCond:
         if n == 4:
             assert 0 < ms[:_CHUNK].count(0) < _CHUNK
 
+    def test_log2_binomial_only_at_drawn_lengths(self, monkeypatch):
+        # one log2 C(n, m) per distinct drawn m, not a table of all n + 1
+        taken, drawn = [], []
+        binomial, counts = estimation.log2_binomial, estimation._band_counts
+
+        def counting_binomial(n, m):
+            taken.append(m)
+            return binomial(n, m)
+
+        def recording_counts(xs, ys, ms):
+            drawn.extend(ms.tolist())
+            return counts(xs, ys, ms)
+
+        monkeypatch.setattr(estimation, "log2_binomial", counting_binomial)
+        monkeypatch.setattr(estimation, "_band_counts", recording_counts)
+        estimate_h_cond(SourceSpec.dagger(0.05), 0.05, 2000, 50, 7)
+        assert len(drawn) == 50
+        assert taken == sorted(set(drawn))
+        assert len(taken) < 2001
+
     def test_seed_reproducible_and_sensitive(self):
         args = (SourceSpec.bernoulli_half(), 0.2, 100, 20)
         first = estimate_h_cond(*args, 42)
@@ -174,17 +195,22 @@ class TestEstimateHCond:
         assert abs(m1 - m2) <= 2.0 * math.hypot(s1, s2)
 
 
-def whole_array_h_out(spec, d, out_bits, seed, miller_madow=False):
-    """``_h_out_from_stream`` as it was before the stream ran in blocks:
-    the whole input, mask and output as arrays, one ``run_lengths`` and
-    one capped copy of the run lengths."""
-    sample_seed, boot_seed = np.random.SeedSequence(seed).spawn(2)
+def whole_array_interior_runs(spec, d, out_bits, sample_seed):
+    """The output run lengths of the whole-array stream, burn-in cut."""
     n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
     rng = np.random.Generator(np.random.Philox(sample_seed))
     x = whole_array_sample_rows(spec, n_in, 1, rng)[0]
     lengths = run_lengths(transmit(x, d, rng).y)
     burn = _BURN_IN_RUNS if lengths.size >= 2 * _BURN_IN_RUNS + 16 else 1
-    interior = lengths[burn:-burn]
+    return lengths[burn:-burn]
+
+
+def whole_array_h_out(spec, d, out_bits, seed, miller_madow=False):
+    """``_h_out_from_stream`` as it was before the stream ran in blocks:
+    the whole input, mask and output as arrays, one ``run_lengths`` and
+    one capped copy of the run lengths."""
+    sample_seed, boot_seed = np.random.SeedSequence(seed).spawn(2)
+    interior = whole_array_interior_runs(spec, d, out_bits, sample_seed)
     n_runs = interior.size
     capped = np.minimum(interior, _L_CAP + 1)
     counts = np.bincount(capped, minlength=_L_CAP + 2).astype(np.float64)
@@ -245,6 +271,36 @@ class TestBlockedStream:
         with pytest.warns(UserWarning, match="underpowered") as record:
             estimate_h_out_renewal(SourceSpec.bernoulli_half(), 0.1, 3000, 2)
         assert record[0].filename == __file__
+
+    def test_runs_over_the_cap_are_reported(self):
+        # markov(0.9) at d = 0.05 puts about 1e-3 of its output runs over 64
+        spec, d, out_bits, seed = SourceSpec.markov(0.9), 0.05, 10**6, 3
+        with pytest.warns(UserWarning, match=f"longer than {_L_CAP}") as record:
+            got = _h_out_from_stream(spec, d, out_bits, seed)
+        assert len(record) == 1
+        assert got == whole_array_h_out(spec, d, out_bits, seed)
+        sample_seed, _ = np.random.SeedSequence(seed).spawn(2)
+        interior = whole_array_interior_runs(spec, d, out_bits, sample_seed)
+        over = int(np.count_nonzero(interior > _L_CAP))
+        assert over > 0
+        assert str(record[0].message).startswith(
+            f"{over} of {interior.size} output runs ({over / interior.size:.2e})"
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cap_warning_points_at_the_caller(self, threads):
+        with pytest.warns(UserWarning, match="longer than") as record:
+            estimate_rate(
+                SourceSpec.markov(0.9), 0.05, n=20, samples=2,
+                out_bits=10**6, threads=threads, seed=3,
+            )
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    def test_no_runs_over_the_cap_for_dagger(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_h_out_renewal(SourceSpec.dagger(0.05), 0.05, 2 * 10**6, 3)
 
 
 class TestEstimateHOutRenewal:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from delchan import sources
 from delchan.sources import (
     _BLOCK,
+    _GUIDE_CELLS,
     RunLengthDistribution,
     SourceSpec,
     _inverse_cdf,
@@ -29,6 +30,7 @@ from delchan.sources import (
     sample_sequence,
     write_distribution,
 )
+from test_channel import ScriptedUniforms
 
 # Independent oracle values.
 DAGGER1_AT_01 = 0.455342908957  # 2^-1 * (1 - 0.1 * c2 / 2)
@@ -437,6 +439,87 @@ class TestSampling:
         if not stationary:
             assert np.all(rows[:, 0] == rows[:, 1])
             assert np.all(rows[:, 1] != rows[:, 2])
+
+
+#: Laws whose cdf points sit where the guide table can go wrong.
+GUIDE_LAWS = ("dagger", "geometric", "point-mass", "gaps", "heavy-tail")
+
+
+def guide_law(name, tmp_path) -> RunLengthDistribution:
+    if name == "dagger":
+        return dagger_distribution(0.05)
+    if name == "geometric":  # cdf points 1/2, 3/4, ... on cell edges
+        return geometric_half(64)
+    if name == "point-mass":  # leading zero-mass lengths: cdf starts 0, 0
+        return point_mass(3)
+    if name == "gaps":  # interior zero-mass lengths, filled in on reading
+        path = tmp_path / "gaps.tsv"
+        path.write_text("1\t0.3\n4\t0.2\n5\t0.1\n9\t0.4\n", encoding="utf-8")
+        return read_distribution(path)
+    # many cdf points crowd the last cell [1 - 2^-12, 1)
+    return RunLengthDistribution.from_weights(np.arange(1, 257) ** -3.0)
+
+
+def reference_cdf(dist) -> np.ndarray:
+    cdf = np.cumsum(dist.probs)
+    cdf /= cdf[-1]
+    return cdf
+
+
+class TestGuideTable:
+    """Run lengths through the guide table are the plain cdf search's."""
+
+    @pytest.mark.parametrize("name", GUIDE_LAWS)
+    def test_edge_uniforms_match_searchsorted(self, name, tmp_path):
+        dist = guide_law(name, tmp_path)
+        cdf = reference_cdf(dist)
+        points = cdf[cdf < 1.0]
+        edges = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
+        u = np.concatenate(
+            (
+                points,
+                np.nextafter(points, 0.0),
+                edges,
+                np.nextafter(edges[1:], 0.0),
+                [0.0, 1.0 - 2.0**-53],
+            )
+        )
+        u = np.resize(u, 8 * -(-u.size // 8))  # repeats a few, for 8 rows
+        want = np.searchsorted(cdf, u, side="right") + 1
+        for shape in (u.size, (8, u.size // 8)):
+            for out in (None, np.empty(shape)):
+                rng = ScriptedUniforms(u)
+                got = _sample_lengths(rng, dist._cdf, shape, out)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want.reshape(shape))
+                assert rng.used == u.size
+
+    @pytest.mark.parametrize("name", GUIDE_LAWS)
+    def test_cell_is_searched_only_when_a_cdf_point_splits_it(self, name, tmp_path):
+        dist = guide_law(name, tmp_path)
+        cdf = reference_cdf(dist)
+        lo = np.arange(_GUIDE_CELLS)[:, None] / _GUIDE_CELLS
+        hi = np.arange(1, _GUIDE_CELLS + 1)[:, None] / _GUIDE_CELLS
+        split = ((lo < cdf) & (cdf < hi)).any(axis=1)
+        guide = dist._cdf.guide
+        np.testing.assert_array_equal(guide == 0, split)
+        whole = ~split
+        np.testing.assert_array_equal(
+            guide[whole], np.searchsorted(cdf, lo[whole, 0], side="right") + 1
+        )
+        np.testing.assert_array_equal(dist._cdf.cdf, cdf)
+
+    def test_split_cell_counts(self, tmp_path):
+        assert np.count_nonzero(guide_law("dagger", tmp_path)._cdf.guide == 0) == 14
+        geometric = guide_law("geometric", tmp_path)
+        np.testing.assert_array_equal(
+            reference_cdf(geometric)[:12], 1.0 - 0.5 ** np.arange(1, 13)
+        )
+        # only the last cell, which holds 1 - 2^-13 and beyond, is split
+        split = np.flatnonzero(geometric._cdf.guide == 0)
+        np.testing.assert_array_equal(split, [_GUIDE_CELLS - 1])
+        heavy = reference_cdf(guide_law("heavy-tail", tmp_path))
+        assert np.count_nonzero((heavy >= 1.0 - 2.0**-12) & (heavy < 1.0)) > 40
 
 
 class TestDistributionIO:
