@@ -2,7 +2,7 @@
 
 Computes the series constants and second-order capacity expansion of the
 binary deletion channel, samples capacity-achieving input processes,
-simulates the deletion channel and its modified/perturbed variants,
+simulates the deletion channel and its modified deletion mask,
 evaluates the closed-form entropy formulas, and estimates achievable
 information rates by Monte Carlo against exact small-instance oracles.
 """
@@ -10,23 +10,17 @@ information rates by Monte Carlo against exact small-instance oracles.
 from delchan.analytics import (
     hatD_entropy_formula,
     hy_given_x_formula,
-    jigsaw_rate_bound,
     k_entropy_formula,
     markov_rate_bound,
     optimal_markov_param,
-    optimal_truncated_qstar,
     output_formula_cutoff,
 )
 from delchan.channel import (
     DeletionRealization,
-    ParentSegmentation,
     SuperRunType,
     apply_mask,
     modified_mask,
-    parent_segmentation,
-    perturbed_mask,
     run_lengths,
-    segment_runs,
     segment_super_runs,
     transmit,
 )
@@ -40,7 +34,6 @@ from delchan.constants import (
 from delchan.estimation import (
     RateEstimate,
     estimate_h_cond,
-    estimate_h_out_renewal,
     estimate_rate,
 )
 from delchan.likelihood import (
@@ -55,13 +48,10 @@ from delchan.likelihood import (
     total_probability,
 )
 from delchan.runstats import (
-    DistributionStats,
     EmpiricalRunStats,
-    distribution_stats,
     empirical_run_distribution,
     empirical_super_run_distribution,
     stats_to_json,
-    tail_mass,
 )
 from delchan.sources import (
     DEFAULT_L_MAX,
@@ -89,11 +79,9 @@ __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_TOL",
     "DeletionRealization",
-    "DistributionStats",
     "EmpiricalRunStats",
     "IMPOSSIBLE",
     "LogLikelihood",
-    "ParentSegmentation",
     "RateEstimate",
     "RunLengthDistribution",
     "SeriesConstants",
@@ -109,37 +97,29 @@ __all__ = [
     "compute_constants",
     "dagger_distribution",
     "dagger_mass",
-    "distribution_stats",
     "embedding_count",
     "empirical_run_distribution",
     "empirical_super_run_distribution",
     "estimate_h_cond",
-    "estimate_h_out_renewal",
     "estimate_rate",
     "exact_block_information",
     "geometric_half",
     "hatD_entropy_formula",
     "hy_given_x_formula",
-    "jigsaw_rate_bound",
     "k_entropy_formula",
     "log2_binomial",
     "log_likelihood",
     "markov_rate_bound",
     "modified_mask",
     "optimal_markov_param",
-    "optimal_truncated_qstar",
     "output_formula_cutoff",
-    "parent_segmentation",
-    "perturbed_mask",
     "point_mass",
     "read_distribution",
     "run_lengths",
     "run_suite",
     "sample_sequence",
-    "segment_runs",
     "segment_super_runs",
     "stats_to_json",
-    "tail_mass",
     "total_probability",
     "transmit",
     "write_distribution",

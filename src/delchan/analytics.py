@@ -15,14 +15,10 @@ supplied run-length law:
   blocks) given the input, expressed through the OUTPUT run law and
   the series constants, with the prescribed cutoff
   ``ell = floor(4 log2(1/d))``;
-* ``markov_rate_bound`` / ``jigsaw_rate_bound`` — the second-order rate
-  ceilings ``1 - d log2(1/d) - A1 d + A2' d^2`` (first-order Markov
-  sources) and the same with ``A2' - c4`` (jigsaw-style decoding);
+* ``markov_rate_bound`` — the second-order rate ceiling
+  ``1 - d log2(1/d) - A1 d + A2' d^2`` of first-order Markov sources;
 * ``optimal_markov_param`` — the optimizing Markov stay-probability
-  ``1/2 + c5 d``;
-* ``optimal_truncated_qstar`` — the run-law maximizer
-  ``B(d) 2^-l 2^(d(-S l/2 + l log2 l))`` on ``l <= ell`` with
-  ``S = c2/ln 2``.
+  ``1/2 + c5 d``.
 
 The series constants are absolute, so the formulas that use them read
 ``compute_constants()`` (the ``DEFAULT_TOL`` constants) and depend on
@@ -43,11 +39,9 @@ from delchan.sources import RunLengthDistribution
 __all__ = [
     "hatD_entropy_formula",
     "hy_given_x_formula",
-    "jigsaw_rate_bound",
     "k_entropy_formula",
     "markov_rate_bound",
     "optimal_markov_param",
-    "optimal_truncated_qstar",
     "output_formula_cutoff",
 ]
 
@@ -208,21 +202,6 @@ def markov_rate_bound(d: float) -> float:
     return 1.0 - d * math.log2(1.0 / d) - consts.A1 * d + consts.A2_prime * d * d
 
 
-def jigsaw_rate_bound(d: float) -> float:
-    """Second-order rate ``1 - d log2(1/d) - A1 d + (A2' - c4) d^2``
-    achieved by jigsaw-style decoding of Markov sources."""
-    _check_d(d)
-    if d == 0.0:
-        return 1.0
-    consts = compute_constants()
-    return (
-        1.0
-        - d * math.log2(1.0 / d)
-        - consts.A1 * d
-        + (consts.A2_prime - consts.c4) * d * d
-    )
-
-
 def optimal_markov_param(d: float) -> float:
     """Optimizing Markov stay-probability ``1/2 + c5 d``.
 
@@ -239,26 +218,3 @@ def optimal_markov_param(d: float) -> float:
             "the first-order parameterization only covers small d"
         )
     return value
-
-
-def optimal_truncated_qstar(d: float, ell: int, *, return_normalizer: bool = False):
-    """Run-law maximizer ``B(d) 2^-l 2^(d(-S l/2 + l log2 l))``, l <= ell.
-
-    ``S = c2/ln 2`` and ``B(d)`` normalizes over the truncated support;
-    ``B(d) = 1 + O(d^2)``.  With ``return_normalizer`` the pair
-    ``(distribution, B)`` is returned.  Requires ``0 < d < 0.3`` and
-    ``ell >= 2``.
-    """
-    if not 0.0 < d < 0.3:
-        raise ValueError(f"maximizer defined for 0 < d < 0.3, got {d!r}")
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    S = compute_constants().c2 / LN2
-    lengths = np.arange(1, ell + 1, dtype=np.float64)
-    exponent = d * (-S * lengths / 2.0 + lengths * np.log2(lengths))
-    weights = 2.0**-lengths * 2.0**exponent
-    B = 1.0 / math.fsum(weights.tolist())
-    dist = RunLengthDistribution.from_weights(weights)
-    if return_normalizer:
-        return dist, B
-    return dist

@@ -1,23 +1,14 @@
-"""Deletion channel, modified/perturbed deletion variants, and segmentation.
+"""Deletion channel, the modified deletion mask, and run segmentation.
 
 The deletion channel drops each input bit independently with probability
-``d``; the surviving bits, in order, form the output.  This module also
-implements two structured variants of the deletion *mask* used by the
-closed-form entropy analysis:
+``d``; the surviving bits, in order, form the output.  ``modified_mask``
+is the structured variant of the deletion *mask* used by the closed-form
+entropy analysis: deletions are reversed in every input run that suffers
+three or more of them.
 
-* ``modified_mask``: deletions are reversed in every input run that
-  suffers three or more of them;
-* ``perturbed_mask``: deletions are reversed inside super-run ``S_i``
-  whenever the window ``(S_i, S_{i+1}, S_{i+2})`` carries three or more
-  deletions in total (windows are always evaluated on the ORIGINAL
-  mask, so reversals never cascade; trailing windows use only the
-  super-runs that exist).
-
-Segmentation utilities decompose a sequence into maximal runs, into
+Segmentation utilities decompose a sequence into maximal runs and into
 *super-runs* (a first run followed by the maximal stretch of length-1
-runs), and into *parent blocks*: the grouping ``X(1)..X(M)`` of input
-runs that produced each output run ``Y(1)..Y(M)``, together with the
-block-length vector ``K = (|X(1)|, ..., |X(M-1)|)``.
+runs).
 
 Long output streams run through a private path that applies the channel
 and the run segmentation in fixed blocks of input bits, drawing the same
@@ -31,18 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from delchan.sources import _BLOCK, _rng_from, as_bits
+from delchan.sources import _BLOCK, _check_deletion_probability, _rng_from, as_bits
 
 __all__ = [
     "DeletionRealization",
-    "ParentSegmentation",
     "SuperRunType",
     "apply_mask",
     "modified_mask",
-    "parent_segmentation",
-    "perturbed_mask",
     "run_lengths",
-    "segment_runs",
     "segment_super_runs",
     "transmit",
 ]
@@ -64,21 +51,6 @@ class DeletionRealization:
     y: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ParentSegmentation:
-    """Parent blocks ``X(1)..X(M)``, output runs ``Y(1)..Y(M)``, and ``K``.
-
-    Concatenating ``x_blocks`` reproduces ``x``; concatenating
-    ``y_blocks`` reproduces ``y``; every ``Y(j)`` is a single (possibly
-    empty, for ``j = 1``) run of ``y``.  ``K`` lists ``|X(j)|`` for
-    ``j < M``.
-    """
-
-    x_blocks: list[str]
-    y_blocks: list[str]
-    K: tuple[int, ...]
-
-
 def apply_mask(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Channel output: the mask-0 positions of ``x``, order preserved."""
     return x[mask == 0]
@@ -90,8 +62,7 @@ def transmit(x, d: float, seed) -> DeletionRealization:
     ``seed`` may be an int, ``SeedSequence``, or ``Generator`` (derived
     streams).  Deterministic given the seed.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
+    _check_deletion_probability(d)
     x = as_bits(x)
     mask = _deletion_mask(x.shape, d, _rng_from(seed))
     return DeletionRealization(x=x, mask=mask, y=apply_mask(x, mask))
@@ -143,27 +114,12 @@ def _output_run_lengths(
 # --------------------------------------------------------------------------
 
 
-def _run_boundaries(x: np.ndarray) -> np.ndarray:
-    """Start indices of maximal runs (plus the terminal sentinel)."""
-    if x.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    changes = np.flatnonzero(x[1:] != x[:-1]) + 1
-    return np.concatenate(([0], changes, [x.size]))
-
-
 def run_lengths(x: np.ndarray) -> np.ndarray:
     """Lengths of the maximal runs of ``x`` (vectorized)."""
-    b = _run_boundaries(x)
-    return np.diff(b) if x.size else np.zeros(0, dtype=np.int64)
-
-
-def segment_runs(x) -> list[tuple[int, int]]:
-    """Maximal-block decomposition as ``[(value, length), ...]``."""
-    x = as_bits(x)
     if x.size == 0:
-        return []
-    b = _run_boundaries(x)
-    return [(int(x[b[i]]), int(b[i + 1] - b[i])) for i in range(len(b) - 1)]
+        return np.zeros(0, dtype=np.int64)
+    changes = np.flatnonzero(x[1:] != x[:-1]) + 1
+    return np.diff(np.concatenate(([0], changes, [x.size])))
 
 
 def segment_super_runs(x) -> list[SuperRunType]:
@@ -189,20 +145,9 @@ def segment_super_runs(x) -> list[SuperRunType]:
     return out
 
 
-def _super_run_total_lengths(x: np.ndarray) -> np.ndarray:
-    return np.array([t.l_rep + t.l_alt for t in segment_super_runs(x)], dtype=np.int64)
-
-
 # --------------------------------------------------------------------------
-# modified / perturbed deletion masks
+# modified deletion mask
 # --------------------------------------------------------------------------
-
-
-def _check_same_length(x: np.ndarray, mask: np.ndarray) -> None:
-    if x.size != mask.size:
-        raise ValueError(
-            f"input and mask lengths differ ({x.size} vs {mask.size})"
-        )
 
 
 def modified_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +158,8 @@ def modified_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
     """
     x = as_bits(x)
     mask = as_bits(mask)
-    _check_same_length(x, mask)
+    if x.size != mask.size:
+        raise ValueError(f"input and mask lengths differ ({x.size} vs {mask.size})")
     if x.size == 0:
         return mask.copy(), np.zeros(0, dtype=np.uint8)
     lengths = run_lengths(x)
@@ -222,72 +168,3 @@ def modified_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
     reversed_runs = dels_per_run >= 3
     z = (mask & reversed_runs[run_id]).astype(np.uint8)
     return (mask ^ z).astype(np.uint8), z
-
-
-def perturbed_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse deletions inside super-run ``S_i`` when the window
-    ``(S_i, S_{i+1}, S_{i+2})`` holds >= 3 deletions in total.
-
-    All windows are evaluated on the original ``mask`` (reversals do not
-    cascade); windows extending past the last super-run count only the
-    existing ones.  Returns ``(mask_breve, z_breve)`` with
-    ``z_breve = mask XOR mask_breve``.
-    """
-    x = as_bits(x)
-    mask = as_bits(mask)
-    _check_same_length(x, mask)
-    if x.size == 0:
-        return mask.copy(), np.zeros(0, dtype=np.uint8)
-    totals = _super_run_total_lengths(x)
-    sr_id = np.repeat(np.arange(totals.size), totals)
-    dels = np.bincount(sr_id, weights=mask, minlength=totals.size)
-    padded = np.concatenate((dels, [0.0, 0.0]))
-    window = padded[:-2] + padded[1:-1] + padded[2:]
-    reversed_srs = window >= 3
-    z = (mask & reversed_srs[sr_id]).astype(np.uint8)
-    return (mask ^ z).astype(np.uint8), z
-
-
-# --------------------------------------------------------------------------
-# parent segmentation
-# --------------------------------------------------------------------------
-
-
-def parent_segmentation(x, mask) -> ParentSegmentation:
-    """Group input runs into the parent blocks of each output run.
-
-    Walks the runs of ``x`` in order, appending each run's bits to the
-    current block when the run's surviving bits ``omega`` are empty or
-    match the current block's output value (starting from empty
-    ``X(1) = Y(1) = ""``), and opening a new block otherwise.  ``K``
-    excludes the final block's length.
-    """
-    x = as_bits(x)
-    mask = as_bits(mask)
-    _check_same_length(x, mask)
-
-    x_blocks: list[list[str]] = [[]]
-    y_blocks: list[list[str]] = [[]]
-    block_value: int | None = None
-
-    b = _run_boundaries(x)
-    for i in range(len(b) - 1) if x.size else []:
-        lo, hi = int(b[i]), int(b[i + 1])
-        value = int(x[lo])
-        sigma = str(value) * (hi - lo)
-        survivors = int(hi - lo - int(mask[lo:hi].sum()))
-        omega = str(value) * survivors
-        merge = survivors == 0 or block_value is None or value == block_value
-        if not merge:
-            x_blocks.append([])
-            y_blocks.append([])
-        x_blocks[-1].append(sigma)
-        y_blocks[-1].append(omega)
-        if survivors > 0:
-            block_value = value
-
-    return ParentSegmentation(
-        x_blocks=["".join(parts) for parts in x_blocks],
-        y_blocks=["".join(parts) for parts in y_blocks],
-        K=tuple(len("".join(parts)) for parts in x_blocks[:-1]),
-    )

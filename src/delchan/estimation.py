@@ -11,18 +11,18 @@ an O(log n / n) term removed:
   ``(log2 C(n, m) - log2 N(x, y)) / n``, an unbiased estimate of
   ``H(Y|X, M)/n``: sample an input, pass it through the channel, count
   embeddings with the exact DP.
-* ``estimate_h_out_renewal`` — the output of a renewal source is again
-  renewal, so ``H(Y)/n -> (1-d) H(q_L)/mu(Y)`` exactly; estimated with
-  the plug-in entropy of the interior output run lengths (first and
-  last 64 runs discarded as burn-in) and a block bootstrap standard
-  error.  Runs longer than 64 enter the mean run length but not the
-  entropy, which biases the estimate low; a ``UserWarning`` reports how
-  many there were.  For Markov inputs the same formula is only an upper bound
-  (their output is not renewal), so the renewal estimator refuses them
-  and ``estimate_rate`` labels the result ``"upper-bound"``.  The
-  stream's source, channel and run segmentation run in fixed blocks of
-  input bits from the same Philox stream, so no per-bit float array is
-  held and the result does not depend on the block size.
+* the output-entropy half of ``estimate_rate`` — the output of a
+  renewal source is again renewal, so ``H(Y)/n -> (1-d) H(q_L)/mu(Y)``
+  exactly; estimated with the plug-in entropy of the interior output run
+  lengths (first and last 64 runs discarded as burn-in) and a block
+  bootstrap standard error.  Runs longer than 64 enter the mean run
+  length but not the entropy, which biases the estimate low; a
+  ``UserWarning`` reports how many there were.  For Markov inputs the
+  same formula is only an upper bound (their output is not renewal), so
+  ``estimate_rate`` labels the result ``"upper-bound"``.  The stream's
+  source, channel and run segmentation run in fixed blocks of input bits
+  from the same Philox stream, so no per-bit float array is held and the
+  result does not depend on the block size.
 
 Replicas run one after another in fixed chunks of 64, each chunk on one
 RNG stream spawned by chunk index from the root seed: it samples its
@@ -44,12 +44,11 @@ import numpy as np
 from delchan.channel import _deletion_mask, _output_run_lengths
 from delchan.likelihood import _band_counts, log2_binomial
 from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
-from delchan.sources import _as_seed_sequence, _rng_from
+from delchan.sources import _as_seed_sequence, _check_deletion_probability, _rng_from
 
 __all__ = [
     "RateEstimate",
     "estimate_h_cond",
-    "estimate_h_out_renewal",
     "estimate_rate",
 ]
 
@@ -91,8 +90,7 @@ def _check_h_cond_args(d: float, n: int, samples: int) -> None:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
+    _check_deletion_probability(d)
 
 
 def _check_out_bits(out_bits: int) -> None:
@@ -159,25 +157,18 @@ def _interior_output_run_lengths(lengths: np.ndarray) -> np.ndarray:
 
 
 def _plug_in_h_over_mu(
-    counts: np.ndarray, total_runs: float, length_sum: float, miller_madow: bool
+    counts: np.ndarray, total_runs: float, length_sum: float
 ) -> float:
     """(plug-in entropy of counts/total) / (length_sum/total), in bits."""
-    nz = counts[counts > 0.0]
-    probs = nz / total_runs
+    probs = counts[counts > 0.0] / total_runs
     h = float(-np.sum(probs * np.log2(probs)))
-    if miller_madow:
-        h += (nz.size - 1) / (2.0 * total_runs * math.log(2.0))
     return h / (length_sum / total_runs)
 
 
 def _h_out_from_stream(
-    spec: SourceSpec,
-    d: float,
-    out_bits: int,
-    seed,
-    miller_madow: bool = False,
+    spec: SourceSpec, d: float, out_bits: int, seed
 ) -> tuple[float, float]:
-    """Shared estimation path: (1-d) * H(q_hat)/mu_hat + bootstrap error."""
+    """Output entropy rate ``(1-d) H(q_hat)/mu_hat`` with a bootstrap error."""
     _check_out_bits(out_bits)
     if not 0.0 <= d < 1.0:
         raise ValueError(
@@ -234,9 +225,7 @@ def _h_out_from_stream(
         )
 
     # point estimate: entropy over the capped support, mean over all runs
-    h_over_mu = _plug_in_h_over_mu(
-        support_counts, float(n_runs), length_sum, miller_madow
-    )
+    h_over_mu = _plug_in_h_over_mu(support_counts, float(n_runs), length_sum)
     h_out = (1.0 - d) * h_over_mu
 
     # block bootstrap over the contiguous run blocks
@@ -247,38 +236,9 @@ def _h_out_from_stream(
         c = block_counts[picks].sum(axis=0)
         runs = float(block_runs[picks].sum())
         lsum = float(block_length_sums[picks].sum())
-        replicas[r] = (1.0 - d) * _plug_in_h_over_mu(c, runs, lsum, miller_madow)
+        replicas[r] = (1.0 - d) * _plug_in_h_over_mu(c, runs, lsum)
     std_err = float(np.std(replicas, ddof=1))
     return h_out, std_err
-
-
-def estimate_h_out_renewal(
-    spec: SourceSpec,
-    d: float,
-    out_bits: int,
-    seed,
-    *,
-    miller_madow: bool = False,
-) -> tuple[float, float]:
-    """Estimate ``lim H(Y)/n = (1-d) H(q_L)/mu(Y)`` for renewal inputs.
-
-    Simulates enough input to produce about ``out_bits`` output bits,
-    discards 64 burn-in runs at each end, and applies the plug-in
-    entropy over run lengths (capped at 64; longer runs count toward
-    ``mu_hat`` only, which biases the estimate low, and a ``UserWarning``
-    reports how many there were).  ``miller_madow`` adds the
-    (K-1)/(2N ln 2) bias correction.  The standard error is a
-    contiguous-block bootstrap.
-    Markov sources are refused — their channel output is not renewal —
-    use ``estimate_rate``, which reports the same formula as an
-    explicit upper bound.
-    """
-    if not spec.is_renewal_like:
-        raise ValueError(
-            "output of a Markov source is not a renewal process; "
-            "use estimate_rate for the labeled upper-bound estimate"
-        )
-    return _h_out_from_stream(spec, d, out_bits, seed, miller_madow=miller_madow)
 
 
 def estimate_rate(
@@ -290,7 +250,6 @@ def estimate_rate(
     out_bits: int,
     threads: int = 1,
     seed: int = DEFAULT_SEED,
-    miller_madow: bool = False,
 ) -> RateEstimate:
     """Monte Carlo achievable-rate estimate ``h_out - h_cond``.
 
@@ -318,9 +277,7 @@ def estimate_rate(
     with ThreadPoolExecutor(max_workers=1) as pool:
         cond = pool.submit(estimate_h_cond, *cond_args) if threads > 1 else None
         if d != 1.0:
-            h_out, se_out = _h_out_from_stream(
-                spec, d, out_bits, out_seed, miller_madow
-            )
+            h_out, se_out = _h_out_from_stream(spec, d, out_bits, out_seed)
     h_cond, se_cond = cond.result() if cond else estimate_h_cond(*cond_args)
     mode = "exact-renewal" if spec.is_renewal_like else "upper-bound"
     return RateEstimate(

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from delchan.sources import SourceSpec, as_bits
+from delchan.sources import SourceSpec, _check_deletion_probability, as_bits
 
 __all__ = [
     "IMPOSSIBLE",
@@ -177,8 +177,7 @@ def log_likelihood(x, y, d: float) -> LogLikelihood:
     exception.  ``d = 0`` and ``d = 1`` are handled as the degenerate
     identity / erase-everything channels.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
+    _check_deletion_probability(d)
     x = as_bits(x)
     y = as_bits(y)
     n, m = x.size, y.size
@@ -200,8 +199,7 @@ def log_likelihood(x, y, d: float) -> LogLikelihood:
 
 def binomial_length_entropy(n: int, d: float) -> float:
     """Entropy (bits) of the output length ``M ~ Binomial(n, 1 - d)``."""
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
+    _check_deletion_probability(d)
     if d == 0.0 or d == 1.0 or n == 0:
         return 0.0
     terms = []
@@ -332,8 +330,7 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
             f"exact enumeration is limited to n <= {_ORACLE_MAX_N}; "
             "use the Monte Carlo estimators for larger n"
         )
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
+    _check_deletion_probability(d)
 
     bits = _all_words(n)
 

@@ -8,17 +8,15 @@ bias.
 
 Provided measurements:
 
-* ``empirical_run_distribution`` — run-length pmf (and optional k-block
-  pmf over consecutive length tuples), with lengths above ``l_cap``
-  pooled into an overflow bucket that is excluded from the pmf but kept
-  in the mean estimate ``mu_hat``;
+* ``empirical_run_distribution`` — run-length pmf, with lengths above
+  ``l_cap`` pooled into an overflow bucket that is excluded from the pmf
+  but kept in the mean estimate ``mu_hat``;
 * ``empirical_super_run_distribution`` — pmf over super-run types
   ``(l_rep, l_alt)`` and the mean total super-run length;
-* ``distribution_stats`` — entropy ``H(L)``, mean, divergence from the
-  ``2^-l`` law computed directly as ``sum p(l) (log2 p(l) + l)``, and
-  the renewal entropy rate ``H(L)/mu`` (exact for renewal sources, an
-  upper bound otherwise), satisfying the identity ``H = mu - D``;
-* ``tail_mass`` — the length-weighted tail ``sum_{l >= ell} l p(l)``.
+* ``stats_to_json`` — the JSON stats document, with the entropy ``H(L)``
+  of the pmf and its divergence from the ``2^-l`` law computed directly
+  as ``sum p(l) (log2 p(l) + l)``, so that ``H = mean - D`` for the
+  pmf's mean.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +31,10 @@ from delchan.channel import SuperRunType, run_lengths, segment_super_runs
 from delchan.sources import RunLengthDistribution, as_bits
 
 __all__ = [
-    "DistributionStats",
     "EmpiricalRunStats",
-    "distribution_stats",
     "empirical_run_distribution",
     "empirical_super_run_distribution",
     "stats_to_json",
-    "tail_mass",
 ]
 
 
@@ -53,25 +47,14 @@ class EmpiricalRunStats:
     the mean over *all* interior runs including overflow, so
     ``mu_hat == pmf.mean`` exactly when the overflow bucket is empty.
     For super-run statistics, ``pmf`` is the law of the total super-run
-    length, ``super_run_pmf`` the law of the ``(l_rep, l_alt)`` type,
-    and ``mu_tilde_hat`` the mean total length.
+    length, ``mu_hat`` its mean, and ``super_run_pmf`` the law of the
+    ``(l_rep, l_alt)`` type.
     """
 
     pmf: RunLengthDistribution
     mu_hat: float
     n_runs: int
-    kblock_pmf: "dict[tuple[int, ...], float] | None" = None
     super_run_pmf: "dict[SuperRunType, float] | None" = None
-    mu_tilde_hat: "float | None" = None
-
-
-class DistributionStats(NamedTuple):
-    """Entropy/mean/divergence summary of a run-length law (bits)."""
-
-    H_L: float
-    mu: float
-    D_vs_geometric: float
-    renewal_entropy_rate: float
 
 
 def _interior_run_lengths(x) -> np.ndarray:
@@ -84,32 +67,17 @@ def _interior_run_lengths(x) -> np.ndarray:
     return lengths[1:-1]
 
 
-def empirical_run_distribution(
-    x,
-    k: int = 1,
-    l_cap: int = 64,
-    *,
-    overlapping: bool = False,
-) -> EmpiricalRunStats:
-    """Interior run-length pmf of ``x`` (k-block pmf too when ``k > 1``).
+def empirical_run_distribution(x, *, l_cap: int = 64) -> EmpiricalRunStats:
+    """Interior run-length pmf of ``x``.
 
     Boundary (first/last) runs are discarded.  Interior runs longer than
     ``l_cap`` are pooled into an overflow bucket: excluded from ``pmf``
     (reported via its ``discarded_mass``) but included in ``mu_hat``.
-    k-blocks are consecutive ``k``-tuples of interior run lengths,
-    non-overlapping by default.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if l_cap < 1:
         raise ValueError(f"l_cap must be >= 1, got {l_cap}")
     interior = _interior_run_lengths(x)
     n_runs = int(interior.size)
-    if n_runs < k:
-        raise ValueError(
-            f"too few runs: k={k} blocks need at least k interior runs, "
-            f"got {n_runs}"
-        )
 
     capped = interior[interior <= l_cap]
     if capped.size == 0:
@@ -118,22 +86,7 @@ def empirical_run_distribution(
     overflow_mass = 1.0 - capped.size / n_runs
     pmf = RunLengthDistribution.from_weights(counts, discarded_mass=overflow_mass)
     mu_hat = float(interior.mean())
-
-    kblock_pmf: "dict[tuple[int, ...], float] | None" = None
-    if k > 1:
-        step = 1 if overlapping else k
-        tuples = [
-            tuple(int(v) for v in interior[i : i + k])
-            for i in range(0, n_runs - k + 1, step)
-        ]
-        total = len(tuples)
-        kblock_pmf = {}
-        for t in tuples:
-            kblock_pmf[t] = kblock_pmf.get(t, 0.0) + 1.0 / total
-
-    return EmpiricalRunStats(
-        pmf=pmf, mu_hat=mu_hat, n_runs=n_runs, kblock_pmf=kblock_pmf
-    )
+    return EmpiricalRunStats(pmf=pmf, mu_hat=mu_hat, n_runs=n_runs)
 
 
 def empirical_super_run_distribution(x) -> EmpiricalRunStats:
@@ -143,7 +96,7 @@ def empirical_super_run_distribution(x) -> EmpiricalRunStats:
     by the maximal stretch of length-1 runs; the first and last
     super-runs are discarded as boundary.  ``super_run_pmf`` is the pmf
     over ``(l_rep, l_alt)`` types, ``pmf`` the law of the total length
-    ``l_rep + l_alt``, and ``mu_tilde_hat`` its mean.
+    ``l_rep + l_alt``, and ``mu_hat`` its mean.
     """
     supers = segment_super_runs(as_bits(x))
     if len(supers) < 3:
@@ -161,52 +114,11 @@ def empirical_super_run_distribution(x) -> EmpiricalRunStats:
 
     counts = np.bincount(totals, minlength=int(totals.max()) + 1)[1:]
     pmf = RunLengthDistribution.from_weights(counts.astype(np.float64))
-    mu_tilde_hat = float(totals.mean())
-
     return EmpiricalRunStats(
         pmf=pmf,
-        mu_hat=mu_tilde_hat,
+        mu_hat=float(totals.mean()),
         n_runs=n,
         super_run_pmf=super_run_pmf,
-        mu_tilde_hat=mu_tilde_hat,
-    )
-
-
-def distribution_stats(p: RunLengthDistribution) -> DistributionStats:
-    """Entropy, mean, divergence from the ``2^-l`` law, and entropy rate.
-
-    ``D_vs_geometric`` is computed directly as
-    ``sum_l p(l) (log2 p(l) + l)`` so that the identity
-    ``H(L) = mu - D`` holds exactly (to accumulation error).  The
-    returned rate ``H(L)/mu`` is the entropy rate in bits per bit of a
-    renewal source with run law ``p`` and an upper bound for any other
-    stationary source with the same run law.
-    """
-    h_terms = []
-    d_terms = []
-    for l, pl in enumerate(p.probs.tolist(), start=1):
-        if pl > 0.0:
-            lg = math.log2(pl)
-            h_terms.append(-pl * lg)
-            d_terms.append(pl * (lg + l))
-    H_L = math.fsum(h_terms)
-    D = math.fsum(d_terms)
-    return DistributionStats(
-        H_L=H_L,
-        mu=p.mean,
-        D_vs_geometric=D,
-        renewal_entropy_rate=H_L / p.mean,
-    )
-
-
-def tail_mass(p: RunLengthDistribution, ell: int) -> float:
-    """Length-weighted tail ``sum_{l >= ell} l p(l)`` (0 beyond support)."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if ell > p.L_max:
-        return 0.0
-    return math.fsum(
-        l * pl for l, pl in enumerate(p.probs.tolist(), start=1) if l >= ell
     )
 
 
@@ -214,10 +126,19 @@ def stats_to_json(stats: EmpiricalRunStats, *, indent: "int | None" = None) -> s
     """Serialize empirical stats as the toolkit's JSON stats document.
 
     Keys: ``pmf`` (list of ``[l, p]`` pairs over the observed support),
-    ``mu`` (mean over all interior runs), ``H_L`` and ``D`` (entropy and
-    divergence of the capped pmf), and ``n_runs``.
+    ``mu`` (mean over all interior runs), ``H_L`` and ``D`` (entropy of
+    the capped pmf and its divergence from the ``2^-l`` law, in bits),
+    and ``n_runs``.  ``D`` is summed directly as
+    ``sum_l p(l) (log2 p(l) + l)``, not as ``mean - H_L``, so that
+    ``H_L = mean - D`` holds for the pmf's mean to accumulation error.
     """
-    summary = distribution_stats(stats.pmf)
+    h_terms = []
+    d_terms = []
+    for l, pl in enumerate(stats.pmf.probs.tolist(), start=1):
+        if pl > 0.0:
+            lg = math.log2(pl)
+            h_terms.append(-pl * lg)
+            d_terms.append(pl * (lg + l))
     doc = {
         "pmf": [
             [l, pl]
@@ -225,8 +146,8 @@ def stats_to_json(stats: EmpiricalRunStats, *, indent: "int | None" = None) -> s
             if pl > 0.0
         ],
         "mu": stats.mu_hat,
-        "H_L": summary.H_L,
-        "D": summary.D_vs_geometric,
+        "H_L": math.fsum(h_terms),
+        "D": math.fsum(d_terms),
         "n_runs": stats.n_runs,
     }
     return json.dumps(doc, indent=indent)

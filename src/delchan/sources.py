@@ -10,8 +10,8 @@ used throughout the toolkit —
   perturbation ``2^-l * (1 + d*(l*ln(l) - c2*l/2))``,
 
 — and samples finite paths of Bernoulli(1/2), symmetric first-order
-Markov, and renewal sources, with either a run boundary at position 1
-(Palm start, the default) or a size-biased stationary start.
+Markov, and renewal sources; a renewal path starts at a run boundary
+(Palm start).
 
 Sequences are numpy ``uint8`` arrays of 0/1 values; ``as_bits`` accepts
 strings like ``"0110"`` for convenience.  Sampling uses the
@@ -102,6 +102,12 @@ def bits_to_str(bits: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in np.asarray(bits).tolist())
 
 
+def _check_deletion_probability(d: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= d <= 1``."""
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
+
+
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
     """``seed`` itself if it is a SeedSequence, else one seeded by ``int(seed)``."""
     if isinstance(seed, np.random.SeedSequence):
@@ -175,13 +181,6 @@ class RunLengthDistribution:
     def _cdf(self) -> "_InverseCdf":
         """Cumulative pmf and guide table for inverse-CDF sampling, built once."""
         return _inverse_cdf(self.probs)
-
-    @cached_property
-    def _size_biased_cdf(self) -> "_InverseCdf":
-        """The same for the size-biased law ``l*p(l)/mu`` of the run that
-        covers a stationary start."""
-        size_biased = self.lengths * self.probs
-        return _inverse_cdf(size_biased / size_biased.sum())
 
     def prob(self, l: int) -> float:
         """``P(L = l)`` (0 outside the support)."""
@@ -369,7 +368,6 @@ def _sample_rows(
     n: int,
     rows: int,
     rng: np.random.Generator,
-    stationary_start: bool = False,
 ) -> np.ndarray:
     """Sample ``rows`` independent paths of ``n >= 1`` bits, shape ``(rows, n)``.
 
@@ -399,12 +397,6 @@ def _sample_rows(
     value = rng.integers(0, 2, size=(rows, 1))
     parts: list[np.ndarray] = []
     total = np.zeros(rows, dtype=np.int64)
-
-    if stationary_start:
-        l0 = _sample_lengths(rng, dist._size_biased_cdf, (rows, 1))
-        # uniform offset inside the covering run: 1..l0 bits remain
-        parts.append(rng.integers(1, l0 + 1))
-        total += parts[-1][:, 0]
 
     # Draw run lengths in deterministic-size batches until n bits are covered.
     # One row inverts and expands block by block until it is covered; the
@@ -439,30 +431,22 @@ def _sample_rows(
     return bits.reshape(rows, -1)[:, :n]
 
 
-def sample_sequence(
-    spec: SourceSpec,
-    n: int,
-    seed,
-    stationary_start: bool = False,
-) -> np.ndarray:
+def sample_sequence(spec: SourceSpec, n: int, seed) -> np.ndarray:
     """Sample ``n`` bits of the source as a uint8 array.
 
-    Deterministic function of ``(spec, n, seed, stationary_start)``.
-    ``seed`` may be an int, a ``numpy.random.SeedSequence``, or an
-    existing ``Generator`` (for derived parallel streams).
+    Deterministic function of ``(spec, n, seed)``.  ``seed`` may be an
+    int, a ``numpy.random.SeedSequence``, or an existing ``Generator``
+    (for derived parallel streams).
 
-    Renewal sources alternate run values with i.i.d. lengths.  By
-    default the sequence starts at a run boundary (Palm start).  With
-    ``stationary_start`` the first run is drawn size-biased
-    (``l*p(l)/mu``) and entered at a uniform offset, which realizes the
-    stationary law of the doubly infinite process.
+    Renewal sources alternate run values with i.i.d. lengths, starting
+    at a run boundary (Palm start).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = _rng_from(seed)
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-    return _sample_rows(spec, n, 1, rng, stationary_start)[0]
+    return _sample_rows(spec, n, 1, rng)[0]
 
 
 # --------------------------------------------------------------------------

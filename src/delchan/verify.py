@@ -367,7 +367,7 @@ def check_run_statistics(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                     worst, 0.0, 0.005))
 
     supers = empirical_super_run_distribution(x)
-    out.append(_pin("super-run mean length", supers.mu_tilde_hat, 4.0, 0.05))
+    out.append(_pin("super-run mean length", supers.mu_hat, 4.0, 0.05))
 
     q = dagger_distribution(0.1)
     xd = sample_sequence(SourceSpec.renewal(q), 10**6, s_dag)

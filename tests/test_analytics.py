@@ -10,11 +10,9 @@ import pytest
 from delchan.analytics import (
     hatD_entropy_formula,
     hy_given_x_formula,
-    jigsaw_rate_bound,
     k_entropy_formula,
     markov_rate_bound,
     optimal_markov_param,
-    optimal_truncated_qstar,
     output_formula_cutoff,
 )
 from delchan.constants import LN2, capacity_estimate, compute_constants
@@ -143,15 +141,6 @@ class TestRateBounds:
             gap = capacity_estimate(d) - markov_rate_bound(d)
             assert gap == pytest.approx(gap_coeff * d * d, abs=1e-12)
 
-    def test_jigsaw_d_zero(self):
-        assert jigsaw_rate_bound(0.0) == 1.0
-
-    def test_jigsaw_identity(self, consts):
-        for d in (0.05, 0.1):
-            assert jigsaw_rate_bound(d) == pytest.approx(
-                markov_rate_bound(d) - consts.c4 * d * d, abs=1e-12
-            )
-
     def test_jigsaw_gap_coefficient_true_value(self, consts):
         # the leading-order capacity loss of jigsaw decoding; the series
         # evaluate to 0.7902, pinned against the 40-digit oracle (a
@@ -165,8 +154,7 @@ class TestRateBounds:
         for d in np.linspace(0.01, 0.3, 15):
             c = capacity_estimate(float(d))
             m = markov_rate_bound(float(d))
-            j = jigsaw_rate_bound(float(d))
-            assert c >= m >= j
+            assert c >= m
 
 
 class TestOptimalMarkovParam:
@@ -188,33 +176,6 @@ class TestOptimalMarkovParam:
             optimal_markov_param(0.9)
         with pytest.raises(ValueError):
             optimal_markov_param(-0.01)
-
-
-class TestOptimalTruncatedQstar:
-    def test_d_to_zero_geometric(self):
-        q = optimal_truncated_qstar(1e-9, 16)
-        norm = 1.0 - 2.0**-16
-        for l in range(1, 17):
-            assert q.prob(l) == pytest.approx(2.0**-l / norm, abs=1e-8)
-
-    def test_normalizer_near_one(self):
-        _, B = optimal_truncated_qstar(0.01, 64, return_normalizer=True)
-        assert abs(B - 1.0) <= 1e-3
-
-    def test_first_order_matches_dagger(self):
-        d = 0.01
-        q = optimal_truncated_qstar(d, 64)
-        dag = dagger_distribution(d)
-        errs = [abs(q.prob(l) - dag.prob(l)) for l in range(1, 17)]
-        assert max(errs) <= 10.0 * d * d
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            optimal_truncated_qstar(0.0, 16)
-        with pytest.raises(ValueError):
-            optimal_truncated_qstar(0.35, 16)
-        with pytest.raises(ValueError):
-            optimal_truncated_qstar(0.1, 1)
 
 
 HY_PIN_GEOM_D002 = 0.11602659669146685

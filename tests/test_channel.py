@@ -1,4 +1,4 @@
-"""Channel application, run/super-run segmentation, mask variants, parents."""
+"""Channel application, run/super-run segmentation, the modified mask."""
 
 from __future__ import annotations
 
@@ -14,10 +14,7 @@ from delchan.channel import (
     _output_run_lengths,
     apply_mask,
     modified_mask,
-    parent_segmentation,
-    perturbed_mask,
     run_lengths,
-    segment_runs,
     segment_super_runs,
     transmit,
 )
@@ -185,22 +182,22 @@ class TestOutputRunLengths:
 
 class TestSegmentation:
     def test_runs_basic(self):
-        assert segment_runs("00111") == [(0, 2), (1, 3)]
+        assert run_lengths(as_bits("00111")).tolist() == [2, 3]
 
     def test_runs_empty(self):
-        assert segment_runs("") == []
+        assert run_lengths(as_bits("")).size == 0
 
     def test_runs_reference_lengths(self):
-        assert [l for _, l in segment_runs(REFERENCE)] == [1, 2, 1, 3, 2, 1, 1, 2]
+        assert run_lengths(as_bits(REFERENCE)).tolist() == [1, 2, 1, 3, 2, 1, 1, 2]
 
     @given(bits=bit_strings)
     @settings(max_examples=100, deadline=None)
     def test_runs_concatenation(self, bits):
-        segs = segment_runs(bits)
-        assert "".join(str(v) * l for v, l in segs) == bits
-        assert all(l >= 1 for _, l in segs)
-        # maximality: adjacent runs alternate in value
-        assert all(a[0] != b[0] for a, b in zip(segs, segs[1:]))
+        lengths = run_lengths(as_bits(bits)).tolist()
+        assert all(l >= 1 for l in lengths)
+        # maximality: adjacent runs alternate in value, starting at bit 0
+        first = int(bits[0]) if bits else 0
+        assert "".join(str(first ^ (j & 1)) * l for j, l in enumerate(lengths)) == bits
 
     def test_super_runs_single_run(self):
         assert segment_super_runs("0000") == [SuperRunType(4, 0)]
@@ -262,88 +259,6 @@ class TestModifiedMask:
         run_id = np.repeat(np.arange(run_lengths(x).size), run_lengths(x))
         per_run = np.bincount(run_id, weights=mask_hat)
         assert per_run.max(initial=0) <= 2
-
-
-class TestPerturbedMask:
-    def test_single_super_run_reversed(self):
-        mask_breve, z = perturbed_mask("0000", "1110")
-        assert bits_to_str(mask_breve) == "0000"
-        assert bits_to_str(z) == "1110"
-
-    def test_three_super_runs_one_deletion_each(self):
-        # super-runs: "001" (bits 0-2), "000" (3-5), "11" (6-7)
-        x = "00100011"
-        mask = "10001010"  # one deletion inside each super-run
-        mask_breve, z = perturbed_mask(x, mask)
-        # window(S1) = 3 deletions -> reverse S1's; windows of S2, S3 have
-        # 2 and 1 deletions on the ORIGINAL mask -> kept
-        assert bits_to_str(z) == "10000000"
-        assert bits_to_str(mask_breve) == "00001010"
-
-    def test_zero_mask_unchanged(self):
-        mask_breve, z = perturbed_mask(REFERENCE, "0" * len(REFERENCE))
-        assert not mask_breve.any()
-        assert not z.any()
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            perturbed_mask("000", "0100")
-
-    @given(bits=nonempty_bits, seed=st.integers(0, 2**31))
-    @settings(max_examples=100, deadline=None)
-    def test_z_subset_of_mask(self, bits, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        mask = (rng.random(len(bits)) < 0.4).astype(np.uint8)
-        mask_breve, z = perturbed_mask(bits, mask)
-        assert not np.any(z & ~mask)
-        np.testing.assert_array_equal(mask_breve ^ z, mask)
-
-
-class TestParentSegmentation:
-    def test_no_deletion_two_runs(self):
-        seg = parent_segmentation("0011", "0000")
-        assert seg.x_blocks == ["00", "11"]
-        assert seg.y_blocks == ["00", "11"]
-        assert seg.K == (2,)
-
-    def test_fused_middle_run(self):
-        seg = parent_segmentation("00100", "00100")
-        assert seg.x_blocks == ["00100"]
-        assert seg.y_blocks == ["0000"]
-        assert seg.K == ()
-
-    def test_single_run_all_deleted(self):
-        seg = parent_segmentation("000", "111")
-        assert len(seg.x_blocks) == 1
-        assert "".join(seg.x_blocks) == "000"
-        assert "".join(seg.y_blocks) == ""
-        assert seg.K == ()
-
-    def test_deletion_free_recovers_runs(self):
-        x = REFERENCE
-        seg = parent_segmentation(x, "0" * len(x))
-        assert seg.y_blocks == seg.x_blocks
-        lengths = [l for _, l in segment_runs(x)]
-        assert seg.x_blocks == [
-            str(v) * l for v, l in segment_runs(x)
-        ]
-        assert seg.K == tuple(lengths[:-1])
-
-    @given(bits=nonempty_bits, seed=st.integers(0, 2**31))
-    @settings(max_examples=100, deadline=None)
-    def test_concatenation_invariants(self, bits, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        mask = (rng.random(len(bits)) < 0.45).astype(np.uint8)
-        seg = parent_segmentation(bits, mask)
-        x = as_bits(bits)
-        y = apply_mask(x, mask)
-        assert "".join(seg.x_blocks) == bits
-        assert "".join(seg.y_blocks) == bits_to_str(y)
-        assert seg.K == tuple(len(b) for b in seg.x_blocks[:-1])
-        # each nonempty y-block after the first is a single run
-        for j, block in enumerate(seg.y_blocks):
-            if block and j > 0:
-                assert len(set(block)) == 1
 
 
 class TestReversalRate:

@@ -27,7 +27,6 @@ from delchan.estimation import (
     _h_out_from_stream,
     _plug_in_h_over_mu,
     estimate_h_cond,
-    estimate_h_out_renewal,
     estimate_rate,
 )
 from delchan.likelihood import (
@@ -205,7 +204,7 @@ def whole_array_interior_runs(spec, d, out_bits, sample_seed):
     return lengths[burn:-burn]
 
 
-def whole_array_h_out(spec, d, out_bits, seed, miller_madow=False):
+def whole_array_h_out(spec, d, out_bits, seed):
     """``_h_out_from_stream`` as it was before the stream ran in blocks:
     the whole input, mask and output as arrays, one ``run_lengths`` and
     one capped copy of the run lengths."""
@@ -215,7 +214,7 @@ def whole_array_h_out(spec, d, out_bits, seed, miller_madow=False):
     capped = np.minimum(interior, _L_CAP + 1)
     counts = np.bincount(capped, minlength=_L_CAP + 2).astype(np.float64)
     h_out = (1.0 - d) * _plug_in_h_over_mu(
-        counts[1 : _L_CAP + 1], float(n_runs), float(interior.sum()), miller_madow
+        counts[1 : _L_CAP + 1], float(n_runs), float(interior.sum())
     )
     n_blocks = max(8, min(64, n_runs // 200))
     edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)
@@ -234,7 +233,7 @@ def whole_array_h_out(spec, d, out_bits, seed, miller_madow=False):
         picks = boot_rng.integers(0, n_blocks, n_blocks)
         replicas.append((1.0 - d) * _plug_in_h_over_mu(
             block_counts[picks].sum(axis=0), float(block_runs[picks].sum()),
-            float(block_sums[picks].sum()), miller_madow,
+            float(block_sums[picks].sum()),
         ))
     return h_out, float(np.std(replicas, ddof=1))
 
@@ -256,9 +255,9 @@ class TestBlockedStream:
     def test_matches_whole_array_stream(self, spec, d):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for out_bits, mm in ((2000, False), (65_536, True), (300_000, False)):
-                got = _h_out_from_stream(spec, d, out_bits, 5, miller_madow=mm)
-                assert got == whole_array_h_out(spec, d, out_bits, 5, mm)
+            for out_bits in (2000, 65_536, 300_000):
+                got = _h_out_from_stream(spec, d, out_bits, 5)
+                assert got == whole_array_h_out(spec, d, out_bits, 5)
 
     def test_criterion_8_json_unchanged(self):
         r = estimate_rate(
@@ -268,9 +267,14 @@ class TestBlockedStream:
         assert r.to_json() == CRITERION_8_JSON
 
     def test_underpowered_warning_points_at_the_caller(self):
-        with pytest.warns(UserWarning, match="underpowered") as record:
-            estimate_h_out_renewal(SourceSpec.bernoulli_half(), 0.1, 3000, 2)
-        assert record[0].filename == __file__
+        for threads in (1, 2):
+            with pytest.warns(UserWarning, match="underpowered") as record:
+                estimate_rate(
+                    SourceSpec.bernoulli_half(), 0.1, n=20, samples=2,
+                    out_bits=3000, threads=threads, seed=2,
+                )
+            assert len(record) == 1
+            assert record[0].filename == __file__
 
     def test_runs_over_the_cap_are_reported(self):
         # markov(0.9) at d = 0.05 puts about 1e-3 of its output runs over 64
@@ -300,59 +304,50 @@ class TestBlockedStream:
     def test_no_runs_over_the_cap_for_dagger(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            estimate_h_out_renewal(SourceSpec.dagger(0.05), 0.05, 2 * 10**6, 3)
+            _h_out_from_stream(SourceSpec.dagger(0.05), 0.05, 2 * 10**6, 3)
 
 
 class TestEstimateHOutRenewal:
+    """The output-entropy half of ``estimate_rate`` on renewal-like inputs."""
+
     def test_bernoulli_matches_iid_limit(self):
         # i.i.d. uniform input stays i.i.d. uniform after deletions
-        h, se = estimate_h_out_renewal(SourceSpec.bernoulli_half(), 0.1, 200000, 7)
+        h, se = _h_out_from_stream(SourceSpec.bernoulli_half(), 0.1, 200000, 7)
         assert 0.0 < se < 1e-3
         assert abs(h - 0.9) <= max(4.0 * se, 3e-4)
 
     def test_point_mass_no_deletions_zero_entropy(self):
         # deterministic run lengths at d=0: exactly one length observed
-        h, se = estimate_h_out_renewal(
+        h, se = _h_out_from_stream(
             SourceSpec.renewal(point_mass(3)), 0.0, 50000, 3
         )
         assert h == 0.0
         assert se == 0.0
 
     def test_geometric_no_deletions_unit_rate(self):
-        h, se = estimate_h_out_renewal(
+        h, se = _h_out_from_stream(
             SourceSpec.renewal(geometric_half()), 0.0, 200000, 11
         )
         assert abs(h - 1.0) <= max(4.0 * se, 1e-3)
 
-    def test_miller_madow_adds_positive_correction(self):
-        args = (SourceSpec.bernoulli_half(), 0.1, 100000, 19)
-        plain, _ = estimate_h_out_renewal(*args)
-        corrected, _ = estimate_h_out_renewal(*args, miller_madow=True)
-        assert corrected > plain
-        assert corrected - plain < 1e-3
-
-    def test_markov_refused(self):
-        with pytest.raises(ValueError, match="not a renewal"):
-            estimate_h_out_renewal(SourceSpec.markov(0.6), 0.1, 1000, 1)
-
     def test_underpowered_budget_warns(self):
         with pytest.warns(UserWarning, match="underpowered"):
-            estimate_h_out_renewal(SourceSpec.bernoulli_half(), 0.1, 3000, 2)
+            _h_out_from_stream(SourceSpec.bernoulli_half(), 0.1, 3000, 2)
 
     def test_adequate_budget_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            estimate_h_out_renewal(SourceSpec.bernoulli_half(), 0.1, 200000, 7)
+            _h_out_from_stream(SourceSpec.bernoulli_half(), 0.1, 200000, 7)
 
     def test_deterministic(self):
         args = (SourceSpec.renewal(geometric_half()), 0.2, 50000, 13)
-        assert estimate_h_out_renewal(*args) == estimate_h_out_renewal(*args)
+        assert _h_out_from_stream(*args) == _h_out_from_stream(*args)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="out_bits"):
-            estimate_h_out_renewal(SourceSpec.bernoulli_half(), 0.1, 0, 1)
+            _h_out_from_stream(SourceSpec.bernoulli_half(), 0.1, 0, 1)
         with pytest.raises(ValueError, match="deletion probability"):
-            estimate_h_out_renewal(SourceSpec.bernoulli_half(), 1.0, 1000, 1)
+            _h_out_from_stream(SourceSpec.bernoulli_half(), 1.0, 1000, 1)
 
 
 @pytest.fixture(scope="module")

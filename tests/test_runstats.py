@@ -1,4 +1,4 @@
-"""Empirical run statistics: pmfs, super-runs, entropies, tails, JSON export."""
+"""Empirical run statistics: pmfs, super-runs, entropies, JSON export."""
 
 from __future__ import annotations
 
@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from delchan.channel import SuperRunType, transmit
 from delchan.runstats import (
-    distribution_stats,
+    EmpiricalRunStats,
     empirical_run_distribution,
     empirical_super_run_distribution,
     stats_to_json,
-    tail_mass,
 )
 from delchan.sources import (
     RunLengthDistribution,
@@ -34,6 +33,12 @@ TAYLOR_BRACKET = 3.19722403193  # (3/2) c2^2 + S_a - c2 S_b
 REFERENCE = "1001000110100"
 
 
+def json_entropy_and_divergence(p: RunLengthDistribution) -> tuple[float, float]:
+    """The ``H_L`` and ``D`` that ``stats_to_json`` reports for the pmf ``p``."""
+    doc = json.loads(stats_to_json(EmpiricalRunStats(pmf=p, mu_hat=p.mean, n_runs=1)))
+    return doc["H_L"], doc["D"]
+
+
 class TestEmpiricalRunDistribution:
     def test_boundary_only_is_error(self):
         with pytest.raises(ValueError, match="too few runs"):
@@ -44,7 +49,6 @@ class TestEmpiricalRunDistribution:
         assert stats.pmf.prob(3) == 1.0
         assert stats.mu_hat == 3.0
         assert stats.n_runs == 1
-        assert stats.kblock_pmf is None
 
     def test_bernoulli_sample_matches_geometric(self):
         x = sample_sequence(SourceSpec.bernoulli_half(), 10**6, seed=5)
@@ -66,30 +70,6 @@ class TestEmpiricalRunDistribution:
         with pytest.raises(ValueError, match="exceed l_cap"):
             empirical_run_distribution("1000001", l_cap=2)
 
-    def test_kblock_non_overlapping(self):
-        # interior runs of REFERENCE: 2,1,3,2,1,1
-        stats = empirical_run_distribution(REFERENCE, k=2)
-        assert stats.kblock_pmf is not None
-        assert stats.kblock_pmf == {
-            (2, 1): pytest.approx(1.0 / 3.0),
-            (3, 2): pytest.approx(1.0 / 3.0),
-            (1, 1): pytest.approx(1.0 / 3.0),
-        }
-
-    def test_kblock_overlapping(self):
-        stats = empirical_run_distribution(REFERENCE, k=2, overlapping=True)
-        assert stats.kblock_pmf is not None
-        assert sum(stats.kblock_pmf.values()) == pytest.approx(1.0)
-        assert stats.kblock_pmf[(1, 3)] == pytest.approx(1.0 / 5.0)
-
-    def test_k_larger_than_interior_is_error(self):
-        with pytest.raises(ValueError, match="too few runs"):
-            empirical_run_distribution("0011100", k=2)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            empirical_run_distribution(REFERENCE, k=0)
-
 
 class TestEmpiricalSuperRuns:
     def test_pure_alternation_is_error(self):
@@ -105,14 +85,14 @@ class TestEmpiricalSuperRuns:
             SuperRunType(2, 2),
         }
         assert stats.n_runs == 3
-        assert stats.mu_tilde_hat == pytest.approx((3 + 3 + 4) / 3.0)
+        assert stats.mu_hat == pytest.approx((3 + 3 + 4) / 3.0)
         assert stats.pmf.prob(3) == pytest.approx(2.0 / 3.0)
         assert stats.pmf.prob(4) == pytest.approx(1.0 / 3.0)
 
     def test_bernoulli_mean_super_run_length_near_4(self):
         x = sample_sequence(SourceSpec.bernoulli_half(), 10**6, seed=21)
         stats = empirical_super_run_distribution(x)
-        assert abs(stats.mu_tilde_hat - 4.0) <= 0.05
+        assert abs(stats.mu_hat - 4.0) <= 0.05
 
     def test_bernoulli_type_pmf_product_form(self):
         # P(type = (l1, l2)) = 2^-(l1+l2) for the uniform source
@@ -126,39 +106,35 @@ class TestEmpiricalSuperRuns:
 
 class TestDistributionStats:
     def test_geometric(self):
-        s = distribution_stats(geometric_half(64))
-        assert s.H_L == pytest.approx(2.0, abs=1e-12)
-        assert s.mu == pytest.approx(2.0, abs=1e-12)
-        assert s.D_vs_geometric == pytest.approx(0.0, abs=1e-12)
-        assert s.renewal_entropy_rate == pytest.approx(1.0, abs=1e-12)
+        H_L, D = json_entropy_and_divergence(geometric_half(64))
+        assert H_L == pytest.approx(2.0, abs=1e-12)
+        assert D == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass_one(self):
-        s = distribution_stats(point_mass(1))
-        assert s.H_L == 0.0
-        assert s.mu == 1.0
-        assert s.renewal_entropy_rate == 0.0
-        assert s.D_vs_geometric == pytest.approx(1.0)
+        H_L, D = json_entropy_and_divergence(point_mass(1))
+        assert H_L == 0.0
+        assert D == pytest.approx(1.0)
 
     def test_dagger_divergence_exact_value(self):
         # independent 40-digit evaluation of the untruncated series
         # KL(p-dagger(0.1) || 2^-l); the quadratic approximation below is
         # 19% high at d = 0.1, so the exact value is pinned instead
-        s = distribution_stats(dagger_distribution(0.1))
-        assert s.D_vs_geometric == pytest.approx(0.019314966332, abs=1e-9)
+        _, D = json_entropy_and_divergence(dagger_distribution(0.1))
+        assert D == pytest.approx(0.019314966332, abs=1e-9)
 
     @pytest.mark.parametrize("d", [0.05, 0.02])
     def test_dagger_divergence_taylor(self, d):
-        s = distribution_stats(dagger_distribution(d))
+        _, D = json_entropy_and_divergence(dagger_distribution(d))
         expected = d**2 / (2.0 * math.log(2.0)) * TAYLOR_BRACKET
-        assert s.D_vs_geometric == pytest.approx(expected, rel=0.10)
+        assert D == pytest.approx(expected, rel=0.10)
 
     def test_dagger_divergence_taylor_convergence(self):
         # quadratic approximation becomes exact as d -> 0
         ratios = []
         for d in (0.04, 0.02, 0.01):
-            s = distribution_stats(dagger_distribution(d))
+            _, D = json_entropy_and_divergence(dagger_distribution(d))
             quad = d**2 / (2.0 * math.log(2.0)) * TAYLOR_BRACKET
-            ratios.append(s.D_vs_geometric / quad)
+            ratios.append(D / quad)
         assert all(r1 < r2 < 1.0 for r1, r2 in zip(ratios, ratios[1:]))
         assert abs(ratios[-1] - 1.0) < 0.03
 
@@ -170,26 +146,8 @@ class TestDistributionStats:
     @settings(max_examples=150, deadline=None)
     def test_entropy_identity(self, weights):
         p = RunLengthDistribution.from_weights(weights)
-        s = distribution_stats(p)
-        assert s.H_L == pytest.approx(s.mu - s.D_vs_geometric, abs=1e-10)
-
-
-class TestTailMass:
-    def test_ell_one_is_mean(self):
-        p = dagger_distribution(0.08)
-        assert tail_mass(p, 1) == pytest.approx(p.mean, abs=1e-14)
-
-    def test_beyond_support(self):
-        assert tail_mass(geometric_half(64), 65) == 0.0
-
-    def test_geometric_closed_form(self):
-        assert tail_mass(geometric_half(64), 10) == pytest.approx(
-            11.0 * 2.0**-9, abs=1e-12
-        )
-
-    def test_invalid_ell(self):
-        with pytest.raises(ValueError):
-            tail_mass(geometric_half(8), 0)
+        H_L, D = json_entropy_and_divergence(p)
+        assert H_L == pytest.approx(p.mean - D, abs=1e-10)
 
 
 class TestDualRouteRunLaws:
@@ -226,6 +184,8 @@ class TestJsonExport:
         assert pairs[1] == pytest.approx(3.0 / 6.0)
         assert pairs[2] == pytest.approx(2.0 / 6.0)
         assert pairs[3] == pytest.approx(1.0 / 6.0)
-        summary = distribution_stats(stats.pmf)
-        assert doc["H_L"] == pytest.approx(summary.H_L)
-        assert doc["D"] == pytest.approx(summary.D_vs_geometric)
+        pmf = [3.0 / 6.0, 2.0 / 6.0, 1.0 / 6.0]
+        assert doc["H_L"] == pytest.approx(-sum(p * math.log2(p) for p in pmf))
+        assert doc["D"] == pytest.approx(
+            sum(p * (math.log2(p) + l) for l, p in enumerate(pmf, start=1))
+        )

@@ -37,7 +37,7 @@ DAGGER1_AT_01 = 0.455342908957  # 2^-1 * (1 - 0.1 * c2 / 2)
 DAGGER2_AT_01 = 0.240000267985  # 2^-2 * (1 + 0.1 * (2 ln 2 - c2))
 
 
-def reference_sample_sequence(spec, n, seed, stationary_start=False):
+def reference_sample_sequence(spec, n, seed):
     """``sample_sequence`` as one scalar-draw loop with ``rng.choice``; the
     batched sampler must reproduce it bit for bit."""
     rng = _rng_from(seed)
@@ -57,14 +57,6 @@ def reference_sample_sequence(spec, n, seed, stationary_start=False):
     dist = spec.dist
     value = int(rng.integers(0, 2))
     chunks, total = [], 0
-    if stationary_start:
-        size_biased = dist.lengths * dist.probs
-        size_biased = size_biased / size_biased.sum()
-        l0 = int(rng.choice(dist.lengths, p=size_biased))
-        remaining = int(rng.integers(1, l0 + 1))
-        chunks.append(np.full(min(remaining, n), value, dtype=np.uint8))
-        total += chunks[-1].size
-        value ^= 1
     batch = max(16, int(n / dist.mean * 1.25) + 16)
     while total < n:
         lengths = rng.choice(dist.lengths, size=batch, p=dist.probs, replace=True)
@@ -78,7 +70,7 @@ def reference_sample_sequence(spec, n, seed, stationary_start=False):
     return np.concatenate(chunks)[:n]
 
 
-def whole_array_sample_rows(spec, n, rows, rng, stationary_start=False):
+def whole_array_sample_rows(spec, n, rows, rng):
     """``_sample_rows`` as it was before long rows were built in blocks:
     every draw and every expansion as one whole array.  The blocked
     sampler must reproduce it bit for bit and leave ``rng`` in the same
@@ -94,12 +86,6 @@ def whole_array_sample_rows(spec, n, rows, rng, stationary_start=False):
     value = rng.integers(0, 2, size=(rows, 1))
     parts = []
     total = np.zeros(rows, dtype=np.int64)
-    if stationary_start:
-        size_biased = dist.lengths * dist.probs
-        size_biased = size_biased / size_biased.sum()
-        l0 = _sample_lengths(rng, _inverse_cdf(size_biased), (rows, 1))
-        parts.append(rng.integers(1, l0 + 1))
-        total += parts[-1][:, 0]
     batch = max(16, int(n / dist.mean * 1.25) + 16)
     while total.min() < n:
         parts.append(_sample_lengths(rng, dist._cdf, (rows, batch)))
@@ -273,12 +259,11 @@ class TestSampling:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=0, max_value=300),
-        stationary=st.booleans(),
     )
-    def test_reproducible_property(self, seed, n, stationary):
+    def test_reproducible_property(self, seed, n):
         spec = SourceSpec.renewal(geometric_half(16))
-        a = sample_sequence(spec, n, seed, stationary_start=stationary)
-        b = sample_sequence(spec, n, seed, stationary_start=stationary)
+        a = sample_sequence(spec, n, seed)
+        b = sample_sequence(spec, n, seed)
         assert a.size == n
         np.testing.assert_array_equal(a, b)
 
@@ -328,22 +313,6 @@ class TestSampling:
         se = math.sqrt(DAGGER1_AT_01 * (1 - DAGGER1_AT_01) / n_runs)
         assert abs(p1 - DAGGER1_AT_01) <= 4 * se
 
-    def test_stationary_start_size_biased_offset(self):
-        # point mass at l=3: under the stationary law the first (partial)
-        # run has length uniform on {1,2,3}, mean 2.
-        spec = SourceSpec.renewal(point_mass(3))
-        firsts = []
-        for seed in range(4000):
-            x = sample_sequence(spec, 4, seed, stationary_start=True)
-            v = x[0]
-            ln = 1
-            while ln < 4 and x[ln] == v:
-                ln += 1
-            firsts.append(min(ln, 3))
-        mean = sum(firsts) / len(firsts)
-        se = math.sqrt((2 / 3) / len(firsts))  # Var(U{1,2,3}) = 2/3
-        assert abs(mean - 2.0) <= 4 * se
-
     def test_palm_start_begins_at_boundary(self):
         # point mass at l=3, Palm start: first run always complete (length 3)
         spec = SourceSpec.renewal(point_mass(3))
@@ -367,14 +336,13 @@ class TestSampling:
                 assert a.random() == b.random()  # same number of draws
 
     @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
-    @pytest.mark.parametrize("stationary", [False, True])
-    def test_matches_scalar_reference(self, spec, stationary):
+    def test_matches_scalar_reference(self, spec):
         for seed in range(50):
             for n in (0, 1, 7, 300):
                 a = np.random.Generator(np.random.Philox(seed))
                 b = np.random.Generator(np.random.Philox(seed))
-                got = sample_sequence(spec, n, a, stationary_start=stationary)
-                want = reference_sample_sequence(spec, n, b, stationary)
+                got = sample_sequence(spec, n, a)
+                want = reference_sample_sequence(spec, n, b)
                 assert got.dtype == want.dtype == np.uint8
                 np.testing.assert_array_equal(got, want)
                 assert a.random() == b.random()  # same number of draws
@@ -382,16 +350,15 @@ class TestSampling:
     @pytest.mark.parametrize(
         "spec", ALL_KINDS + [SourceSpec.renewal(HEAVY_TAIL)], ids=lambda s: s.kind
     )
-    @pytest.mark.parametrize("stationary", [False, True])
-    def test_blocked_row_matches_whole_array(self, spec, stationary):
+    def test_blocked_row_matches_whole_array(self, spec):
         # at 10^6 bits the row is covered blocks before its batch ends, and
         # the rest of the batch must still be drawn
         for n in BLOCK_LENGTHS + (10**6,):
             for seed in (0, 1):
                 a = _rng_from(seed)
                 b = _rng_from(seed)
-                got = sample_sequence(spec, n, a, stationary_start=stationary)
-                want = whole_array_sample_rows(spec, n, 1, b, stationary)[0]
+                got = sample_sequence(spec, n, a)
+                want = whole_array_sample_rows(spec, n, 1, b)[0]
                 assert got.dtype == np.uint8
                 np.testing.assert_array_equal(got, want)
                 assert a.random() == b.random()  # same number of draws
@@ -417,28 +384,25 @@ class TestSampling:
     @pytest.mark.parametrize(
         "spec", ALL_KINDS + [SourceSpec.renewal(HEAVY_TAIL)], ids=lambda s: s.kind
     )
-    @pytest.mark.parametrize("stationary", [False, True])
-    def test_batched_rows_match_whole_array(self, spec, stationary):
+    def test_batched_rows_match_whole_array(self, spec):
         for rows, n in ((64, 1), (64, 10), (64, 200), (64, 2000), (3, _BLOCK + 5)):
             a = _rng_from(rows + n)
             b = _rng_from(rows + n)
-            got = _sample_rows(spec, n, rows, a, stationary)
-            want = whole_array_sample_rows(spec, n, rows, b, stationary)
+            got = _sample_rows(spec, n, rows, a)
+            want = whole_array_sample_rows(spec, n, rows, b)
             assert got.shape == (rows, n) and got.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
             assert a.random() == b.random()
 
-    @pytest.mark.parametrize("stationary", [False, True])
-    def test_batched_rows_keep_the_run_law(self, stationary):
+    def test_batched_rows_keep_the_run_law(self):
         # point mass at l=2: every row, whatever the other rows drew, is a
         # window of ...0011 0011...; a Palm start begins with a whole run
         spec = SourceSpec.renewal(point_mass(2))
-        rows = _sample_rows(spec, 9, 64, _rng_from(5), stationary)
+        rows = _sample_rows(spec, 9, 64, _rng_from(5))
         assert rows.shape == (64, 9)
         np.testing.assert_array_equal(rows[:, 2:], rows[:, :-2] ^ 1)
-        if not stationary:
-            assert np.all(rows[:, 0] == rows[:, 1])
-            assert np.all(rows[:, 1] != rows[:, 2])
+        assert np.all(rows[:, 0] == rows[:, 1])
+        assert np.all(rows[:, 1] != rows[:, 2])
 
 
 #: Laws whose cdf points sit where the guide table can go wrong.
