@@ -1,6 +1,9 @@
 """Command-line surface: constants report, capacity table and plot data,
 rate estimation runs, verification suites, and distribution file I/O.
 
+The published bounds (``BoundsTable``) and the estimate-only d-grid come
+from ``delchan.verify``; the ``stats --l-cap`` default from ``delchan.runstats``.
+
 Conventions
 -----------
 * stdout carries data only; diagnostics and warnings go to stderr.
@@ -18,8 +21,7 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
-from importlib import resources
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from delchan.channel import transmit
 from delchan.constants import DEFAULT_TOL, capacity_estimate, compute_constants
 from delchan.estimation import estimate_rate
-from delchan.runstats import empirical_run_distribution, stats_to_json
+from delchan.runstats import _L_CAP, empirical_run_distribution, stats_to_json
 from delchan.sources import (
     DEFAULT_L_MAX,
     DEFAULT_SEED,
@@ -38,114 +40,27 @@ from delchan.sources import (
     sample_sequence,
     write_distribution,
 )
-from delchan.verify import SUITES, run_suite
+from delchan.verify import DEFAULT_D_GRID, SUITES, BoundsTable, run_suite
 
 __all__ = ["BoundsTable", "main", "run_table", "table_rows"]
 
-#: d-grid used when no bounds rows are available (degraded mode).
-DEFAULT_D_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
-
-_BOUNDS_HEADER = "d,lower,upper"
-
-
-@dataclass(frozen=True)
-class BoundsTable:
-    """Published capacity bounds: rows of (d, lower, upper) in bits."""
-
-    rows: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        prev_d = -math.inf
-        for d, lower, upper in self.rows:
-            if d <= prev_d:
-                raise ValueError(f"d values must be strictly increasing, got {d}")
-            if not 0.0 <= lower <= upper <= 1.0:
-                raise ValueError(
-                    f"bounds must satisfy 0 <= lower <= upper <= 1 at d={d}"
-                )
-            prev_d = d
-
-    @classmethod
-    def parse(cls, path) -> "BoundsTable":
-        """Parse a ``d,lower,upper`` CSV; empty files give an empty table.
-
-        Raises ``ValueError`` naming the offending line on malformed
-        input or invariant violations.
-        """
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-
-        rows: list[tuple[float, float, float]] = []
-        header_seen = False
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != _BOUNDS_HEADER:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header "
-                        f"{_BOUNDS_HEADER!r}, got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 comma-separated "
-                    f"values, got {len(parts)}"
-                )
-            try:
-                d, lower, upper = (float(p) for p in parts)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if rows and d <= rows[-1][0]:
-                raise ValueError(
-                    f"{path}: line {lineno}: d values must be strictly increasing"
-                )
-            if not 0.0 <= lower <= upper <= 1.0:
-                raise ValueError(
-                    f"{path}: line {lineno}: bounds must satisfy "
-                    f"0 <= lower <= upper <= 1"
-                )
-            rows.append((d, lower, upper))
-        return cls(rows=tuple(rows))
-
-    @classmethod
-    def bundled(cls) -> "BoundsTable":
-        """The bounds table shipped with the package."""
-        ref = resources.files("delchan").joinpath("data/table1_bounds.csv")
-        with resources.as_file(ref) as path:
-            return cls.parse(path)
-
 
 def table_rows(bounds: BoundsTable) -> list[dict]:
-    """Rows (d, lower, C_est, upper); bounds ``None`` in degraded mode."""
+    """Rows (d, lower, C_est, upper); (d, C_est) over ``DEFAULT_D_GRID`` for
+    a table without rows."""
     if not bounds.rows:
-        return [
-            {"d": d, "lower": None, "C_est": capacity_estimate(d), "upper": None}
-            for d in DEFAULT_D_GRID
-        ]
+        return [{"d": d, "C_est": capacity_estimate(d)} for d in DEFAULT_D_GRID]
     return [
         {"d": d, "lower": lower, "C_est": capacity_estimate(d), "upper": upper}
         for d, lower, upper in bounds.rows
     ]
 
 
-def _csv_cell(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    lines.extend(
-        ",".join(_csv_cell(row[col]) for col in columns) for row in rows
-    )
+def _rows_to_csv(rows: list[dict]) -> str:
+    """CSV with the first row's keys as columns."""
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(repr(float(v)) for v in row.values()) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2)
 
 
 def run_table(bounds_file=None, out_format: str = "csv") -> str:
@@ -158,14 +73,9 @@ def run_table(bounds_file=None, out_format: str = "csv") -> str:
         bounds_file
     )
     rows = table_rows(bounds)
-    if not bounds.rows:
-        rows = [{"d": r["d"], "C_est": r["C_est"]} for r in rows]
-        columns = ["d", "C_est"]
-    else:
-        columns = ["d", "lower", "C_est", "upper"]
     if out_format == "json":
-        return _rows_to_json(rows)
-    return _rows_to_csv(rows, columns)
+        return json.dumps(rows, indent=2)
+    return _rows_to_csv(rows)
 
 
 @contextmanager
@@ -187,6 +97,16 @@ def _io_errors():
         sys.exit(3)
 
 
+@contextmanager
+def _echo_warnings():
+    """Record the warnings raised in the block and echo them to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        click.echo(f"warning: {w.message}", err=True)
+
+
 def _parse_source(text: str, channel_d: float) -> SourceSpec:
     """Parse ``bernoulli | markov:<p> | dagger[:<d>] | renewal:<file>``."""
     if text == "bernoulli":
@@ -200,16 +120,11 @@ def _parse_source(text: str, channel_d: float) -> SourceSpec:
                 "pass dagger:<d> to pin one explicitly"
             ) from exc
     kind, _, arg = text.partition(":")
-    if kind == "dagger" and arg:
+    if kind in ("dagger", "markov") and arg:
         try:
-            return SourceSpec.dagger(float(arg))
+            return getattr(SourceSpec, kind)(float(arg))
         except ValueError as exc:
-            raise click.UsageError(f"bad dagger parameter {arg!r}: {exc}") from exc
-    if kind == "markov" and arg:
-        try:
-            return SourceSpec.markov(float(arg))
-        except ValueError as exc:
-            raise click.UsageError(f"bad markov parameter {arg!r}: {exc}") from exc
+            raise click.UsageError(f"bad {kind} parameter {arg!r}: {exc}") from exc
     if kind == "renewal" and arg:
         with _io_errors():
             return SourceSpec.renewal(read_distribution(arg))
@@ -297,7 +212,7 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
         lower, upper = known.get(d, (math.nan, math.nan))
         rows.append({"d": d, "lower": lower, "C_est": capacity_estimate(d),
                      "upper": upper})
-    text = _rows_to_csv(rows, ["d", "lower", "C_est", "upper"])
+    text = _rows_to_csv(rows)
 
     with _io_errors():
         if out_path is None:
@@ -331,14 +246,11 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
 def rate_cmd(d, source, n, samples, out_bits, seed, threads, out_format) -> None:
     """Estimate the achievable information rate of a source."""
     spec = _parse_source(source, d)
-    with _usage_errors(), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _usage_errors(), _echo_warnings():
         result = estimate_rate(
             spec, d, n=n, samples=samples, out_bits=out_bits,
             threads=threads, seed=seed,
         )
-    for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
     if out_format == "json":
         click.echo(result.to_json())
     else:
@@ -375,11 +287,12 @@ def dist_cmd(kind, out, d, l_max) -> None:
 @main.command("stats")
 @click.option("--source", default="bernoulli", show_default=True,
               help="bernoulli | markov:<p> | dagger:<d> | renewal:<file>.")
-@click.option("--n", type=int, default=1_000_000, show_default=True,
-              help="Bits to sample.")
+@click.option("--n", type=click.IntRange(min=0), default=1_000_000,
+              show_default=True, help="Bits to sample.")
 @click.option("--d", type=float, default=None,
               help="If set, report statistics of the channel output.")
-@click.option("--l-cap", type=click.IntRange(min=1), default=64, show_default=True)
+@click.option("--l-cap", type=click.IntRange(min=1), default=_L_CAP,
+              show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
               show_default=True)
 def stats_cmd(source, n, d, l_cap, seed) -> None:
@@ -392,7 +305,7 @@ def stats_cmd(source, n, d, l_cap, seed) -> None:
         if d is not None:
             bits = transmit(bits, d, channel_seed).y
         stats = empirical_run_distribution(bits, l_cap=l_cap)
-    click.echo(stats_to_json(stats, indent=2))
+    click.echo(stats_to_json(stats))
 
 
 @main.command("verify")
@@ -409,12 +322,8 @@ def verify_cmd(suite, samples, out_bits, seed) -> None:
     An underpowered rates run (budget below the full verification
     sizes) reports its numbers but exits 0 with a warning.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _echo_warnings():
         report = run_suite(suite, samples=samples, out_bits=out_bits, seed=seed)
-    for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
-
     click.echo(report.to_json())
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

@@ -112,9 +112,9 @@ def _tail_bound(L: int, kappa: float, a: int, b: int) -> float:
     return 2.0**-L * g_L * rho / (1.0 - rho)
 
 
-def _choose_L(tol: float, kappa: float, a: int, b: int, start: int = 8) -> int:
-    """Smallest truncation index whose tail majorant is below ``tol``."""
-    L = start
+def _choose_L(tol: float, kappa: float, a: int, b: int) -> int:
+    """Smallest truncation index ``>= 8`` whose tail majorant is below ``tol``."""
+    L = 8
     while _tail_bound(L, kappa, a, b) >= tol:
         L += 1
         if L > 100_000:  # pragma: no cover - unreachable for sane tol
@@ -217,8 +217,8 @@ def compute_constants(tol: float = DEFAULT_TOL) -> SeriesConstants:
     t = tol / _PROPAGATION
     bounds = []
 
-    def pick(kappa: float, a: int, b: int, at_least: int = 8) -> int:
-        L = max(_choose_L(t, kappa, a, b), at_least)
+    def pick(kappa: float, a: int, b: int) -> int:
+        L = _choose_L(t, kappa, a, b)
         bounds.append(_tail_bound(L, kappa, a, b))
         return L
 

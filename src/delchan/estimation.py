@@ -43,6 +43,7 @@ import numpy as np
 
 from delchan.channel import _deletion_mask, _output_run_lengths
 from delchan.likelihood import _band_counts, log2_binomial
+from delchan.runstats import _L_CAP, _capped_counts
 from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
 from delchan.sources import _as_seed_sequence, _check_deletion_probability, _rng_from
 
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 _BURN_IN_RUNS = 64
-_L_CAP = 64
 _BOOTSTRAP_RESAMPLES = 200
 _MIN_COUNT_PER_SUPPORT_POINT = 100
 #: Replicas per RNG stream and batched embedding DP: fixed (the draws
@@ -81,8 +81,8 @@ class RateEstimate:
     seed: int
     mode: str
 
-    def to_json(self, *, indent: "int | None" = None) -> str:
-        return json.dumps(asdict(self), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
 
 
 def _check_h_cond_args(d: float, n: int, samples: int) -> None:
@@ -183,7 +183,7 @@ def _h_out_from_stream(
     n_runs = int(interior.size)
 
     # run counts per contiguous block of runs, for the bootstrap below;
-    # overflow is pooled at L_CAP+1
+    # runs longer than _L_CAP are left out
     n_blocks = max(8, min(64, n_runs // 200))
     edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)
     block_counts = np.zeros((n_blocks, _L_CAP), dtype=np.float64)
@@ -191,8 +191,7 @@ def _h_out_from_stream(
     block_length_sums = np.zeros(n_blocks)
     for b in range(n_blocks):
         seg = interior[edges[b] : edges[b + 1]]
-        c = np.bincount(np.minimum(seg, _L_CAP + 1), minlength=_L_CAP + 2)
-        block_counts[b] = c[1 : _L_CAP + 1]
+        block_counts[b] = _capped_counts(seg, _L_CAP)
         block_runs[b] = seg.size
         block_length_sums[b] = seg.sum()
     support_counts = block_counts.sum(axis=0)  # integers: the sum is exact

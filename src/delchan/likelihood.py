@@ -171,29 +171,24 @@ def embedding_count(x, y) -> float:
 
 
 def log_likelihood(x, y, d: float) -> LogLikelihood:
-    """Exact ``log2 p(y|x)`` for deletion probability ``d``.
+    """Exact ``log2 p(y|x)`` for deletion probability ``d``, with the
+    embedding count ``log2 N(x, y)`` of :func:`embedding_count`.
 
-    Impossible outputs yield the distinguished ``-inf`` fields, not an
-    exception.  ``d = 0`` and ``d = 1`` are handled as the degenerate
-    identity / erase-everything channels.
+    An impossible output has ``log_prob = -inf``, not an exception.
+    ``d = 0`` and ``d = 1`` are the degenerate identity / erase-everything
+    channels: there ``log_prob`` is 0 or ``-inf``, and the count is still N.
     """
     _check_deletion_probability(d)
-    x = as_bits(x)
-    y = as_bits(y)
-    n, m = x.size, y.size
-    if m > n:
-        raise ValueError(f"output longer than input ({m} > {n})")
-    if d == 0.0:
-        possible = m == n and bool(np.array_equal(x, y))
-        value = 0.0 if possible else IMPOSSIBLE
-        return LogLikelihood(log_embedding_count=value, log_prob=value)
-    if d == 1.0:
-        value = 0.0 if m == 0 else IMPOSSIBLE
-        return LogLikelihood(log_embedding_count=value, log_prob=value)
     log_n = embedding_count(x, y)
+    n, m = len(x), len(y)
     if log_n == IMPOSSIBLE:
-        return LogLikelihood(log_embedding_count=IMPOSSIBLE, log_prob=IMPOSSIBLE)
-    log_prob = log_n + (n - m) * math.log2(d) + m * math.log2(1.0 - d)
+        log_prob = IMPOSSIBLE
+    elif d == 0.0:  # only y = x, which then embeds exactly once
+        log_prob = 0.0 if m == n else IMPOSSIBLE
+    elif d == 1.0:
+        log_prob = 0.0 if m == 0 else IMPOSSIBLE
+    else:
+        log_prob = log_n + (n - m) * math.log2(d) + m * math.log2(1.0 - d)
     return LogLikelihood(log_embedding_count=log_n, log_prob=log_prob)
 
 

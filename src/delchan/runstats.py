@@ -37,6 +37,10 @@ __all__ = [
     "stats_to_json",
 ]
 
+#: Longest run length counted on its own; longer runs are pooled out of the
+#: pmf here and out of the output-entropy estimate of ``delchan.estimation``.
+_L_CAP = 64
+
 
 @dataclass(frozen=True)
 class EmpiricalRunStats:
@@ -67,7 +71,12 @@ def _interior_run_lengths(x) -> np.ndarray:
     return lengths[1:-1]
 
 
-def empirical_run_distribution(x, *, l_cap: int = 64) -> EmpiricalRunStats:
+def _capped_counts(lengths: np.ndarray, cap: int) -> np.ndarray:
+    """Counts of the lengths ``1..cap`` (index ``l - 1``); longer runs are left out."""
+    return np.bincount(lengths[lengths <= cap], minlength=cap + 1)[1:]
+
+
+def empirical_run_distribution(x, *, l_cap: int = _L_CAP) -> EmpiricalRunStats:
     """Interior run-length pmf of ``x``.
 
     Boundary (first/last) runs are discarded.  Interior runs longer than
@@ -79,11 +88,11 @@ def empirical_run_distribution(x, *, l_cap: int = 64) -> EmpiricalRunStats:
     interior = _interior_run_lengths(x)
     n_runs = int(interior.size)
 
-    capped = interior[interior <= l_cap]
-    if capped.size == 0:
+    counts = _capped_counts(interior, l_cap)
+    n_capped = int(counts.sum())
+    if n_capped == 0:
         raise ValueError(f"all interior runs exceed l_cap={l_cap}")
-    counts = np.bincount(capped, minlength=l_cap + 1)[1:].astype(np.float64)
-    overflow_mass = 1.0 - capped.size / n_runs
+    overflow_mass = 1.0 - n_capped / n_runs
     pmf = RunLengthDistribution.from_weights(counts, discarded_mass=overflow_mass)
     mu_hat = float(interior.mean())
     return EmpiricalRunStats(pmf=pmf, mu_hat=mu_hat, n_runs=n_runs)
@@ -122,7 +131,7 @@ def empirical_super_run_distribution(x) -> EmpiricalRunStats:
     )
 
 
-def stats_to_json(stats: EmpiricalRunStats, *, indent: "int | None" = None) -> str:
+def stats_to_json(stats: EmpiricalRunStats) -> str:
     """Serialize empirical stats as the toolkit's JSON stats document.
 
     Keys: ``pmf`` (list of ``[l, p]`` pairs over the observed support),
@@ -150,4 +159,4 @@ def stats_to_json(stats: EmpiricalRunStats, *, indent: "int | None" = None) -> s
         "D": math.fsum(d_terms),
         "n_runs": stats.n_runs,
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)

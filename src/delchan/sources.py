@@ -131,14 +131,14 @@ def _rng_from(seed) -> np.random.Generator:
 class RunLengthDistribution:
     """Truncated pmf over run lengths ``l = 1..L_max``.
 
-    ``probs[l-1]`` is ``P(L = l)``; probabilities are nonnegative and sum
-    to 1 within 1e-12.  ``mean`` is ``sum(l * probs[l-1])``.
+    ``probs[l-1]`` is ``P(L = l)``, so ``L_max`` is ``probs.size``;
+    probabilities are nonnegative and sum to 1 within 1e-12.  ``mean`` is
+    ``sum(l * probs[l-1])``.  Build one with :meth:`from_weights`.
     ``discarded_mass`` records the pre-normalization mass beyond
     ``L_max`` for constructed laws (diagnostic metadata).
     """
 
     probs: np.ndarray
-    L_max: int
     mean: float
     discarded_mass: float = 0.0
 
@@ -160,17 +160,18 @@ class RunLengthDistribution:
         probs = w / total
         probs.flags.writeable = False
         mean = math.fsum((l + 1) * p for l, p in enumerate(probs.tolist()))
-        return RunLengthDistribution(
-            probs=probs, L_max=w.size, mean=mean, discarded_mass=discarded_mass
-        )
+        return RunLengthDistribution(probs, mean, discarded_mass)
 
     def validate(self) -> None:
-        if self.probs.shape != (self.L_max,):
-            raise ValueError("probs length disagrees with L_max")
         if np.any(self.probs < 0.0):
             raise ValueError("negative probability")
         if abs(math.fsum(self.probs.tolist()) - 1.0) > 1e-12:
             raise ValueError("probabilities do not sum to 1 within 1e-12")
+
+    @property
+    def L_max(self) -> int:
+        """Longest run length of the support."""
+        return self.probs.size
 
     @property
     def lengths(self) -> np.ndarray:

@@ -10,10 +10,14 @@ import pytest
 import delchan
 from delchan import (
     EmpiricalRunStats,
+    RateEstimate,
+    RunLengthDistribution,
     SourceSpec,
+    SuiteReport,
     empirical_run_distribution,
     estimate_rate,
     sample_sequence,
+    stats_to_json,
 )
 
 SUBMODULES = sorted(
@@ -33,6 +37,8 @@ REMOVED = {
     "delchan.analytics": ("jigsaw_rate_bound", "optimal_truncated_qstar"),
     "delchan.runstats": ("DistributionStats", "distribution_stats", "tail_mass"),
     "delchan.estimation": ("estimate_h_out_renewal",),
+    # the published bounds are read from data/table1_bounds.csv
+    "delchan.verify": ("PUBLISHED_TABLE",),
 }
 
 
@@ -68,8 +74,21 @@ def test_removed_keywords_are_rejected():
         estimate_rate(
             spec, 0.1, n=20, samples=2, out_bits=2000, miller_madow=True
         )
+    # the JSON documents have one layout each
+    stats = empirical_run_distribution("1001000110100")
+    rate = RateEstimate(0.5, 0.6, 0.1, 0.01, 20, 2, 0.1, 0, "exact-renewal")
+    for call in (
+        lambda: stats_to_json(stats, indent=2),
+        lambda: SuiteReport("demo", []).to_json(indent=2),
+        lambda: rate.to_json(indent=None),
+    ):
+        with pytest.raises(TypeError, match="indent"):
+            call()
 
 
 def test_removed_fields_are_gone():
     fields = {f.name for f in dataclasses.fields(EmpiricalRunStats)}
     assert fields == {"pmf", "mu_hat", "n_runs", "super_run_pmf"}
+    # L_max is probs.size, not a stored copy
+    fields = {f.name for f in dataclasses.fields(RunLengthDistribution)}
+    assert fields == {"probs", "mean", "discarded_mass"}

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -88,6 +89,22 @@ def test_out_of_range_option_is_usage_error(runner, args):
     assert "Invalid value for" in result.output
 
 
+#: Every size and seed option, which must be a click range.
+INT_RANGE_OPTIONS = {
+    "--n", "--samples", "--out-bits", "--seed", "--points", "--l-max", "--l-cap",
+}
+
+
+def test_every_size_and_seed_option_is_an_int_range():
+    seen = set()
+    for name, command in main.commands.items():
+        for param in command.params:
+            for opt in INT_RANGE_OPTIONS.intersection(param.opts):
+                seen.add(opt)
+                assert isinstance(param.type, click.IntRange), f"{name} {opt}"
+    assert seen == INT_RANGE_OPTIONS
+
+
 class TestBoundsTable:
     def test_bundled_values(self):
         table = BoundsTable.bundled()
@@ -100,6 +117,29 @@ class TestBoundsTable:
             BoundsTable(rows=((0.1, 0.5, 0.6), (0.1, 0.4, 0.5)))
         with pytest.raises(ValueError, match="lower <= upper"):
             BoundsTable(rows=((0.1, 0.7, 0.6),))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((0.1, 0.5, 0.6), (0.1, 0.4, 0.5)),
+            ((0.2, 0.3, 0.4), (0.1, 0.4, 0.5)),
+            ((0.1, 0.7, 0.6),),
+            ((0.1, 0.5, 0.6), (0.2, -0.1, 0.5)),
+            ((0.1, 0.5, 1.5),),
+            ((0.05, 0.7, 0.8), (1.5, 0.1, 0.2)),
+            ((-0.1, 0.1, 0.2),),
+            ((math.nan, 0.1, 0.2),),
+        ],
+    )
+    def test_constructor_and_parse_reject_the_same_rows(self, tmp_path, rows):
+        f = tmp_path / "rows.csv"
+        f.write_text("d,lower,upper\n" + "".join(
+            f"{d!r},{lower!r},{upper!r}\n" for d, lower, upper in rows))
+        with pytest.raises(ValueError) as built:
+            BoundsTable(rows=rows)
+        with pytest.raises(ValueError) as parsed:
+            BoundsTable.parse(f)
+        assert str(parsed.value) == f"{f}: line {len(rows) + 1}: {built.value}"
 
     def test_parse_reports_line_numbers(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -245,6 +285,14 @@ class TestPlotDataCommand:
 
     def test_points_validated(self, runner):
         assert runner.invoke(main, ["plot-data", "--points", "1"]).exit_code == 2
+
+    def test_bounds_row_outside_the_estimate_range_exits_3(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("d,lower,upper\n0.05,0.7,0.8\n1.5,0.1,0.2\n")
+        result = runner.invoke(main, ["plot-data", "--bounds-file", str(bad)])
+        assert result.exit_code == 3
+        assert "line 3: d must satisfy 0 <= d < 1" in result.stderr
+        assert result.stdout == ""
 
     def test_unwritable_out_exits_3(self, runner, tmp_path):
         out = tmp_path / "missing" / "f.csv"

@@ -22,7 +22,6 @@ from delchan.estimation import (
     _BOOTSTRAP_RESAMPLES,
     _BURN_IN_RUNS,
     _CHUNK,
-    _L_CAP,
     RateEstimate,
     _h_out_from_stream,
     _plug_in_h_over_mu,
@@ -35,6 +34,7 @@ from delchan.likelihood import (
     exact_block_information,
     log2_binomial,
 )
+from delchan.runstats import _L_CAP
 from delchan.channel import run_lengths, transmit
 from delchan.sources import (
     DEFAULT_SEED,

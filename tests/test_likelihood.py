@@ -304,6 +304,15 @@ class TestLogLikelihood:
         assert log_likelihood("010", "", 1.0).log_prob == 0.0
         assert log_likelihood("010", "0", 1.0).impossible
 
+    @pytest.mark.parametrize(
+        "x, y, d", [("0110", "011", 0.0), ("0110", "01", 1.0), ("010", "010", 0.0)]
+    )
+    def test_degenerate_d_keeps_the_embedding_count(self, x, y, d):
+        # the channel decides log_prob only; N(x, y) is the same at every d
+        ll = log_likelihood(x, y, d)
+        assert ll.log_embedding_count == embedding_count(x, y) > IMPOSSIBLE
+        assert ll.impossible == (len(y) != (len(x) if d == 0.0 else 0))
+
     def test_invalid_d(self):
         with pytest.raises(ValueError):
             log_likelihood("01", "0", 1.2)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from delchan.channel import SuperRunType, transmit
 from delchan.runstats import (
+    _L_CAP,
     EmpiricalRunStats,
+    _capped_counts,
     empirical_run_distribution,
     empirical_super_run_distribution,
     stats_to_json,
@@ -69,6 +71,18 @@ class TestEmpiricalRunDistribution:
     def test_all_overflow_is_error(self):
         with pytest.raises(ValueError, match="exceed l_cap"):
             empirical_run_distribution("1000001", l_cap=2)
+
+
+@pytest.mark.parametrize("cap", [1, 4, _L_CAP])
+def test_capped_counts_leave_longer_runs_out(cap):
+    lengths = np.random.default_rng(cap).integers(1, 3 * _L_CAP, size=4000)
+    assert (lengths > cap).any()
+    counts = _capped_counts(lengths, cap)
+    assert counts.shape == (cap,)
+    assert (counts == np.bincount(lengths[lengths <= cap], minlength=cap + 1)[1:]).all()
+    # the pooled form the output-entropy blocks used before
+    pooled = np.bincount(np.minimum(lengths, cap + 1), minlength=cap + 2)
+    assert (counts == pooled[1 : cap + 1]).all()
 
 
 class TestEmpiricalSuperRuns:

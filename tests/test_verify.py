@@ -10,15 +10,18 @@ import json
 import numpy as np
 import pytest
 
-from delchan import likelihood, verify
+from delchan import cli, likelihood, verify
+from delchan.constants import capacity_estimate
 from delchan.likelihood import _all_words, _band_counts
 from delchan.sources import DEFAULT_SEED
 from delchan.verify import (
     SUITES,
+    BoundsTable,
     CheckResult,
     SuiteReport,
     _brute_counts,
     _check_group,
+    check_capacity_table,
     check_dp_oracle,
     check_markov_analytics,
     check_series_constants,
@@ -75,6 +78,24 @@ class TestCheapChecks:
         assert report.suite == "constants"
         assert report.passed is True
         assert report.underpowered is False
+
+    def test_capacity_table_reads_the_bundled_bounds(self, monkeypatch):
+        rows = BoundsTable.bundled().rows
+        flags = check_capacity_table()[1:]
+        assert [c.name[-4:] for c in flags] == [f"{d:.2f}" for d, _, _ in rows]
+        assert [c.value for c in flags] == [
+            capacity_estimate(d) - upper for d, _, upper in rows
+        ]
+        # a loosened bundled table moves the flags with it
+        loose = BoundsTable(rows=tuple((d, lower, 1.0) for d, lower, _ in rows))
+        monkeypatch.setattr(BoundsTable, "bundled", classmethod(lambda cls: loose))
+        flags = check_capacity_table()[1:]
+        assert [c.value for c in flags] == [capacity_estimate(d) - 1.0 for d, _, _ in rows]
+        assert [c.passed for c in flags] == [d < 0.40 for d, _, _ in rows]
+
+    def test_cli_reads_the_bounds_table_from_here(self):
+        assert cli.BoundsTable is BoundsTable
+        assert cli.DEFAULT_D_GRID is verify.DEFAULT_D_GRID
 
 
 def exhaustive_group(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
