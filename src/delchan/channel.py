@@ -6,13 +6,14 @@ is the structured variant of the deletion *mask* used by the closed-form
 entropy analysis: deletions are reversed in every input run that suffers
 three or more of them.
 
-Segmentation utilities decompose a sequence into maximal runs and into
-*super-runs* (a first run followed by the maximal stretch of length-1
-runs).
+Segmentation utilities decompose a sequence into maximal runs
+(``run_lengths``) and split the runs into *super-runs* (a first run
+followed by the maximal stretch of length-1 runs) with array operations.
 
 Long output streams run through a private path that applies the channel
-and the run segmentation in fixed blocks of input bits, drawing the same
-Philox numbers as ``transmit``.
+in fixed blocks of input bits, drawing the same Philox numbers as
+``transmit``.  Each block's output is segmented by ``run_lengths``; only
+the value and length of the run still open carry into the next block.
 """
 
 from __future__ import annotations
@@ -81,32 +82,32 @@ def _output_run_lengths(
     x: np.ndarray, d: float, rng: np.random.Generator
 ) -> np.ndarray:
     """``run_lengths(transmit(x, d, rng).y)`` from the same draws, run over
-    blocks of ``_BLOCK`` input bits with no per-bit mask or output array;
-    the run open at the end of a block carries into the next."""
+    blocks of ``_BLOCK`` input bits with no per-bit mask or output array.
+    Each block's output is segmented by :func:`run_lengths`; the run open at
+    its end carries its value and length into the next block."""
     u = np.empty(min(_BLOCK, x.size))
     # at most one run per output bit; only the pages written are touched
     lengths = np.empty(x.size, dtype=np.int64)
-    runs = m = 0  # runs ended and output bits so far
-    start = last = 0  # start position and value of the open run
+    runs = 0  # runs ended
+    last = open_len = 0  # value and length of the open run (0: none yet)
     for lo in range(0, x.size, _BLOCK):
         xb = x[lo : lo + _BLOCK]
         yb = apply_mask(xb, _deletion_mask(xb.shape, d, rng, u[: xb.size]))
         if yb.size == 0:
             continue
-        starts = np.flatnonzero(yb[1:] != yb[:-1])
-        starts += m + 1
-        if m and yb[0] != last:  # the block starts a new run
-            starts = np.concatenate(([m], starts))
-        if starts.size:
-            lengths[runs : runs + starts.size] = np.diff(starts, prepend=start)
-            runs += starts.size
-            start = int(starts[-1])
-        m += yb.size
-        last = yb[-1]
-    if m == 0:
-        return lengths[:0]
-    lengths[runs] = m - start
-    return lengths[: runs + 1]
+        block = run_lengths(yb)
+        if yb[0] == last:  # the block continues the open run
+            block[0] += open_len
+        elif open_len:
+            lengths[runs] = open_len
+            runs += 1
+        lengths[runs : runs + block.size - 1] = block[:-1]
+        runs += block.size - 1
+        open_len, last = int(block[-1]), yb[-1]
+    if open_len:
+        lengths[runs] = open_len
+        runs += 1
+    return lengths[:runs]
 
 
 # --------------------------------------------------------------------------
@@ -129,20 +130,14 @@ def segment_super_runs(x) -> list[SuperRunType]:
     for the leading super-run of the sequence) followed by the maximal
     stretch of length-1 runs.  ``sum(l_rep + l_alt)`` equals ``len(x)``.
     """
-    x = as_bits(x)
-    lengths = run_lengths(x)
+    lengths = run_lengths(as_bits(x))
     if lengths.size == 0:
         return []
-    # every run of length >= 2 (except a leading one) starts a new super-run
-    starts = np.flatnonzero(lengths >= 2)
-    starts = starts[starts > 0]
-    bounds = np.concatenate(([0], starts, [lengths.size]))
-    out = []
-    for i in range(len(bounds) - 1):
-        first = int(lengths[bounds[i]])
-        n_alt = int(bounds[i + 1] - bounds[i] - 1)
-        out.append(SuperRunType(l_rep=first, l_alt=n_alt))
-    return out
+    # the first run, and every later run of length >= 2, starts a super-run
+    starts = np.flatnonzero(lengths[1:] >= 2) + 1
+    starts = np.concatenate(([0], starts))
+    l_alt = np.diff(starts, append=lengths.size) - 1
+    return list(map(SuperRunType, lengths[starts].tolist(), l_alt.tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -57,9 +57,13 @@ def table_rows(bounds: BoundsTable) -> list[dict]:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    """CSV with the first row's keys as columns."""
+    """CSV with the first row's keys as columns: strings as they are,
+    numbers by ``repr``."""
     lines = [",".join(rows[0])]
-    lines.extend(",".join(repr(float(v)) for v in row.values()) for row in rows)
+    lines.extend(
+        ",".join(v if isinstance(v, str) else repr(v) for v in row.values())
+        for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -164,9 +168,8 @@ def constants_cmd(tol: float, out_format: str) -> None:
     if out_format == "json":
         click.echo(json.dumps(values, indent=2))
     else:
-        click.echo("name,value")
-        for name, value in values.items():
-            click.echo(f"{name},{value!r}")
+        rows = [{"name": name, "value": value} for name, value in values.items()]
+        click.echo(_rows_to_csv(rows), nl=False)
 
 
 @main.command("table")
@@ -254,11 +257,7 @@ def rate_cmd(d, source, n, samples, out_bits, seed, threads, out_format) -> None
     if out_format == "json":
         click.echo(result.to_json())
     else:
-        doc = asdict(result)
-        click.echo(",".join(doc))
-        click.echo(",".join(
-            v if isinstance(v, str) else repr(v) for v in doc.values()
-        ))
+        click.echo(_rows_to_csv([asdict(result)]), nl=False)
 
 
 @main.command("dist")

@@ -186,14 +186,10 @@ def _h_out_from_stream(
     # runs longer than _L_CAP are left out
     n_blocks = max(8, min(64, n_runs // 200))
     edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)
-    block_counts = np.zeros((n_blocks, _L_CAP), dtype=np.float64)
-    block_runs = np.zeros(n_blocks)
-    block_length_sums = np.zeros(n_blocks)
-    for b in range(n_blocks):
-        seg = interior[edges[b] : edges[b + 1]]
-        block_counts[b] = _capped_counts(seg, _L_CAP)
-        block_runs[b] = seg.size
-        block_length_sums[b] = seg.sum()
+    blocks = np.split(interior, edges[1:-1])
+    block_counts = np.array([_capped_counts(b, _L_CAP) for b in blocks], np.float64)
+    block_runs = np.diff(edges).astype(np.float64)
+    block_length_sums = np.array([b.sum() for b in blocks], np.float64)
     support_counts = block_counts.sum(axis=0)  # integers: the sum is exact
     length_sum = float(interior.sum())
 

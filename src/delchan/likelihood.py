@@ -167,7 +167,7 @@ def embedding_count(x, y) -> float:
     if m == 0:
         return 0.0
     top, scale = _band_counts(x, y[None, :], [m])
-    return math.log2(top[0]) + scale[0] if top[0] > 0.0 else IMPOSSIBLE
+    return math.log2(top[0]) + int(scale[0]) if top[0] > 0.0 else IMPOSSIBLE
 
 
 def log_likelihood(x, y, d: float) -> LogLikelihood:

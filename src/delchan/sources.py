@@ -19,7 +19,9 @@ counter-based Philox generator so that parallel streams can be derived
 deterministically; a private row-batched sampler draws many paths from
 one stream (see ``delchan.estimation``).  A single long path is simulated
 in fixed blocks of ``_BLOCK`` draws from the same Philox stream, in the
-same order, so the bits do not depend on the block size.
+same order, so the bits do not depend on the block size.  One helper
+expands run lengths into the bits of alternating runs, for a block of one
+path and for a batch of many alike.
 
 Run lengths are drawn by inverting the cumulative pmf, one uniform per
 length, which gives exactly the draws of ``Generator.choice(p=probs)``.
@@ -80,21 +82,16 @@ _GUIDE_CELLS = 1 << 12
 
 
 def as_bits(x: "str | Sequence[int] | np.ndarray") -> np.ndarray:
-    """Coerce a bit string like ``"0110"`` or an int sequence to uint8 array."""
-    if isinstance(x, np.ndarray):
-        if x.dtype != np.uint8:
-            x = x.astype(np.uint8)
-        if x.size and not np.all(x <= 1):
-            raise ValueError("bit array may contain only 0s and 1s")
-        return x
+    """Coerce a bit string like ``"0110"``, or an array or sequence whose
+    elements all equal 0 or 1, to a uint8 array (a uint8 array is not copied)."""
     if isinstance(x, str):
         if x and set(x) - {"0", "1"}:
             raise ValueError(f"bit string may contain only '0'/'1', got {x!r}")
         return np.frombuffer(x.encode("ascii"), dtype=np.uint8) - ord("0")
-    arr = np.asarray(list(x), dtype=np.uint8)
-    if arr.size and not np.all(arr <= 1):
-        raise ValueError("bit sequence may contain only 0s and 1s")
-    return arr
+    arr = x if isinstance(x, np.ndarray) else np.asarray(list(x))
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("bit array may contain only 0s and 1s")
+    return arr.astype(np.uint8, copy=False)
 
 
 def bits_to_str(bits: np.ndarray) -> str:
@@ -132,14 +129,13 @@ class RunLengthDistribution:
     """Truncated pmf over run lengths ``l = 1..L_max``.
 
     ``probs[l-1]`` is ``P(L = l)``, so ``L_max`` is ``probs.size``;
-    probabilities are nonnegative and sum to 1 within 1e-12.  ``mean`` is
-    ``sum(l * probs[l-1])``.  Build one with :meth:`from_weights`.
+    probabilities are nonnegative and sum to 1 within 1e-12.  Build one
+    with :meth:`from_weights`.
     ``discarded_mass`` records the pre-normalization mass beyond
     ``L_max`` for constructed laws (diagnostic metadata).
     """
 
     probs: np.ndarray
-    mean: float
     discarded_mass: float = 0.0
 
     @staticmethod
@@ -159,8 +155,7 @@ class RunLengthDistribution:
             raise ValueError("weights sum to zero")
         probs = w / total
         probs.flags.writeable = False
-        mean = math.fsum((l + 1) * p for l, p in enumerate(probs.tolist()))
-        return RunLengthDistribution(probs, mean, discarded_mass)
+        return RunLengthDistribution(probs, discarded_mass)
 
     def validate(self) -> None:
         if np.any(self.probs < 0.0):
@@ -172,6 +167,11 @@ class RunLengthDistribution:
     def L_max(self) -> int:
         """Longest run length of the support."""
         return self.probs.size
+
+    @cached_property
+    def mean(self) -> float:
+        """``sum(l * probs[l-1])``."""
+        return math.fsum((l + 1) * p for l, p in enumerate(self.probs.tolist()))
 
     @property
     def lengths(self) -> np.ndarray:
@@ -289,9 +289,9 @@ class SourceSpec:
         return SourceSpec(kind="renewal", dist=dist)
 
     @staticmethod
-    def dagger(d: float, L_max: int = DEFAULT_L_MAX) -> "SourceSpec":
+    def dagger(d: float) -> "SourceSpec":
         """Renewal source with the capacity-achieving run law for ``d``."""
-        return SourceSpec.renewal(dagger_distribution(d, L_max))
+        return SourceSpec.renewal(dagger_distribution(d))
 
     @property
     def is_renewal_like(self) -> bool:
@@ -347,21 +347,13 @@ def _sample_lengths(rng, inv: _InverseCdf, shape, out=None) -> np.ndarray:
     return lengths
 
 
-def _put_runs(row, pos: int, runs: int, value: int, parts: list) -> tuple[int, int]:
-    """Expand the run-length blocks ``parts`` of one row into ``row[pos:]``, cut
-    at its end, and empty the list.  Run ``j`` of the row (``runs`` are done)
-    has value ``value ^ (j & 1)``.  Returns the new ``(pos, runs)``."""
-    for lengths in parts:
-        first = value ^ (runs & 1)
-        values = np.empty(lengths.size, dtype=np.uint8)
-        values[0::2] = first
-        values[1::2] = first ^ 1
-        bits = np.repeat(values, lengths.ravel())[: row.size - pos]
-        row[pos : pos + bits.size] = bits
-        pos += bits.size
-        runs += lengths.size
-    parts.clear()
-    return pos, runs
+def _expand_runs(lengths: np.ndarray, first) -> np.ndarray:
+    """The bits of alternating runs, row after row: run ``j`` of a row of
+    ``lengths`` has value ``first ^ (j & 1)`` (``first`` is one value per row)."""
+    values = np.empty(lengths.shape, dtype=np.uint8)
+    values[:, 0::2] = first
+    values[:, 1::2] = first ^ 1
+    return np.repeat(values.ravel(), lengths.ravel())
 
 
 def _sample_rows(
@@ -415,21 +407,19 @@ def _sample_rows(
                 continue
             parts.append(_sample_lengths(rng, dist._cdf, (rows, k), u[:, :k]))
             total += parts[-1].sum(axis=1)
-            if rows == 1:  # expand now, while the block is in cache
-                pos, runs = _put_runs(row, pos, runs, int(value[0, 0]), parts)
+            if rows == 1:  # expand and drop the block now, while it is in cache
+                end = min(int(total[0]), n)
+                first = value ^ (runs & 1)
+                row[pos:end] = _expand_runs(parts.pop(), first)[: end - pos]
+                pos, runs = end, runs + k
     if rows == 1:
-        _put_runs(row, pos, runs, int(value[0, 0]), parts)
         return row[None]
 
     # lengthen each row's last run so that all rows are equally long
     parts[-1][:, -1] += total.max() - total
     # a single batch (the usual case) is not copied
     lengths = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    values = np.empty(lengths.shape, dtype=np.uint8)
-    values[:, 0::2] = value
-    values[:, 1::2] = value ^ 1
-    bits = np.repeat(values.ravel(), lengths.ravel())
-    return bits.reshape(rows, -1)[:, :n]
+    return _expand_runs(lengths, value).reshape(rows, -1)[:, :n]
 
 
 def sample_sequence(spec: SourceSpec, n: int, seed) -> np.ndarray:

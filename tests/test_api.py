@@ -70,6 +70,9 @@ def test_removed_keywords_are_rejected():
     for kwargs in (dict(k=2), dict(overlapping=True)):
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             empirical_run_distribution("1001000110100", **kwargs)
+    # dagger_distribution(d, L_max) takes the truncation point
+    with pytest.raises(TypeError, match="L_max"):
+        SourceSpec.dagger(0.1, L_max=32)
     with pytest.raises(TypeError, match="miller_madow"):
         estimate_rate(
             spec, 0.1, n=20, samples=2, out_bits=2000, miller_madow=True
@@ -90,5 +93,6 @@ def test_removed_fields_are_gone():
     fields = {f.name for f in dataclasses.fields(EmpiricalRunStats)}
     assert fields == {"pmf", "mu_hat", "n_runs", "super_run_pmf"}
     # L_max is probs.size, not a stored copy
+    # neither is mean, a cached property of probs
     fields = {f.name for f in dataclasses.fields(RunLengthDistribution)}
-    assert fields == {"probs", "mean", "discarded_mass"}
+    assert fields == {"probs", "discarded_mass"}

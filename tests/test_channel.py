@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delchan import channel
 from delchan.channel import (
     SuperRunType,
     _output_run_lengths,
@@ -179,6 +180,26 @@ class TestOutputRunLengths:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, run_lengths(x[uniforms >= 0.5]))
 
+    @given(
+        bits=bit_strings,
+        block=st.sampled_from([1, 3, 7]),
+        d=st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tiny_blocks_match_transmit_run_lengths(self, bits, block, d, seed):
+        # runs span many blocks, and blocks with no survivors come in a row
+        x = as_bits(bits)
+        a = _rng_from(seed)
+        b = _rng_from(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "_BLOCK", block)
+            got = _output_run_lengths(x, d, a)
+        want = run_lengths(transmit(x, d, b).y)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert a.random() == b.random()  # same number of draws
+
 
 class TestSegmentation:
     def test_runs_basic(self):
@@ -223,6 +244,19 @@ class TestSegmentation:
         assert sum(t.l_rep + t.l_alt for t in srs) == len(bits)
         # only the leading super-run may have l_rep = 1
         assert all(t.l_rep >= 2 for t in srs[1:])
+
+    @given(bits=bit_strings)
+    @settings(max_examples=200, deadline=None)
+    def test_super_runs_match_a_per_run_loop(self, bits):
+        want = []
+        for j, l in enumerate(run_lengths(as_bits(bits)).tolist()):
+            if j == 0 or l >= 2:
+                want.append([l, 0])
+            else:
+                want[-1][1] += 1
+        got = segment_super_runs(bits)
+        assert got == [SuperRunType(*t) for t in want]
+        assert all(type(v) is int for t in got for v in t)
 
 
 class TestModifiedMask:

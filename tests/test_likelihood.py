@@ -87,6 +87,13 @@ class TestEmbeddingCount:
     def test_empty_output(self):
         assert embedding_count("0110", "") == 0.0
 
+    @pytest.mark.parametrize("y", ["", "0", "11", "010"])
+    def test_returns_a_python_float(self, y):
+        assert type(embedding_count("0110", y)) is float
+        for d in (0.0, 0.5):
+            ll = log_likelihood("0110", y, d)
+            assert type(ll.log_embedding_count) is type(ll.log_prob) is float
+
     def test_impossible(self):
         assert embedding_count("0000", "1") == IMPOSSIBLE
 

@@ -134,6 +134,34 @@ class TestBitHelpers:
         with pytest.raises(ValueError):
             as_bits([0, 2])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, 256, 1]),  # wraps to 0 as uint8
+            np.array([1.7, 0.0]),  # truncates to 1
+            np.array([-1, 0]),
+            np.array([np.nan]),
+            [1.5, 0],
+            [256],  # overflows uint8
+            [0, -1],
+        ],
+        ids=["wraps", "truncates", "negative", "nan", "fraction-list",
+             "overflow-list", "negative-list"],
+    )
+    def test_every_element_is_checked_before_the_cast(self, bad):
+        with pytest.raises(ValueError, match="may contain only 0s and 1s"):
+            as_bits(bad)
+
+    def test_arrays_and_sequences_of_bits(self):
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        assert as_bits(bits) is bits  # no copy
+        for x in ([1, 0, 1], (1, 0, 1), [1.0, 0.0, 1.0], np.array([True, False, True]),
+                  np.array([1, 0, 1], dtype=np.int64)):
+            got = as_bits(x)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, bits)
+        assert as_bits([]).dtype == np.uint8 and as_bits([]).size == 0
+
     @given(st.text(alphabet="01", max_size=64))
     def test_any_binary_string(self, s):
         arr = as_bits(s)
@@ -401,6 +429,23 @@ class TestSampling:
             assert got.shape == (rows, n) and got.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
             assert a.random() == b.random()
+
+    @given(
+        spec=st.sampled_from(ALL_KINDS + [SourceSpec.renewal(HEAVY_TAIL)]),
+        block=st.sampled_from([1, 3, 7]),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_blocks_match_whole_array(self, spec, block, n, seed):
+        # runs span many blocks, and a row is covered mid-batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK", block)
+            a = _rng_from(seed)
+            b = _rng_from(seed)
+            got = _sample_rows(spec, n, 1, a)
+        np.testing.assert_array_equal(got, whole_array_sample_rows(spec, n, 1, b))
+        assert a.random() == b.random()  # same number of draws
 
     @pytest.mark.parametrize(
         "spec", [SourceSpec.renewal(point_mass(2))], ids=["False"]
