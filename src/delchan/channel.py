@@ -123,6 +123,18 @@ def run_lengths(x: np.ndarray) -> np.ndarray:
     return np.diff(np.concatenate(([0], changes, [x.size])))
 
 
+def _super_run_arrays(x) -> tuple[np.ndarray, np.ndarray]:
+    """``l_rep`` and ``l_alt`` of every super-run of ``x``, as two arrays."""
+    lengths = run_lengths(as_bits(x))
+    if lengths.size == 0:
+        return lengths, lengths
+    # the first run, and every later run of length >= 2, starts a super-run
+    starts = np.flatnonzero(lengths[1:] >= 2) + 1
+    starts = np.concatenate(([0], starts))
+    l_alt = np.diff(starts, append=lengths.size) - 1
+    return lengths[starts], l_alt
+
+
 def segment_super_runs(x) -> list[SuperRunType]:
     """Greedy left-to-right super-run decomposition.
 
@@ -130,14 +142,8 @@ def segment_super_runs(x) -> list[SuperRunType]:
     for the leading super-run of the sequence) followed by the maximal
     stretch of length-1 runs.  ``sum(l_rep + l_alt)`` equals ``len(x)``.
     """
-    lengths = run_lengths(as_bits(x))
-    if lengths.size == 0:
-        return []
-    # the first run, and every later run of length >= 2, starts a super-run
-    starts = np.flatnonzero(lengths[1:] >= 2) + 1
-    starts = np.concatenate(([0], starts))
-    l_alt = np.diff(starts, append=lengths.size) - 1
-    return list(map(SuperRunType, lengths[starts].tolist(), l_alt.tolist()))
+    l_rep, l_alt = _super_run_arrays(x)
+    return list(map(SuperRunType, l_rep.tolist(), l_alt.tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Monte Carlo rate estimation for deletion-channel input processes.
 
 The achievable rate of a stationary input process splits as
-``I/n = H(Y)/n - H(Y|X)/n``.  Because the output length ``M`` is a
-Binomial(n, 1-d) variable independent of the input, its entropy appears
-in both terms and cancels; the estimators below therefore work with the
-length-conditioned quantities, which converge to the same limits with
-an O(log n / n) term removed:
+``I/n = H(Y)/n - H(Y|X)/n``.  The output length ``M`` is a
+Binomial(n, 1-d) variable independent of the input, so
+``H(Y|X) = H(M) + H(Y|X, M)``.  The two halves estimate different things:
 
 * ``estimate_h_cond`` — Monte Carlo mean of
   ``(log2 C(n, m) - log2 N(x, y)) / n``, an unbiased estimate of
-  ``H(Y|X, M)/n``: sample an input, pass it through the channel, count
-  embeddings with the exact DP.
+  ``H(Y|X, M)/n = H(Y|X)/n - H(M)/n`` at the ``n`` of the run: sample an
+  input, pass it through the channel, count embeddings with the exact
+  DP.  ``H(Y|X)/n`` is about flat in ``n`` (measured), so at finite
+  ``n`` this sits about ``H(M)/n`` below it, with
+  ``H(M) ~ (1/2) log2(2 pi e n d (1-d))`` (``binomial_length_entropy``);
+  the gap shrinks as O(log n / n).
 * the output-entropy half of ``estimate_rate`` — the output of a
   renewal source is again renewal, so ``H(Y)/n -> (1-d) H(q_L)/mu(Y)``
   exactly; estimated with the plug-in entropy of the interior output run
@@ -22,11 +24,16 @@ an O(log n / n) term removed:
   ``estimate_rate`` labels the result ``"upper-bound"``.  The stream's
   source, channel and run segmentation run in fixed blocks of input bits
   from the same Philox stream, so no per-bit float array is held and the
-  result does not depend on the block size.
+  result does not depend on the block size.  This half estimates the
+  limit as ``n`` grows, so ``rate = h_out - h_cond`` at finite ``n``
+  exceeds the limiting rate by about ``H(M)/n``.
 
-Replicas run one after another in fixed chunks of 64, each chunk on one
-RNG stream spawned by chunk index from the root seed: it samples its
-inputs as one matrix, draws one deletion mask and runs one batched DP.
+Replicas draw in fixed chunks of 64, each chunk from one RNG stream
+spawned by chunk index from the root seed: it samples its inputs as one
+matrix and draws one deletion mask.  One embedding-DP call runs on a
+batch of whole chunks, as many as fit in 2^15 input bits (at least one);
+the kernel gives each pair the same value in any batch, so the batch
+size changes no result.
 ``estimate_rate`` draws its two halves from separate seeds, so running
 them at the same time (``threads > 1``) gives bit-identical results.
 """
@@ -56,9 +63,14 @@ __all__ = [
 _BURN_IN_RUNS = 64
 _BOOTSTRAP_RESAMPLES = 200
 _MIN_COUNT_PER_SUPPORT_POINT = 100
-#: Replicas per RNG stream and batched embedding DP: fixed (the draws
-#: depend on it) and small (so it bounds memory).
+#: Replicas per RNG stream: fixed, since the draws depend on it.
 _CHUNK = 64
+#: Input bits per embedding-DP call.  A call stacks as many whole chunks
+#: as fit (at least one).  At n = 10 that is 51 chunks, so the kernel's
+#: fixed per-call cost is paid once per 3264 replicas, and its largest
+#: buffer (``min(n, 32) x (k + 1) x rows`` floats) stays near 3 MB.  From
+#: n = 512 on a call holds one chunk.
+_DP_BITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -111,8 +123,8 @@ def estimate_h_cond(
     through the channel, and evaluates
     ``(log2 C(n, m) - log2 N(x, y)) / n`` — the exact conditional
     information of the received string given input and output length.
-    Replicas run in fixed chunks of 64, one RNG stream and one batched DP
-    per chunk.
+    Replicas draw in fixed chunks of 64, one RNG stream per chunk; one DP
+    call covers a batch of whole chunks, up to 2^15 input bits.
     """
     _check_h_cond_args(d, n, samples)
     if d == 0.0 or d == 1.0:
@@ -120,21 +132,26 @@ def estimate_h_cond(
         return 0.0, 0.0
 
     chunks = _as_seed_sequence(seed).spawn(-(-samples // _CHUNK))
+    per_call = max(1, _DP_BITS // (_CHUNK * n))
     ms_all = np.empty(samples, dtype=np.int64)
     log_n_all = np.empty(samples)
-    for index, child in enumerate(chunks):
-        start = index * _CHUNK
-        rows = min(_CHUNK, samples - start)
-        rng = _rng_from(child)
-        xs = _sample_rows(spec, n, rows, rng)
-        keep = _deletion_mask(xs.shape, d, rng) == 0
+    for first in range(0, len(chunks), per_call):
+        xs_parts, keep_parts = [], []
+        for index, child in enumerate(chunks[first : first + per_call], first):
+            rows = min(_CHUNK, samples - index * _CHUNK)
+            rng = _rng_from(child)
+            xs_parts.append(_sample_rows(spec, n, rows, rng))
+            keep_parts.append(_deletion_mask((rows, n), d, rng) == 0)
+        xs, keep = np.concatenate(xs_parts), np.concatenate(keep_parts)
         ms = keep.sum(axis=1)
         ys = np.zeros_like(xs)
         ys[np.arange(n) < ms[:, None]] = xs[keep]
         top, scale = _band_counts(xs, ys, ms)
-        ms_all[start : start + rows] = ms
+        start = first * _CHUNK
+        stop = start + len(xs)
+        ms_all[start:stop] = ms
         # y is a subsequence of x: N >= 1
-        log_n_all[start : start + rows] = np.log2(top) + scale
+        log_n_all[start:stop] = np.log2(top) + scale
 
     # log2 C(n, m) only at the output lengths drawn (a few dozen of n + 1)
     drawn, which = np.unique(ms_all, return_inverse=True)

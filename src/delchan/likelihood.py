@@ -194,6 +194,8 @@ def log_likelihood(x, y, d: float) -> LogLikelihood:
 
 def binomial_length_entropy(n: int, d: float) -> float:
     """Entropy (bits) of the output length ``M ~ Binomial(n, 1 - d)``."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     _check_deletion_probability(d)
     if d == 0.0 or d == 1.0 or n == 0:
         return 0.0

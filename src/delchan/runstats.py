@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delchan.channel import SuperRunType, run_lengths, segment_super_runs
+from delchan.channel import SuperRunType, _super_run_arrays, run_lengths
 from delchan.sources import RunLengthDistribution, as_bits
 
 __all__ = [
@@ -107,19 +107,30 @@ def empirical_super_run_distribution(x) -> EmpiricalRunStats:
     over ``(l_rep, l_alt)`` types, ``pmf`` the law of the total length
     ``l_rep + l_alt``, and ``mu_hat`` its mean.
     """
-    supers = segment_super_runs(as_bits(x))
-    if len(supers) < 3:
+    l_rep, l_alt = _super_run_arrays(x)
+    if l_rep.size < 3:
         raise ValueError(
             "too few super-runs: need at least one interior super-run after "
-            f"discarding the two boundary super-runs (sequence has {len(supers)})"
+            f"discarding the two boundary super-runs (sequence has {l_rep.size})"
         )
-    interior = supers[1:-1]
-    n = len(interior)
-    totals = np.array([t.l_rep + t.l_alt for t in interior], dtype=np.int64)
+    l_rep, l_alt = l_rep[1:-1], l_alt[1:-1]
+    n = l_rep.size
+    totals = l_rep + l_alt
 
-    super_run_pmf: dict[SuperRunType, float] = {}
-    for t in interior:
-        super_run_pmf[t] = super_run_pmf.get(t, 0.0) + 1.0 / n
+    # one key per type, in order of first occurrence; a type seen c times
+    # gets 1/n added c times in sequence, the c-th running sum of a cumsum
+    _, first, seen = np.unique(
+        l_rep * (int(l_alt.max()) + 1) + l_alt, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    first, seen = first[order], seen[order]
+    mass = np.cumsum(np.full(int(seen.max()), 1.0 / n))[seen - 1]
+    super_run_pmf = dict(
+        zip(
+            map(SuperRunType, l_rep[first].tolist(), l_alt[first].tolist()),
+            mass.tolist(),
+        )
+    )
 
     counts = np.bincount(totals, minlength=int(totals.max()) + 1)[1:]
     pmf = RunLengthDistribution.from_weights(counts.astype(np.float64))

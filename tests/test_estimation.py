@@ -29,6 +29,7 @@ from delchan.estimation import (
     estimate_rate,
 )
 from delchan.likelihood import (
+    _band_counts,
     binomial_length_entropy,
     embedding_count,
     exact_block_information,
@@ -84,6 +85,77 @@ def replica_loop_h_cond(spec, d, n, samples, seed):
     mean = math.fsum(values) / samples
     var = math.fsum((v - mean) ** 2 for v in values)
     return (mean, math.sqrt(var / (samples * (samples - 1)))), ms
+
+
+def per_chunk_h_cond(spec, d, n, samples, seed):
+    """``estimate_h_cond`` with one ``_band_counts`` call per 64-replica
+    chunk: the reference for calls that stack whole chunks."""
+    chunks = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
+    ms_all = np.empty(samples, dtype=np.int64)
+    log_n_all = np.empty(samples)
+    for index, child in enumerate(chunks):
+        start = index * _CHUNK
+        rows = min(_CHUNK, samples - start)
+        rng = np.random.Generator(np.random.Philox(child))
+        xs = _sample_rows(spec, n, rows, rng)
+        keep = _deletion_mask(xs.shape, d, rng) == 0
+        ms = keep.sum(axis=1)
+        ys = np.zeros_like(xs)
+        ys[np.arange(n) < ms[:, None]] = xs[keep]
+        top, scale = _band_counts(xs, ys, ms)
+        ms_all[start : start + rows] = ms
+        log_n_all[start : start + rows] = np.log2(top) + scale
+    drawn, which = np.unique(ms_all, return_inverse=True)
+    log2_binom = np.array([log2_binomial(n, m) for m in drawn.tolist()])
+    values = (log2_binom[which] - log_n_all) / n
+    mean = math.fsum(values.tolist()) / samples
+    var = math.fsum((v - mean) ** 2 for v in values.tolist())
+    return mean, math.sqrt(var / (samples * (samples - 1)))
+
+
+class TestBatchedKernelCalls:
+    """Whole chunks share one kernel call; every result stays bit-identical."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SourceSpec.bernoulli_half(), SourceSpec.markov(0.56), SourceSpec.dagger(0.1)],
+        ids=["bernoulli_half", "markov", "renewal"],
+    )
+    @pytest.mark.parametrize("d", [0.05, 0.5])
+    @pytest.mark.parametrize(
+        "n,samples",
+        [(1, 130), (2, 130), (10, 130), (10, 3300), (12, 3300), (255, 130),
+         (256, 130), (257, 130), (511, 130), (512, 130), (2000, 70)],
+    )
+    def test_matches_per_chunk_calls(self, spec, d, n, samples):
+        got = estimate_h_cond(spec, d, n, samples, 1000 + n)
+        want = per_chunk_h_cond(spec, d, n, samples, 1000 + n)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize(
+        "n,samples,rows",
+        [
+            (10, 20_000, [3264] * 6 + [416]),
+            (12, 3300, [2688, 612]),
+            (256, 130, [128, 2]),
+            (257, 130, [64, 64, 2]),
+            (2000, 130, [64, 64, 2]),
+        ],
+    )
+    def test_calls_hold_whole_chunks_up_to_2_15_bits(
+        self, monkeypatch, n, samples, rows
+    ):
+        seen, counts = [], estimation._band_counts
+
+        def counting_counts(xs, ys, ms):
+            seen.append(len(xs))
+            return counts(xs, ys, ms)
+
+        monkeypatch.setattr(estimation, "_band_counts", counting_counts)
+        estimate_h_cond(SourceSpec.bernoulli_half(), 0.1, n, samples, 3)
+        assert seen == rows
+        assert all(r % _CHUNK == 0 for r in seen[:-1])
+        assert all(r * n <= 1 << 15 or r <= _CHUNK for r in seen)
 
 
 class TestEstimateHCond:

@@ -402,6 +402,11 @@ class TestBinomialLengthEntropy:
         assert binomial_length_entropy(10, 1.0) == 0.0
         assert binomial_length_entropy(0, 0.3) == 0.0
 
+    @pytest.mark.parametrize("d", [0.0, 0.1, 1.0])
+    def test_negative_n_raises(self, d):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            binomial_length_entropy(-5, d)
+
     def test_single_trial(self):
         assert binomial_length_entropy(1, 0.2) == pytest.approx(
             binary_entropy(0.2), abs=1e-12

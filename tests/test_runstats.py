@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delchan.channel import SuperRunType, transmit
+from delchan.channel import SuperRunType, segment_super_runs, transmit
 from delchan.runstats import (
     _L_CAP,
     EmpiricalRunStats,
@@ -85,7 +85,29 @@ def test_capped_counts_leave_longer_runs_out(cap):
     assert (counts == pooled[1 : cap + 1]).all()
 
 
+def dict_loop_super_run_pmf(x) -> list[tuple[SuperRunType, float]]:
+    """The type pmf as the per-super-run dict loop built it, items in order."""
+    interior = segment_super_runs(x)[1:-1]
+    n = len(interior)
+    pmf: dict[SuperRunType, float] = {}
+    for t in interior:
+        pmf[t] = pmf.get(t, 0.0) + 1.0 / n
+    return list(pmf.items())
+
+
 class TestEmpiricalSuperRuns:
+    @pytest.mark.parametrize(
+        "spec",
+        [SourceSpec.bernoulli_half(), SourceSpec.markov(0.8), SourceSpec.dagger(0.1)],
+        ids=["bernoulli_half", "markov", "dagger"],
+    )
+    @pytest.mark.parametrize("n,seed", [(40, 1), (1000, 2), (200_000, 3)])
+    def test_type_pmf_matches_dict_loop(self, spec, n, seed):
+        x = sample_sequence(spec, n, seed=seed)
+        got = list(empirical_super_run_distribution(x).super_run_pmf.items())
+        assert got == dict_loop_super_run_pmf(x)  # keys, key order and values
+        assert all(type(v) is int for t, _ in got for v in t)
+
     def test_pure_alternation_is_error(self):
         with pytest.raises(ValueError, match="too few super-runs"):
             empirical_super_run_distribution("010101")
