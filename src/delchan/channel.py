@@ -14,6 +14,8 @@ Long output streams run through a private path that applies the channel
 in fixed blocks of input bits, drawing the same Philox numbers as
 ``transmit``.  Each block's output is segmented by ``run_lengths``; only
 the value and length of the run still open carry into the next block.
+Its memory is the sampled input (one byte per input bit) plus one int32
+per output run, and fixed-size block buffers.
 """
 
 from __future__ import annotations
@@ -78,16 +80,30 @@ def _deletion_mask(shape, d: float, rng: np.random.Generator, out=None) -> np.nd
     return (rng.random(shape, out=out) < d).view(np.uint8)
 
 
+def _run_dtype(size: int) -> type:
+    """Integer type for the run lengths of a ``size``-bit sequence: int32
+    below 2^31 bits, int64 from there on.  No run is longer than the
+    sequence.  Signed, so ``np.bincount`` can still cast it safely to
+    ``intp``."""
+    return np.int32 if size < 2**31 else np.int64
+
+
 def _output_run_lengths(
     x: np.ndarray, d: float, rng: np.random.Generator
 ) -> np.ndarray:
     """``run_lengths(transmit(x, d, rng).y)`` from the same draws, run over
     blocks of ``_BLOCK`` input bits with no per-bit mask or output array.
     Each block's output is segmented by :func:`run_lengths`; the run open at
-    its end carries its value and length into the next block."""
+    its end carries its value and length into the next block.
+
+    The lengths come back as ``_run_dtype(x.size)``, int32 below 2^31
+    input bits; numpy sums int32 arrays in int64, so every count and sum
+    is the same as from int64.  Besides ``x``, the memory resident is one
+    such integer per output run plus buffers of one block."""
     u = np.empty(min(_BLOCK, x.size))
-    # at most one run per output bit; only the pages written are touched
-    lengths = np.empty(x.size, dtype=np.int64)
+    # at most one run per output bit; only the pages written are touched,
+    # 4 bytes per output run below 2^31 input bits
+    lengths = np.empty(x.size, dtype=_run_dtype(x.size))
     runs = 0  # runs ended
     last = open_len = 0  # value and length of the open run (0: none yet)
     for lo in range(0, x.size, _BLOCK):

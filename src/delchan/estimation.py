@@ -24,7 +24,9 @@ Binomial(n, 1-d) variable independent of the input, so
   ``estimate_rate`` labels the result ``"upper-bound"``.  The stream's
   source, channel and run segmentation run in fixed blocks of input bits
   from the same Philox stream, so no per-bit float array is held and the
-  result does not depend on the block size.  This half estimates the
+  result does not depend on the block size: the stream holds one byte per
+  input bit for the sampled input plus one int32 per output run, and
+  fixed-size block buffers.  This half estimates the
   limit as ``n`` grows, so ``rate = h_out - h_cond`` at finite ``n``
   exceeds the limiting rate by about ``H(M)/n``.
 

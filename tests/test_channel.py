@@ -13,6 +13,7 @@ from delchan import channel
 from delchan.channel import (
     SuperRunType,
     _output_run_lengths,
+    _run_dtype,
     apply_mask,
     modified_mask,
     run_lengths,
@@ -141,7 +142,7 @@ class TestOutputRunLengths:
             b = _rng_from(n + 1)
             got = _output_run_lengths(x, d, a)
             want = run_lengths(transmit(x, d, b).y)
-            assert got.dtype == want.dtype == np.int64
+            assert got.dtype == np.int32 and want.dtype == np.int64
             np.testing.assert_array_equal(got, want)
             assert a.random() == b.random()  # same number of draws
 
@@ -151,10 +152,25 @@ class TestOutputRunLengths:
             a = _rng_from(2)
             b = _rng_from(2)
             got = _output_run_lengths(x, d, a)
-            assert got.size == 0 and got.dtype == np.int64
+            assert got.size == 0 and got.dtype == np.int32
             assert transmit(x, d, b).y.size == 0
             assert a.random() == b.random()
         assert _output_run_lengths(x[:0], 0.5, _rng_from(2)).size == 0
+
+    def test_run_dtype_holds_the_longest_run(self):
+        # no run is longer than the input, so int32 holds sizes below 2^31
+        assert _run_dtype(2**31 - 1) is np.int32
+        assert _run_dtype(2**31) is np.int64
+
+    def test_one_run_as_long_as_the_input(self):
+        x = np.ones(3 * _BLOCK + 7, dtype=np.uint8)
+        a = _rng_from(4)
+        b = _rng_from(4)
+        got = _output_run_lengths(x, 0.0, a)
+        assert got.dtype == np.int32
+        assert got.tolist() == [x.size]
+        np.testing.assert_array_equal(got, run_lengths(transmit(x, 0.0, b).y))
+        assert a.random() == b.random()
 
     @pytest.mark.parametrize(
         "values,keep,want",
@@ -196,7 +212,7 @@ class TestOutputRunLengths:
             mp.setattr(channel, "_BLOCK", block)
             got = _output_run_lengths(x, d, a)
         want = run_lengths(transmit(x, d, b).y)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         np.testing.assert_array_equal(got, want)
         assert a.random() == b.random()  # same number of draws
 

@@ -10,6 +10,7 @@ enumeration is an exact target for any source kind.
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,6 +44,7 @@ from delchan.sources import (
     _sample_rows,
     geometric_half,
     point_mass,
+    sample_sequence,
 )
 from test_sources import whole_array_sample_rows
 
@@ -377,6 +379,25 @@ class TestBlockedStream:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _h_out_from_stream(SourceSpec.dagger(0.05), 0.05, 2 * 10**6, 3)
+
+    def test_memory_budget(self, monkeypatch):
+        # one byte per input bit for the input, one int32 per input bit
+        # reserved for the run lengths, and fixed-size block buffers: about
+        # 6 bytes per input bit (10 with an int64 run buffer)
+        sizes = []
+
+        def sample(spec, n, rng):
+            sizes.append(n)
+            return sample_sequence(spec, n, rng)
+
+        monkeypatch.setattr(estimation, "sample_sequence", sample)
+        tracemalloc.start()
+        try:
+            _h_out_from_stream(SourceSpec.dagger(0.1), 0.1, 2 * 10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * sizes[0]
 
 
 class TestEstimateHOutRenewal:
