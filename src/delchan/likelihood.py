@@ -32,12 +32,15 @@ directly.
 ground-truth oracle against which the Monte Carlo estimators are gated.
 I.i.d. deletions commute with reversal R and complement C, so it reads
 one input per orbit of {identity, R, C, R∘C}, the smallest code ``c``
-(1056 of 4096 inputs at n = 12).  It keys every (representative, mask)
-pair by its output in one int32 matrix and reads it once, representative
+(1056 of 4096 inputs at n = 12).  It keys each (representative, mask)
+pair by its output, one chunk of representatives at a time (2^18 int32
+keys, 64 representatives at n = 12), and reads the keys representative
 by representative: the output law ``q_c`` gives ``H(Y|X = x)`` for the
 whole orbit and, weighted by ``p(g·c) / |Stab(c)|``, one accumulator per
-g.  The accumulators are mapped back to ``p(y)`` by key permutations that
-apply g to the code bits within each output length.  The weights use
+g.  The keys are exact integers in any chunking, so the results do not
+depend on the chunk, which bounds the working set to a few MB.  The
+accumulators are mapped back to ``p(y)`` by key permutations that apply
+g to the code bits within each output length.  The weights use
 ``p(g·c)`` itself because the source law need not be symmetric (the
 renewal start censors only the last run).
 """
@@ -45,6 +48,7 @@ renewal start censors only the last run).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,6 +82,9 @@ _RESCALE_AFTER_BITS = 960
 _RESCALE_ABOVE = 2.0**_RESCALE_AFTER_BITS
 #: Pairs x band width per ``_total_probabilities`` kernel call.
 _MAX_BAND_CELLS = 1 << 12
+#: Output keys per chunk of orbit representatives in
+#: ``exact_block_information``: 64 representatives at n = 12.
+_KEY_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -317,9 +324,15 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     input per orbit of {identity, R, C, R∘C} is enumerated: the smallest
     code ``c``.  Its output law ``q_c`` gives ``H(Y|X = x)`` for the whole
     orbit and adds ``p(g·c) / |Stab(c)| * q_c(g·y)`` to ``p(y)`` for each g;
-    the source law need not be symmetric.  Raises ``ValueError`` with
-    guidance above the exhaustive limit.
+    the source law need not be symmetric.  The output keys are built for
+    one chunk of representatives at a time, so the working set is 2^18
+    keys at most, not the whole ``(orbits, 2^n)`` key matrix.  Raises ``TypeError`` unless ``n`` is an integer and
+    ``ValueError`` with guidance above the exhaustive limit.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _ORACLE_MAX_N:
@@ -356,20 +369,25 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     # each output length owns its own block of keys
     keep = 1 - mask_bits
     suffix_keep = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
-    place = (keep * (2**suffix_keep)).astype(np.float32)
-    keys = (bits[reps].astype(np.float32) @ place.T).astype(np.int32)  # < 2^12
-    keys += (2 ** keep.sum(axis=1) - 1).astype(np.int32)
+    place_t = (keep * (2**suffix_keep)).T.astype(np.float32)
+    offset = (2 ** keep.sum(axis=1) - 1).astype(np.int32)
     n_keys = 2 ** (n + 1) - 1
+    chunk = max(1, _KEY_CHUNK_CELLS // 2**n)
 
     # one pass over representatives: q_c gives H(Y|X = x) on the orbit and,
-    # through accumulator g, the share of every g·c in p(y)
+    # through accumulator g, the share of every g·c in p(y); float32 sums of
+    # bits times powers of two below 2^12 are exact in any chunking
     acc = np.zeros((4, n_keys))
     h_terms = []
-    for i in range(reps.size):
-        q = np.bincount(keys[i], weights=weights_mask, minlength=n_keys)
-        acc += weights[:, i, None] * q
-        qnz = q[q > 0.0]
-        h_terms.append(p_orbit[i] * float(-np.sum(qnz * np.log2(qnz))))
+    for lo in range(0, reps.size, chunk):
+        rows = bits[reps[lo : lo + chunk]].astype(np.float32)
+        keys = (rows @ place_t).astype(np.int32)
+        keys += offset
+        for i, row in enumerate(keys, start=lo):
+            q = np.bincount(row, weights=weights_mask, minlength=n_keys)
+            acc += weights[:, i, None] * q
+            qnz = q[q > 0.0]
+            h_terms.append(p_orbit[i] * float(-np.sum(qnz * np.log2(qnz))))
     p_y = np.take_along_axis(acc, _key_maps(n), axis=1).sum(axis=0)
     nz = p_y > 0.0
     H_Y = float(-np.sum(p_y[nz] * np.log2(p_y[nz])))

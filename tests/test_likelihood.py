@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from delchan.channel import run_lengths
 from delchan import likelihood
 from delchan.likelihood import (
     IMPOSSIBLE,
+    BlockInformation,
+    _all_words,
     _band_counts,
     _group_codes,
     _input_probs,
@@ -365,6 +368,52 @@ def loop_total_probability(x, ds) -> list[float]:
     ]
 
 
+def whole_matrix_block_information(spec: SourceSpec, n: int, d: float):
+    """``exact_block_information`` with the whole ``(orbits, 2^n)`` key
+    matrix built at once: the loop that the chunked keys reproduce."""
+    bits = _all_words(n)
+
+    p_x = _input_probs(spec, bits)
+
+    orbit = _group_codes(n)
+    reps = np.flatnonzero(orbit.min(axis=0) == orbit[0])
+    orbit = orbit[:, reps]
+    weights = p_x[orbit] / (orbit == reps).sum(axis=0)
+    p_orbit = weights.sum(axis=0)
+    live = p_orbit > 0.0
+    reps, weights, p_orbit = reps[live], weights[:, live], p_orbit[live]
+
+    mask_bits = bits.astype(np.int64)
+    weights_mask = d ** mask_bits.sum(axis=1) * (1.0 - d) ** (
+        n - mask_bits.sum(axis=1)
+    )
+
+    keep = 1 - mask_bits
+    suffix_keep = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
+    place = (keep * (2**suffix_keep)).astype(np.float32)
+    keys = (bits[reps].astype(np.float32) @ place.T).astype(np.int32)
+    keys += (2 ** keep.sum(axis=1) - 1).astype(np.int32)
+    n_keys = 2 ** (n + 1) - 1
+
+    acc = np.zeros((4, n_keys))
+    h_terms = []
+    for i in range(reps.size):
+        q = np.bincount(keys[i], weights=weights_mask, minlength=n_keys)
+        acc += weights[:, i, None] * q
+        qnz = q[q > 0.0]
+        h_terms.append(p_orbit[i] * float(-np.sum(qnz * np.log2(qnz))))
+    p_y = np.take_along_axis(acc, _key_maps(n), axis=1).sum(axis=0)
+    nz = p_y > 0.0
+    H_Y = float(-np.sum(p_y[nz] * np.log2(p_y[nz])))
+    H_Y_given_X = math.fsum(h_terms)
+
+    return BlockInformation(
+        H_Y=H_Y,
+        H_Y_given_X=H_Y_given_X,
+        I_n_per_bit=(H_Y - H_Y_given_X) / n,
+    )
+
+
 class TestTotalProbabilities:
     def test_bit_identical_to_length_loop_n_le_10(self):
         for n in range(1, 11):
@@ -515,6 +564,21 @@ TWO_PASS_CASES = [
 ]
 
 
+#: The five laws of ``TWO_PASS_CASES`` on a finer d grid, and the
+#: benchmark's n = 12 call and its neighbour, checked bit for bit against
+#: the whole-matrix loop.
+WHOLE_MATRIX_CASES = [
+    pytest.param(case.values[0], range(1, 11), (0.0, 0.05, 0.3, 0.5, 1.0),
+                 id=case.id)
+    for case in TWO_PASS_CASES[:5]
+] + [TWO_PASS_CASES[5]]
+
+
+#: ``exact_block_information(SourceSpec.dagger(0.05), 12, 0.05)``, the
+#: tiny-block benchmark's call.
+DAGGER_N12_PIN = (12.838573548814082, 2.714428977151501, 0.8436787143052151)
+
+
 class TestExactBlockInformation:
     @pytest.mark.parametrize("spec, ns, ds", TWO_PASS_CASES)
     def test_matches_two_pass_enumeration(self, spec, ns, ds):
@@ -524,6 +588,57 @@ class TestExactBlockInformation:
                 want = two_pass_block_information(spec, n, d)
                 for g, w in zip(got, want):
                     assert g == pytest.approx(w, abs=1e-12), (n, d)
+
+    # chunks of the default size, of one representative, and of seven
+    # (the 1056 orbits at n = 12 leave a ragged last chunk of six)
+    @pytest.mark.parametrize(
+        "chunk_reps", [None, 1, 7], ids=["chunk-default", "chunk-1", "chunk-7"]
+    )
+    @pytest.mark.parametrize("spec, ns, ds", WHOLE_MATRIX_CASES)
+    def test_bit_identical_to_whole_matrix_loop(
+        self, spec, ns, ds, chunk_reps, monkeypatch
+    ):
+        for n in ns:
+            if chunk_reps is not None:
+                monkeypatch.setattr(
+                    likelihood, "_KEY_CHUNK_CELLS", chunk_reps * 2**n
+                )
+            for d in ds:
+                got = exact_block_information(spec, n, d)
+                assert got == whole_matrix_block_information(spec, n, d), (n, d)
+
+    def test_memory_budget(self):
+        # the whole key matrix at n = 12 is a 1056 x 4096 float32 product
+        # plus its int32 copy (~36 MB peak); one chunk of keys is ~2 MB
+        tracemalloc.start()
+        try:
+            exact_block_information(SourceSpec.dagger(0.05), 12, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 10**6
+
+    @pytest.mark.parametrize(
+        "spec, n, d, want",
+        [
+            (SourceSpec.dagger(0.05), 12, 0.05, DAGGER_N12_PIN),
+            # criterion 5 and ``delchan verify rates``
+            (SourceSpec.bernoulli_half(), 10, 0.1,
+             (10.843630606489219, 3.618864879855087, 0.7224765726634133)),
+        ],
+        ids=["dagger-n12", "bernoulli-n10"],
+    )
+    def test_golden_pins(self, spec, n, d, want):
+        assert exact_block_information(spec, n, d) == want
+
+    @pytest.mark.parametrize("n", [12.0, "12"])
+    def test_non_integer_n_raises_type_error(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            exact_block_information(SourceSpec.bernoulli_half(), n, 0.1)
+
+    def test_numpy_integer_n(self):
+        info = exact_block_information(SourceSpec.dagger(0.05), np.int64(12), 0.05)
+        assert info == DAGGER_N12_PIN
 
     @pytest.mark.parametrize(
         "spec",
