@@ -33,8 +33,8 @@ import math
 
 import numpy as np
 
-from delchan.constants import LN2, compute_constants
-from delchan.sources import RunLengthDistribution
+from delchan.constants import LN2, _check_d_half_open, _check_d_open, compute_constants
+from delchan.sources import DEFAULT_L_MAX, RunLengthDistribution
 
 __all__ = [
     "hatD_entropy_formula",
@@ -49,11 +49,6 @@ __all__ = [
 #: of intervening length-1 runs are considered exhausted.
 _K_LAYER_EPS = 1e-18
 _K_HARD_CAP = 65536
-
-
-def _check_d(d: float, *, upper: float = 1.0) -> None:
-    if not 0.0 <= d < upper:
-        raise ValueError(f"deletion probability must be in [0, {upper}), got {d!r}")
 
 
 def hatD_entropy_formula(p: RunLengthDistribution, d: float) -> float:
@@ -72,7 +67,7 @@ def hatD_entropy_formula(p: RunLengthDistribution, d: float) -> float:
     ``2^-l`` law this equals ``(d/2) sum 2^-l l log2 l + c3 d^2``
     exactly (up to the 2^-L_max truncation).
     """
-    _check_d(d)
+    _check_d_half_open(d)
     if d == 0.0:
         return 0.0
     probs = p.probs
@@ -114,7 +109,7 @@ def k_entropy_formula(p: RunLengthDistribution, d: float) -> float:
     probabilities; the geometric sums over ``k`` run until their layers
     fall below 1e-18.  For the ``2^-l`` law this equals ``c4 d^2``.
     """
-    _check_d(d)
+    _check_d_half_open(d)
     if d == 0.0:
         return 0.0
     probs = p.probs
@@ -151,11 +146,10 @@ def k_entropy_formula(p: RunLengthDistribution, d: float) -> float:
     return (d * d / mu) * math.fsum(layers)
 
 
-def output_formula_cutoff(d: float, L_max: int = 64) -> int:
+def output_formula_cutoff(d: float, L_max: int = DEFAULT_L_MAX) -> int:
     """Truncation point ``min(floor(4 log2(1/d)), L_max)`` of the
-    output-run entropy formula."""
-    if not 0.0 < d < 1.0:
-        raise ValueError(f"cutoff defined for 0 < d < 1, got {d!r}")
+    output-run entropy formula; ``d`` must lie in ``(0, 1)`` (the open rule)."""
+    _check_d_open(d)
     return min(int(math.floor(4.0 * math.log2(1.0 / d))), L_max)
 
 
@@ -173,7 +167,7 @@ def hy_given_x_formula(q: RunLengthDistribution, d: float) -> float:
     For ``q = 2^-l`` the two q-sums cancel to ``O(d * 2^-ell)``.
     Returns 0 at ``d = 0``.
     """
-    _check_d(d)
+    _check_d_half_open(d)
     if d == 0.0:
         return 0.0
     consts = compute_constants()
@@ -195,7 +189,7 @@ def hy_given_x_formula(q: RunLengthDistribution, d: float) -> float:
 def markov_rate_bound(d: float) -> float:
     """Second-order ceiling ``1 - d log2(1/d) - A1 d + A2' d^2`` on the
     information rate of first-order Markov sources."""
-    _check_d(d)
+    _check_d_half_open(d)
     if d == 0.0:
         return 1.0
     consts = compute_constants()
@@ -205,12 +199,11 @@ def markov_rate_bound(d: float) -> float:
 def optimal_markov_param(d: float) -> float:
     """Optimizing Markov stay-probability ``1/2 + c5 d``.
 
-    Raises ``ValueError`` when the first-order expression leaves the
-    open unit interval (d too large for the expansion to define a
-    probability).
+    ``d`` must lie in ``[0, 1)`` (the half-open rule, checked before any
+    work).  Raises ``ValueError`` too when the first-order expression
+    reaches 1 (d too large for the expansion to define a probability).
     """
-    if d < 0.0:
-        raise ValueError(f"deletion probability must be nonnegative, got {d!r}")
+    _check_d_half_open(d)
     value = 0.5 + compute_constants().c5 * d
     if value >= 1.0:
         raise ValueError(

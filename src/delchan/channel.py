@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from delchan.sources import _BLOCK, _check_deletion_probability, _rng_from, as_bits
+from delchan.constants import _check_d_closed
+from delchan.sources import _BLOCK, _rng_from, as_bits
 
 __all__ = [
     "DeletionRealization",
@@ -65,7 +66,7 @@ def transmit(x, d: float, seed) -> DeletionRealization:
     ``seed`` may be an int, ``SeedSequence``, or ``Generator`` (derived
     streams).  Deterministic given the seed.
     """
-    _check_deletion_probability(d)
+    _check_d_closed(d)
     x = as_bits(x)
     mask = _deletion_mask(x.shape, d, _rng_from(seed))
     return DeletionRealization(x=x, mask=mask, y=apply_mask(x, mask))

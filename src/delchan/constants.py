@@ -8,7 +8,9 @@ where ``A1`` and ``A2`` are absolute constants assembled from
 geometric-weighted series.  This module computes every such constant by
 direct summation with a *certified* truncation bound, evaluates the
 expansion ``capacity_estimate``, and provides the binary entropy
-function used throughout the toolkit.
+function used throughout the toolkit and the argument rules (deletion
+probability intervals, integer sizes and seeds) that every public entry
+point applies before any work.
 
 Defining series (logs: ``ln`` natural, ``log2`` base two)::
 
@@ -46,6 +48,7 @@ rounded ``math.fsum``; results are cached per tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -62,6 +65,37 @@ LN2 = math.log(2.0)
 #: Truncation tolerance of the constants every other module reads, and of
 #: ``compute_constants()`` without an argument.
 DEFAULT_TOL = 1e-12
+
+
+# --- argument rules, applied before any work; ``nan`` fails every interval ---
+
+
+def _check_d_closed(d: float) -> None:
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
+
+
+def _check_d_half_open(d: float) -> None:
+    if not 0.0 <= d < 1.0:
+        raise ValueError(f"deletion probability must be in [0, 1), got {d!r}")
+
+
+def _check_d_open(d: float) -> None:
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"deletion probability must be in (0, 1), got {d!r}")
+
+
+def _check_int(name: str, value, minimum: int) -> int:
+    """The rule of every size and seed: ``value`` as an ``int``, ``TypeError``
+    naming ``name`` unless it is an integer, ``ValueError`` below ``minimum``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
 
 # Propagation factor: assembled constants (A1, A2, A2') are smooth
 # functions of the raw series values with total first-order sensitivity
@@ -266,11 +300,10 @@ def compute_constants(tol: float = DEFAULT_TOL) -> SeriesConstants:
 def capacity_estimate(d: float) -> float:
     """Second-order capacity expansion ``1 + d log2 d - A1 d + A2 d^2`` in bits.
 
-    ``d`` must lie in ``[0, 1)``; at ``d = 0`` the ``d log d`` term is 0
-    and the value is exactly 1.
+    ``d`` must lie in ``[0, 1)`` (the half-open rule); at ``d = 0`` the
+    ``d log d`` term is 0 and the value is exactly 1.
     """
-    if not 0.0 <= d < 1.0:
-        raise ValueError(f"capacity_estimate requires 0 <= d < 1, got {d!r}")
+    _check_d_half_open(d)
     if d == 0.0:
         return 1.0
     consts = compute_constants()

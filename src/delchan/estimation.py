@@ -51,10 +51,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from delchan.channel import _deletion_mask, _output_run_lengths
+from delchan.constants import _check_d_closed, _check_d_half_open, _check_int
 from delchan.likelihood import _band_counts, log2_binomial
 from delchan.runstats import _L_CAP, _capped_counts
 from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
-from delchan.sources import _as_seed_sequence, _check_deletion_probability, _rng_from
+from delchan.sources import _as_seed_sequence, _rng_from
 
 __all__ = [
     "RateEstimate",
@@ -99,17 +100,11 @@ class RateEstimate:
         return json.dumps(asdict(self))
 
 
-def _check_h_cond_args(d: float, n: int, samples: int) -> None:
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_deletion_probability(d)
-
-
-def _check_out_bits(out_bits: int) -> None:
-    if out_bits < 1:
-        raise ValueError(f"out_bits must be >= 1, got {out_bits}")
+def _check_h_cond_args(d: float, n: int, samples: int) -> tuple[int, int]:
+    samples = _check_int("samples", samples, 2)
+    n = _check_int("n", n, 1)
+    _check_d_closed(d)
+    return n, samples
 
 
 def estimate_h_cond(
@@ -126,14 +121,17 @@ def estimate_h_cond(
     ``(log2 C(n, m) - log2 N(x, y)) / n`` — the exact conditional
     information of the received string given input and output length.
     Replicas draw in fixed chunks of 64, one RNG stream per chunk; one DP
-    call covers a batch of whole chunks, up to 2^15 input bits.
+    call covers a batch of whole chunks, up to 2^15 input bits.  Before any
+    work: the integer rule on ``n >= 1``, ``samples >= 2`` and an int
+    ``seed``, and the closed rule ``d`` in ``[0, 1]``.
     """
-    _check_h_cond_args(d, n, samples)
+    n, samples = _check_h_cond_args(d, n, samples)
+    root = _as_seed_sequence(seed)
     if d == 0.0 or d == 1.0:
         # every mask (all-keep / all-delete) is certain: p(y|x, m) = 1
         return 0.0, 0.0
 
-    chunks = _as_seed_sequence(seed).spawn(-(-samples // _CHUNK))
+    chunks = root.spawn(-(-samples // _CHUNK))
     per_call = max(1, _DP_BITS // (_CHUNK * n))
     ms_all = np.empty(samples, dtype=np.int64)
     log_n_all = np.empty(samples)
@@ -188,11 +186,8 @@ def _h_out_from_stream(
     spec: SourceSpec, d: float, out_bits: int, seed
 ) -> tuple[float, float]:
     """Output entropy rate ``(1-d) H(q_hat)/mu_hat`` with a bootstrap error."""
-    _check_out_bits(out_bits)
-    if not 0.0 <= d < 1.0:
-        raise ValueError(
-            f"deletion probability must be in [0, 1) for output simulation, got {d!r}"
-        )
+    out_bits = _check_int("out_bits", out_bits, 1)
+    _check_d_half_open(d)
     sample_seed, boot_seed = _as_seed_sequence(seed).spawn(2)
 
     n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
@@ -271,18 +266,18 @@ def estimate_rate(
     components estimate their limits consistently) and
     ``"upper-bound"`` for Markov sources, whose output entropy is
     bounded by the run-length formula rather than equal to it.  The
-    result is deterministic given ``seed`` and the sampling sizes.  The
-    arguments of ``estimate_h_cond`` and ``out_bits`` are checked before
-    either half starts.  The two halves draw from separate seeds;
-    ``threads > 1`` runs ``estimate_h_cond`` on a worker thread during the
-    output stream, which changes neither the result nor the errors raised.
-    More than 2 threads add nothing.
+    result is deterministic given ``seed`` and the sampling sizes.  Before
+    either half starts: the integer rule on ``threads``, ``n``,
+    ``out_bits`` (each >= 1), ``samples >= 2`` and ``seed >= 0`` (reported
+    as an ``int``), and the closed rule ``d`` in ``[0, 1]``.  The two halves
+    draw from separate seeds; ``threads > 1`` runs ``estimate_h_cond`` on a
+    worker thread during the output stream, which changes neither the
+    result nor the errors raised.  More than 2 threads add nothing.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    _check_h_cond_args(d, n, samples)
-    _check_out_bits(out_bits)
-    seed = int(seed)
+    threads = _check_int("threads", threads, 1)
+    n, samples = _check_h_cond_args(d, n, samples)
+    out_bits = _check_int("out_bits", out_bits, 1)
+    seed = _check_int("seed", seed, 0)
     cond_seed, out_seed = np.random.SeedSequence(seed).spawn(2)
     cond_args = (spec, d, n, samples, cond_seed)
     h_out, se_out = 0.0, 0.0  # d == 1: the output is empty

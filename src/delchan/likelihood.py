@@ -48,13 +48,13 @@ renewal start censors only the last run).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from delchan.sources import SourceSpec, _check_deletion_probability, as_bits
+from delchan.constants import _check_d_closed, _check_d_open, _check_int
+from delchan.sources import SourceSpec, as_bits
 
 __all__ = [
     "IMPOSSIBLE",
@@ -185,7 +185,7 @@ def log_likelihood(x, y, d: float) -> LogLikelihood:
     ``d = 0`` and ``d = 1`` are the degenerate identity / erase-everything
     channels: there ``log_prob`` is 0 or ``-inf``, and the count is still N.
     """
-    _check_deletion_probability(d)
+    _check_d_closed(d)
     log_n = embedding_count(x, y)
     n, m = len(x), len(y)
     if log_n == IMPOSSIBLE:
@@ -201,9 +201,8 @@ def log_likelihood(x, y, d: float) -> LogLikelihood:
 
 def binomial_length_entropy(n: int, d: float) -> float:
     """Entropy (bits) of the output length ``M ~ Binomial(n, 1 - d)``."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    _check_deletion_probability(d)
+    n = _check_int("n", n, 0)
+    _check_d_closed(d)
     if d == 0.0 or d == 1.0 or n == 0:
         return 0.0
     terms = []
@@ -247,8 +246,7 @@ def total_probability(x, d: float) -> float:
     It is the one-row case of the batched ``_total_probabilities``.
     Exposed as the normalization self-check of the likelihood computation.
     """
-    if not 0.0 < d < 1.0:
-        raise ValueError("total_probability requires 0 < d < 1")
+    _check_d_open(d)
     x = as_bits(x)
     if x.size > _ORACLE_MAX_N:
         raise ValueError(
@@ -326,21 +324,16 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     orbit and adds ``p(g·c) / |Stab(c)| * q_c(g·y)`` to ``p(y)`` for each g;
     the source law need not be symmetric.  The output keys are built for
     one chunk of representatives at a time, so the working set is 2^18
-    keys at most, not the whole ``(orbits, 2^n)`` key matrix.  Raises ``TypeError`` unless ``n`` is an integer and
-    ``ValueError`` with guidance above the exhaustive limit.
+    keys at most, not the whole ``(orbits, 2^n)`` key matrix.  A
+    non-integer ``n`` raises ``TypeError``, ``n > 12`` ``ValueError``.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise TypeError(f"n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_int("n", n, 1)
     if n > _ORACLE_MAX_N:
         raise ValueError(
             f"exact enumeration is limited to n <= {_ORACLE_MAX_N}; "
             "use the Monte Carlo estimators for larger n"
         )
-    _check_deletion_probability(d)
+    _check_d_closed(d)
 
     bits = _all_words(n)
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from delchan.channel import SuperRunType, _super_run_arrays, run_lengths
+from delchan.constants import _check_int
 from delchan.sources import RunLengthDistribution, as_bits
 
 __all__ = [
@@ -83,8 +84,7 @@ def empirical_run_distribution(x, *, l_cap: int = _L_CAP) -> EmpiricalRunStats:
     ``l_cap`` are pooled into an overflow bucket: excluded from ``pmf``
     (reported via its ``discarded_mass``) but included in ``mu_hat``.
     """
-    if l_cap < 1:
-        raise ValueError(f"l_cap must be >= 1, got {l_cap}")
+    l_cap = _check_int("l_cap", l_cap, 1)
     interior = _interior_run_lengths(x)
     n_runs = int(interior.size)
 

@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from delchan.constants import compute_constants
+from delchan.constants import _check_d_closed, _check_int, compute_constants
 
 __all__ = [
     "DEFAULT_SEED",
@@ -99,17 +99,11 @@ def bits_to_str(bits: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in np.asarray(bits).tolist())
 
 
-def _check_deletion_probability(d: float) -> None:
-    """Raise ``ValueError`` unless ``0 <= d <= 1``."""
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"deletion probability must be in [0, 1], got {d!r}")
-
-
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    """``seed`` itself if it is a SeedSequence, else one seeded by ``int(seed)``."""
+    """``seed`` itself if a SeedSequence, else one from the integer rule on ``seed``."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(_check_int("seed", seed, 0))
 
 
 def _rng_from(seed) -> np.random.Generator:
@@ -192,16 +186,14 @@ class RunLengthDistribution:
 
 def geometric_half(L_max: int = DEFAULT_L_MAX) -> RunLengthDistribution:
     """Truncated, renormalized geometric law ``p*(l) = 2^-l``."""
-    if L_max < 1:
-        raise ValueError("L_max must be >= 1")
+    L_max = _check_int("L_max", L_max, 1)
     weights = 0.5 ** np.arange(1, L_max + 1)
     return RunLengthDistribution.from_weights(weights, discarded_mass=2.0**-L_max)
 
 
 def point_mass(l: int) -> RunLengthDistribution:
     """Degenerate law concentrated on run length ``l``."""
-    if l < 1:
-        raise ValueError("run length must be >= 1")
+    l = _check_int("l", l, 1)
     weights = np.zeros(l)
     weights[-1] = 1.0
     return RunLengthDistribution.from_weights(weights)
@@ -213,6 +205,7 @@ def dagger_mass(l: int, d: float) -> float:
     The log is natural: only then does the perturbation sum to zero over
     all ``l``, so that the full series is a probability distribution.
     """
+    _check_d_closed(d)
     return _dagger_mass(l, d, compute_constants().c2)
 
 
@@ -224,22 +217,14 @@ def dagger_distribution(d: float, L_max: int = DEFAULT_L_MAX) -> RunLengthDistri
     """First-order capacity-achieving run-length law, truncated to ``L_max``.
 
     ``p(l) ∝ 2^-l * (1 + d*(l*ln(l) - c2*l/2))`` renormalized over
-    ``1..L_max``.  Raises ``ValueError`` naming the first length whose
-    pre-normalization mass is not positive (cannot happen for
-    ``0 <= d <= 1``; guards against out-of-range parameters).
+    ``1..L_max``.  The closed rule ``d`` in ``[0, 1]`` and the integer rule
+    ``L_max >= 1`` run before any work.
     """
-    if d < 0.0:
-        raise ValueError("d must be >= 0")
-    if L_max < 1:
-        raise ValueError("L_max must be >= 1")
+    _check_d_closed(d)
+    L_max = _check_int("L_max", L_max, 1)
     c2 = compute_constants().c2
+    # every mass is positive: the smallest factor is 1 - c2/2 > 0.1, at l = d = 1
     weights = np.array([_dagger_mass(l, d, c2) for l in range(1, L_max + 1)])
-    nonpos = np.flatnonzero(weights <= 0.0)
-    if nonpos.size:
-        l_bad = int(nonpos[0]) + 1
-        raise ValueError(
-            f"dagger mass is not positive at run length l={l_bad} (d={d!r})"
-        )
     discarded = 1.0 - math.fsum(weights.tolist())
     return RunLengthDistribution.from_weights(weights, discarded_mass=discarded)
 
@@ -432,8 +417,7 @@ def sample_sequence(spec: SourceSpec, n: int, seed) -> np.ndarray:
     Renewal sources alternate run values with i.i.d. lengths, starting
     at a run boundary (Palm start).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _check_int("n", n, 0)
     rng = _rng_from(seed)
     if n == 0:
         return np.zeros(0, dtype=np.uint8)

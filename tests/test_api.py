@@ -1,10 +1,14 @@
-"""The public surface: every exported name resolves, and removed names and
-options stay removed."""
+"""The public surface: every exported name resolves, removed names and
+options stay removed, and every argument rule is applied where it is due."""
 
 import dataclasses
 import importlib
+import math
 import pkgutil
+import re
+import warnings
 
+import numpy as np
 import pytest
 
 import delchan
@@ -14,11 +18,29 @@ from delchan import (
     RunLengthDistribution,
     SourceSpec,
     SuiteReport,
+    binomial_length_entropy,
+    capacity_estimate,
+    dagger_distribution,
+    dagger_mass,
     empirical_run_distribution,
+    estimate_h_cond,
     estimate_rate,
+    exact_block_information,
+    geometric_half,
+    hatD_entropy_formula,
+    hy_given_x_formula,
+    k_entropy_formula,
+    log_likelihood,
+    markov_rate_bound,
+    optimal_markov_param,
+    output_formula_cutoff,
+    point_mass,
     sample_sequence,
     stats_to_json,
+    total_probability,
+    transmit,
 )
+from delchan import verify
 
 SUBMODULES = sorted(
     info.name
@@ -96,3 +118,169 @@ def test_removed_fields_are_gone():
     # neither is mean, a cached property of probs
     fields = {f.name for f in dataclasses.fields(RunLengthDistribution)}
     assert fields == {"probs", "discarded_mass"}
+
+
+# --------------------------------------------------------------------------
+# argument rules
+# --------------------------------------------------------------------------
+
+BERNOULLI = SourceSpec.bernoulli_half()
+GEOMETRIC = geometric_half(16)
+RATE_ARGS = dict(n=20, samples=10, out_bits=2000)
+
+#: The nearest values outside each deletion-probability interval.
+OUTSIDE = {
+    "[0, 1]": (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)),
+    "[0, 1)": (math.nextafter(0.0, -1.0), 1.0),
+    "(0, 1)": (0.0, 1.0),
+}
+
+#: Every public function that takes ``d``, called with ``d`` alone varied.
+D_CALLS = {
+    "[0, 1]": {
+        "SourceSpec.dagger": SourceSpec.dagger,
+        "dagger_distribution": dagger_distribution,
+        "dagger_mass": lambda d: dagger_mass(2, d),
+        "transmit": lambda d: transmit("0110", d, 0),
+        "log_likelihood": lambda d: log_likelihood("0110", "01", d),
+        "binomial_length_entropy": lambda d: binomial_length_entropy(10, d),
+        "exact_block_information": lambda d: exact_block_information(
+            BERNOULLI, 4, d
+        ),
+        "estimate_h_cond": lambda d: estimate_h_cond(BERNOULLI, d, 20, 10, 0),
+        "estimate_rate": lambda d: estimate_rate(BERNOULLI, d, **RATE_ARGS),
+    },
+    "[0, 1)": {
+        "capacity_estimate": capacity_estimate,
+        "markov_rate_bound": markov_rate_bound,
+        "optimal_markov_param": optimal_markov_param,
+        "hatD_entropy_formula": lambda d: hatD_entropy_formula(GEOMETRIC, d),
+        "k_entropy_formula": lambda d: k_entropy_formula(GEOMETRIC, d),
+        "hy_given_x_formula": lambda d: hy_given_x_formula(GEOMETRIC, d),
+    },
+    "(0, 1)": {
+        "total_probability": lambda d: total_probability("0110", d),
+        "output_formula_cutoff": output_formula_cutoff,
+    },
+}
+
+#: Every integer size parameter, called with that argument alone varied.
+SIZE_CALLS = {
+    ("estimate_rate", "n"): lambda v: estimate_rate(
+        BERNOULLI, 0.1, **{**RATE_ARGS, "n": v}
+    ),
+    ("estimate_rate", "samples"): lambda v: estimate_rate(
+        BERNOULLI, 0.1, **{**RATE_ARGS, "samples": v}
+    ),
+    ("estimate_rate", "out_bits"): lambda v: estimate_rate(
+        BERNOULLI, 0.1, **{**RATE_ARGS, "out_bits": v}
+    ),
+    ("estimate_rate", "threads"): lambda v: estimate_rate(
+        BERNOULLI, 0.1, **RATE_ARGS, threads=v
+    ),
+    ("estimate_h_cond", "n"): lambda v: estimate_h_cond(BERNOULLI, 0.1, v, 10, 0),
+    ("estimate_h_cond", "samples"): lambda v: estimate_h_cond(BERNOULLI, 0.1, 20, v, 0),
+    ("exact_block_information", "n"): lambda v: exact_block_information(
+        BERNOULLI, v, 0.1
+    ),
+    ("binomial_length_entropy", "n"): lambda v: binomial_length_entropy(v, 0.1),
+    ("sample_sequence", "n"): lambda v: sample_sequence(BERNOULLI, v, 0),
+    ("geometric_half", "L_max"): geometric_half,
+    ("dagger_distribution", "L_max"): lambda v: dagger_distribution(0.1, v),
+    ("point_mass", "l"): point_mass,
+    ("empirical_run_distribution", "l_cap"): lambda v: empirical_run_distribution(
+        "1001000110100", l_cap=v
+    ),
+}
+
+#: Every seed parameter, called with the seed alone varied.
+SEED_CALLS = {
+    "sample_sequence": lambda s: sample_sequence(BERNOULLI, 8, s),
+    "transmit": lambda s: transmit("0110", 0.1, s),
+    "estimate_h_cond": lambda s: estimate_h_cond(BERNOULLI, 0.1, 20, 10, s),
+    "estimate_rate": lambda s: estimate_rate(BERNOULLI, 0.1, **RATE_ARGS, seed=s),
+    "check_dp_oracle": verify.check_dp_oracle,
+    "check_small_block_oracle": lambda s: verify.check_small_block_oracle(seed=s),
+    "check_formula_vs_simulation": lambda s: verify.check_formula_vs_simulation(seed=s),
+    "check_end_to_end_rate": lambda s: verify.check_end_to_end_rate(seed=s),
+    "check_run_statistics": verify.check_run_statistics,
+    "check_determinism": verify.check_determinism,
+    "run_suite": lambda s: verify.run_suite("lemmas", seed=s),
+}
+
+
+def _bad_arguments():
+    """(callable, bad value, exception, message pattern) for every rule."""
+    for interval, calls in D_CALLS.items():
+        for name, call in calls.items():
+            for bad in (math.nan, *OUTSIDE[interval]):
+                msg = f"deletion probability must be in {interval}, got {bad!r}"
+                yield pytest.param(
+                    call, bad, ValueError, f"^{re.escape(msg)}$", id=f"{name}-d={bad!r}"
+                )
+    for (name, argument), call in SIZE_CALLS.items():
+        msg = f"{argument} must be an integer, got 2.5"
+        yield pytest.param(
+            call, 2.5, TypeError, f"^{re.escape(msg)}$", id=f"{name}-{argument}=2.5"
+        )
+    for name, call in SEED_CALLS.items():
+        msg = "seed must be an integer, got 2.5"
+        yield pytest.param(
+            call, 2.5, TypeError, f"^{re.escape(msg)}$", id=f"{name}-seed=2.5"
+        )
+
+
+@pytest.mark.parametrize("call,bad,error,pattern", _bad_arguments())
+def test_argument_rule(call, bad, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "argument,value",
+    [("n", 2000.0), ("samples", 500.0), ("out_bits", 1e7), ("threads", 2.0),
+     ("seed", 7.9)],
+)
+def test_estimate_rate_checks_every_argument_before_either_half(
+    monkeypatch, argument, value
+):
+    calls = []
+
+    def half(*args):
+        calls.append(args)
+        return 0.0, 0.0
+
+    monkeypatch.setattr("delchan.estimation._h_out_from_stream", half)
+    monkeypatch.setattr("delchan.estimation.estimate_h_cond", half)
+    for threads in (1, 2):
+        args = {**RATE_ARGS, "threads": threads, argument: value}
+        with pytest.raises(TypeError, match=f"^{argument} must be an integer"):
+            estimate_rate(BERNOULLI, 0.1, **args)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: estimate_h_cond(BERNOULLI, 0.1, 20, 10, s),
+        lambda s: sample_sequence(BERNOULLI, 8, s),
+    ],
+    ids=["estimate_h_cond", "sample_sequence"],
+)
+def test_fractional_seed_is_not_truncated(call):
+    # 7.9 was once cast to 7; a seed is an integer or a TypeError
+    for seed in (7.9, None):
+        with pytest.raises(TypeError):
+            call(seed)
+
+
+def test_numpy_integer_arguments_still_serialise():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plain = estimate_rate(BERNOULLI, 0.1, **RATE_ARGS, seed=7)
+        numpy = estimate_rate(
+            BERNOULLI, 0.1, n=np.int64(20), samples=np.int32(10),
+            out_bits=np.int64(2000), threads=np.int8(1), seed=np.uint32(7),
+        )
+    assert numpy.to_json() == plain.to_json()
+    assert {type(numpy.n), type(numpy.samples), type(numpy.seed)} == {int}

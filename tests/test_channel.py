@@ -291,6 +291,11 @@ class TestModifiedMask:
         assert bits_to_str(mask_hat) == "110110"
         assert bits_to_str(z) == "000000"
 
+    def test_empty_input(self):
+        mask_hat, z = modified_mask("", "")
+        assert mask_hat.size == z.size == 0
+        assert mask_hat.dtype == z.dtype == np.uint8
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             modified_mask("000", "01")

@@ -4,6 +4,9 @@ Commands are exercised through click's ``CliRunner`` (in-process) so
 exit codes, stdout/stderr separation, and file I/O are all observable.
 """
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -23,7 +26,7 @@ from delchan.cli import (
     run_table,
     table_rows,
 )
-from delchan.constants import capacity_estimate
+from delchan.constants import capacity_estimate, compute_constants
 from delchan.estimation import estimate_rate
 from delchan.sources import SourceSpec, read_distribution, dagger_distribution
 
@@ -168,6 +171,19 @@ class TestBoundsTable:
         f = tmp_path / "header.csv"
         f.write_text("d,lower,upper\n")
         assert BoundsTable.parse(f).rows == ()
+
+
+class TestConstantsCommand:
+    def test_csv_values_parse_back_exactly(self, runner):
+        result = invoke(runner, "constants")
+        rows = list(csv.DictReader(io.StringIO(result.stdout)))
+        got = {row["name"]: float(row["value"]) for row in rows}
+        want = dataclasses.asdict(compute_constants())
+        assert got == want and list(got) == list(want)
+
+    def test_json_values_parse_back_exactly(self, runner):
+        result = invoke(runner, "constants", "--format", "json")
+        assert json.loads(result.stdout) == dataclasses.asdict(compute_constants())
 
 
 class TestTableCommand:
@@ -340,6 +356,14 @@ class TestRateCommand:
             "--n", "60", "--samples", "10", "--out-bits", "30000",
         )
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("d", ["1.05", "nan", "-0.1"])
+    def test_dagger_parameter_outside_closed_rule_is_usage_error(self, runner, d):
+        result = runner.invoke(
+            main, ["rate", "--d", "0.05", "--source", f"dagger:{d}"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "deletion probability must be in [0, 1]" in result.output
 
     def test_unknown_source_is_usage_error(self, runner):
         result = runner.invoke(main, ["rate", "--d", "0.1", "--source", "wat"])

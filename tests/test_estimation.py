@@ -25,6 +25,7 @@ from delchan.estimation import (
     _CHUNK,
     RateEstimate,
     _h_out_from_stream,
+    _interior_output_run_lengths,
     _plug_in_h_over_mu,
     estimate_h_cond,
     estimate_rate,
@@ -171,7 +172,7 @@ class TestEstimateHCond:
     @pytest.mark.parametrize(
         "kwargs,msg",
         [
-            (dict(d=0.1, n=20, samples=1), "at least 2 samples"),
+            (dict(d=0.1, n=20, samples=1), "samples must be >= 2"),
             (dict(d=0.1, n=0, samples=10), "n must be"),
             (dict(d=-0.1, n=20, samples=10), "deletion probability"),
             (dict(d=1.5, n=20, samples=10), "deletion probability"),
@@ -441,6 +442,9 @@ class TestEstimateHOutRenewal:
             _h_out_from_stream(SourceSpec.bernoulli_half(), 0.1, 0, 1)
         with pytest.raises(ValueError, match="deletion probability"):
             _h_out_from_stream(SourceSpec.bernoulli_half(), 1.0, 1000, 1)
+        # two runs leave no interior run once the boundary runs are dropped
+        with pytest.raises(ValueError, match="too short: 2 runs"):
+            _interior_output_run_lengths(np.array([5, 3]))
 
 
 @pytest.fixture(scope="module")
@@ -506,7 +510,7 @@ class TestEstimateRate:
             pytest.param(
                 dict(d=1.5), "deletion probability must be in [0, 1], got 1.5", id="d"
             ),
-            pytest.param(dict(samples=1), "need at least 2 samples, got 1", id="samples"),
+            pytest.param(dict(samples=1), "samples must be >= 2, got 1", id="samples"),
             pytest.param(dict(n=0), "n must be >= 1, got 0", id="n"),
             pytest.param(dict(out_bits=0), "out_bits must be >= 1, got 0", id="out_bits"),
         ],
@@ -531,11 +535,14 @@ class TestEstimateRate:
             return 0.0, 0.0
 
         monkeypatch.setattr("delchan.estimation._h_out_from_stream", stream)
-        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-            estimate_rate(
-                SourceSpec.bernoulli_half(), 0.1, n=0, samples=10,
-                out_bits=2000, threads=threads,
-            )
+        for kwargs, error, msg in (
+            (dict(n=0), ValueError, "n must be >= 1, got 0"),
+            (dict(n=2000.0), TypeError, "n must be an integer, got 2000.0"),
+            (dict(samples=500.0), TypeError, "samples must be an integer, got 500.0"),
+        ):
+            args = {**dict(n=20, samples=10, out_bits=2000, threads=threads), **kwargs}
+            with pytest.raises(error, match=f"^{re.escape(msg)}$"):
+                estimate_rate(SourceSpec.bernoulli_half(), 0.1, **args)
         assert calls == []
 
     @pytest.mark.parametrize("threads", [1, 2])

@@ -337,6 +337,10 @@ class TestLogLikelihood:
                         1.0, abs=1e-12
                     )
 
+    def test_total_probability_refuses_13_bits(self):
+        with pytest.raises(ValueError, match="n <= 12, got 13"):
+            total_probability("0" * 13, 0.1)
+
     def test_total_probability_matches_scalar_sum(self):
         # cross-check the batched enumeration against per-y likelihoods
         x = "010011"
@@ -455,6 +459,11 @@ class TestBinomialLengthEntropy:
     def test_negative_n_raises(self, d):
         with pytest.raises(ValueError, match="n must be >= 0"):
             binomial_length_entropy(-5, d)
+
+    def test_log2_binomial_out_of_range(self):
+        for n, k in ((3, 4), (3, -1)):
+            with pytest.raises(ValueError, match=rf"C\({n},{k}\) out of range"):
+                log2_binomial(n, k)
 
     def test_single_trial(self):
         assert binomial_length_entropy(1, 0.2) == pytest.approx(
@@ -699,6 +708,10 @@ class TestExactBlockInformation:
     def test_refuses_large_n(self):
         with pytest.raises(ValueError, match="n <= 12"):
             exact_block_information(SourceSpec.bernoulli_half(), 13, 0.1)
+
+    def test_refuses_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            exact_block_information(SourceSpec.bernoulli_half(), 0, 0.1)
 
     def test_point_mass_source_enumeration(self):
         # period-3 renewal source at n=6: only strings with run structure

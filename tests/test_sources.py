@@ -5,6 +5,7 @@ defining formulas.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ class TestDistributions:
     def test_dagger_distribution_renormalizes_dagger_mass(self):
         # the distribution's one constants read gives the same weights, bit
         # for bit, as the public per-length dagger_mass
-        for d in (0.0, 0.05, 0.1, 0.5):
+        for d in (0.0, 0.05, 0.1, 0.5, 1.0):
             for L_max in (1, 22, 64):
                 weights = [dagger_mass(l, d) for l in range(1, L_max + 1)]
                 expected = RunLengthDistribution.from_weights(
@@ -230,8 +231,11 @@ class TestDistributions:
                 assert got.probs.tolist() == expected.probs.tolist()
                 assert got.discarded_mass == expected.discarded_mass
 
-    def test_dagger_negative_mass_names_offender(self):
-        with pytest.raises(ValueError, match="l=1"):
+    def test_dagger_rejects_d_above_one(self):
+        # the closed rule runs first; inside [0, 1] every mass is positive
+        with pytest.raises(
+            ValueError, match=re.escape("must be in [0, 1], got 2.0")
+        ):
             dagger_distribution(2.0)
 
     def test_dagger_rejects_negative_d(self):
@@ -244,6 +248,15 @@ class TestDistributions:
         d = 0.1
         s_ln = math.fsum(dagger_mass(l, d) for l in range(1, 65))
         assert abs(s_ln - 1.0) < 1e-10
+
+    def test_validate_rejects_bad_probabilities(self):
+        with pytest.raises(ValueError, match="negative probability"):
+            RunLengthDistribution(np.array([1.5, -0.5])).validate()
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            RunLengthDistribution(np.array([0.5, 0.4])).validate()
+        # a renewal source validates its law
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            SourceSpec.renewal(RunLengthDistribution(np.array([0.5, 0.4])))
 
     def test_from_weights_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -270,6 +283,8 @@ class TestSourceSpec:
             SourceSpec(kind="renewal")
         with pytest.raises(ValueError):
             SourceSpec(kind="mystery")
+        with pytest.raises(ValueError, match="takes no parameters"):
+            SourceSpec("bernoulli_half", p_same=0.5)
 
     def test_renewal_like(self):
         assert SourceSpec.bernoulli_half().is_renewal_like
@@ -561,6 +576,21 @@ class TestDistributionIO:
         path = tmp_path / "bad.tsv"
         path.write_text("1\t0.5\nnot a line\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            read_distribution(path)
+
+    @pytest.mark.parametrize(
+        "line,msg",
+        [
+            ("2\tabc", "could not convert"),
+            ("2\t-0.5", "invalid probability -0.5"),
+            ("2\tinf", "invalid probability inf"),
+        ],
+        ids=["non-numeric", "negative", "inf"],
+    )
+    def test_bad_probability_names_line(self, tmp_path, line, msg):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"1\t0.5\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 2: {msg}"):
             read_distribution(path)
 
     def test_decreasing_lengths_rejected(self, tmp_path):
