@@ -33,7 +33,8 @@ import math
 
 import numpy as np
 
-from delchan.constants import LN2, _check_d_half_open, _check_d_open, compute_constants
+from delchan.constants import LN2, _check_d_half_open, _check_d_open, _check_int
+from delchan.constants import compute_constants
 from delchan.sources import DEFAULT_L_MAX, RunLengthDistribution
 
 __all__ = [
@@ -148,8 +149,10 @@ def k_entropy_formula(p: RunLengthDistribution, d: float) -> float:
 
 def output_formula_cutoff(d: float, L_max: int = DEFAULT_L_MAX) -> int:
     """Truncation point ``min(floor(4 log2(1/d)), L_max)`` of the
-    output-run entropy formula; ``d`` must lie in ``(0, 1)`` (the open rule)."""
+    output-run entropy formula; ``d`` must lie in ``(0, 1)`` (the open rule)
+    and ``L_max >= 1`` (the integer rule)."""
     _check_d_open(d)
+    L_max = _check_int("L_max", L_max, 1)
     return min(int(math.floor(4.0 * math.log2(1.0 / d))), L_max)
 
 

@@ -11,7 +11,7 @@ Segmentation utilities decompose a sequence into maximal runs
 followed by the maximal stretch of length-1 runs) with array operations.
 
 Long output streams run through a private path that applies the channel
-in fixed blocks of input bits, drawing the same Philox numbers as
+in fixed blocks of input bits, drawing the same numbers as
 ``transmit``.  Each block's output is segmented by ``run_lengths``; only
 the value and length of the run still open carry into the next block.
 Its memory is the sampled input (one byte per input bit) plus one int32

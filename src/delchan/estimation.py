@@ -5,14 +5,14 @@ The achievable rate of a stationary input process splits as
 Binomial(n, 1-d) variable independent of the input, so
 ``H(Y|X) = H(M) + H(Y|X, M)``.  The two halves estimate different things:
 
-* ``estimate_h_cond`` — Monte Carlo mean of
-  ``(log2 C(n, m) - log2 N(x, y)) / n``, an unbiased estimate of
-  ``H(Y|X, M)/n = H(Y|X)/n - H(M)/n`` at the ``n`` of the run: sample an
+* ``estimate_h_cond`` — ``H(Y|X)/n`` at the ``n`` of the run: the Monte
+  Carlo mean of ``(log2 C(n, m) - log2 N(x, y)) / n``, an unbiased
+  estimate of ``H(Y|X, M)/n``, plus the exact constant ``H(M)/n``
+  (``binomial_length_entropy``), which adds no variance.  Sample an
   input, pass it through the channel, count embeddings with the exact
-  DP.  ``H(Y|X)/n`` is about flat in ``n`` (measured), so at finite
-  ``n`` this sits about ``H(M)/n`` below it, with
-  ``H(M) ~ (1/2) log2(2 pi e n d (1-d))`` (``binomial_length_entropy``);
-  the gap shrinks as O(log n / n).
+  DP.  ``H(Y|X)/n`` is about flat in ``n`` (measured), while
+  ``H(Y|X, M)/n`` alone sits about ``H(M)/n`` below it, with
+  ``H(M) ~ (1/2) log2(2 pi e n d (1-d))``.
 * the output-entropy half of ``estimate_rate`` — the output of a
   renewal source is again renewal, so ``H(Y)/n -> (1-d) H(q_L)/mu(Y)``
   exactly; estimated with the plug-in entropy of the interior output run
@@ -23,12 +23,11 @@ Binomial(n, 1-d) variable independent of the input, so
   same formula is only an upper bound (their output is not renewal), so
   ``estimate_rate`` labels the result ``"upper-bound"``.  The stream's
   source, channel and run segmentation run in fixed blocks of input bits
-  from the same Philox stream, so no per-bit float array is held and the
+  from one RNG stream, so no per-bit float array is held and the
   result does not depend on the block size: the stream holds one byte per
   input bit for the sampled input plus one int32 per output run, and
-  fixed-size block buffers.  This half estimates the
-  limit as ``n`` grows, so ``rate = h_out - h_cond`` at finite ``n``
-  exceeds the limiting rate by about ``H(M)/n``.
+  fixed-size block buffers.  This half estimates the limit as ``n``
+  grows, which ``rate = h_out - h_cond`` pairs with ``H(Y|X)/n``.
 
 Replicas draw in fixed chunks of 64, each chunk from one RNG stream
 spawned by chunk index from the root seed: it samples its inputs as one
@@ -52,7 +51,7 @@ import numpy as np
 
 from delchan.channel import _deletion_mask, _output_run_lengths
 from delchan.constants import _check_d_closed, _check_d_half_open, _check_int
-from delchan.likelihood import _band_counts, log2_binomial
+from delchan.likelihood import _band_counts, binomial_length_entropy, log2_binomial
 from delchan.runstats import _L_CAP, _capped_counts
 from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
 from delchan.sources import _as_seed_sequence, _rng_from
@@ -114,12 +113,14 @@ def estimate_h_cond(
     samples: int,
     seed,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of ``H(Y|X, M)/n`` with its standard error.
+    """Monte Carlo estimate of ``H(Y|X)/n`` with its standard error.
 
     Each replica draws an input of length ``n`` from ``spec``, passes it
     through the channel, and evaluates
     ``(log2 C(n, m) - log2 N(x, y)) / n`` — the exact conditional
     information of the received string given input and output length.
+    Their mean estimates ``H(Y|X, M)/n``; the exact ``H(M)/n`` of the
+    Binomial(n, 1-d) output length is added to it.
     Replicas draw in fixed chunks of 64, one RNG stream per chunk; one DP
     call covers a batch of whole chunks, up to 2^15 input bits.  Before any
     work: the integer rule on ``n >= 1``, ``samples >= 2`` and an int
@@ -161,7 +162,7 @@ def estimate_h_cond(
     mean = math.fsum(values.tolist()) / samples
     var = math.fsum(((v - mean) ** 2 for v in values.tolist()))
     std_err = math.sqrt(var / (samples * (samples - 1)))
-    return mean, std_err
+    return mean + binomial_length_entropy(n, d) / n, std_err
 
 
 def _interior_output_run_lengths(lengths: np.ndarray) -> np.ndarray:

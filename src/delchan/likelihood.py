@@ -205,13 +205,13 @@ def binomial_length_entropy(n: int, d: float) -> float:
     _check_d_closed(d)
     if d == 0.0 or d == 1.0 or n == 0:
         return 0.0
-    terms = []
-    for m in range(n + 1):
-        lp = log2_binomial(n, m) + m * math.log2(1.0 - d) + (n - m) * math.log2(d)
-        p = 2.0**lp
-        if p > 0.0:
-            terms.append(-p * lp)
-    return math.fsum(terms)
+    m = np.arange(n + 1)
+    lgamma = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log2_binom = (lgamma[n] - lgamma - lgamma[::-1]) / math.log(2.0)
+    lp = log2_binom + m * math.log2(1.0 - d) + (n - m) * math.log2(d)
+    p = np.exp2(lp)
+    possible = p > 0.0
+    return math.fsum((-p[possible] * lp[possible]).tolist())
 
 
 def _all_words(n: int) -> np.ndarray:

@@ -14,14 +14,14 @@ Markov, and renewal sources; a renewal path starts at a run boundary
 (Palm start).
 
 Sequences are numpy ``uint8`` arrays of 0/1 values; ``as_bits`` accepts
-strings like ``"0110"`` for convenience.  Sampling uses the
-counter-based Philox generator so that parallel streams can be derived
-deterministically; a private row-batched sampler draws many paths from
-one stream (see ``delchan.estimation``).  A single long path is simulated
-in fixed blocks of ``_BLOCK`` draws from the same Philox stream, in the
-same order, so the bits do not depend on the block size.  One helper
-expands run lengths into the bits of alternating runs, for a block of one
-path and for a batch of many alike.
+strings like ``"0110"`` for convenience.  Sampling uses numpy's SFC64
+generator, chosen for speed; parallel streams are spawned from a
+``SeedSequence``, so they are deterministic.  A private row-batched
+sampler draws many paths from one stream (see ``delchan.estimation``).
+A single long path is simulated in fixed blocks of ``_BLOCK`` draws from
+the same stream, in the same order, so the bits do not depend on the
+block size.  One helper expands run lengths into the bits of alternating
+runs, for a block of one path and for a batch of many alike.
 
 Run lengths are drawn by inverting the cumulative pmf, one uniform per
 length, which gives exactly the draws of ``Generator.choice(p=probs)``.
@@ -107,10 +107,11 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _rng_from(seed) -> np.random.Generator:
-    """Build a Philox generator from an int seed, SeedSequence, or Generator."""
+    """Build an SFC64 generator, the one bit generator of the package, from
+    an int seed, a SeedSequence, or a Generator (returned as it is)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(_as_seed_sequence(seed)))
+    return np.random.Generator(np.random.SFC64(_as_seed_sequence(seed)))
 
 
 # --------------------------------------------------------------------------
@@ -178,8 +179,8 @@ class RunLengthDistribution:
         return _inverse_cdf(self.probs)
 
     def prob(self, l: int) -> float:
-        """``P(L = l)`` (0 outside the support)."""
-        if 1 <= l <= self.L_max:
+        """``P(L = l)`` for an integer ``l >= 0`` (0 outside the support)."""
+        if 1 <= _check_int("l", l, 0) <= self.L_max:
             return float(self.probs[l - 1])
         return 0.0
 
@@ -204,7 +205,10 @@ def dagger_mass(l: int, d: float) -> float:
 
     The log is natural: only then does the perturbation sum to zero over
     all ``l``, so that the full series is a probability distribution.
+    The integer rule ``l >= 1`` and the closed rule ``d`` in ``[0, 1]`` run
+    before any work.
     """
+    l = _check_int("l", l, 1)
     _check_d_closed(d)
     return _dagger_mass(l, d, compute_constants().c2)
 

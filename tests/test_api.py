@@ -188,6 +188,9 @@ SIZE_CALLS = {
     ("geometric_half", "L_max"): geometric_half,
     ("dagger_distribution", "L_max"): lambda v: dagger_distribution(0.1, v),
     ("point_mass", "l"): point_mass,
+    ("dagger_mass", "l"): lambda v: dagger_mass(v, 0.1),
+    ("output_formula_cutoff", "L_max"): lambda v: output_formula_cutoff(0.1, v),
+    ("RunLengthDistribution.prob", "l"): GEOMETRIC.prob,
     ("empirical_run_distribution", "l_cap"): lambda v: empirical_run_distribution(
         "1001000110100", l_cap=v
     ),
@@ -234,6 +237,27 @@ def _bad_arguments():
 def test_argument_rule(call, bad, error, pattern):
     with pytest.raises(error, match=pattern):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "call,bad,message",
+    [
+        # l = 0 once raised a bare "math domain error" from log(0)
+        (lambda v: dagger_mass(v, 0.1), 0, "l must be >= 1, got 0"),
+        # L_max = -5 was once returned as the cutoff
+        (lambda v: output_formula_cutoff(0.1, v), -5, "L_max must be >= 1, got -5"),
+        (GEOMETRIC.prob, -1, "l must be >= 0, got -1"),
+    ],
+    ids=["dagger_mass", "output_formula_cutoff", "RunLengthDistribution.prob"],
+)
+def test_size_minimum(call, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_run_length_prob_takes_any_integer_length():
+    assert GEOMETRIC.prob(0) == GEOMETRIC.prob(GEOMETRIC.L_max + 1) == 0.0
+    assert GEOMETRIC.prob(np.int64(3)) == GEOMETRIC.prob(3) == GEOMETRIC.probs[2]
 
 
 @pytest.mark.parametrize(

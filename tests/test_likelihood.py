@@ -478,6 +478,25 @@ class TestBinomialLengthEntropy:
         expected = -sum(p * math.log2(p) for p in probs if p > 0)
         assert binomial_length_entropy(n, d) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 57, 200, 2000, 4000])
+    @pytest.mark.parametrize("d", [0.001, 0.02, 0.05, 0.1, 0.5, 0.9])
+    def test_matches_per_term_loop(self, n, d):
+        # the array form takes 2^lp by exp2, not by pow: each kept term may
+        # move by an ulp, and the exactly rounded sum by a few
+        want = per_term_binomial_length_entropy(n, d)
+        assert binomial_length_entropy(n, d) == pytest.approx(want, rel=1e-15)
+
+
+def per_term_binomial_length_entropy(n: int, d: float) -> float:
+    """``binomial_length_entropy`` one length at a time (the reference)."""
+    terms = []
+    for m in range(n + 1):
+        lp = log2_binomial(n, m) + m * math.log2(1.0 - d) + (n - m) * math.log2(d)
+        p = 2.0**lp
+        if p > 0.0:
+            terms.append(-p * lp)
+    return math.fsum(terms)
+
 
 def all_inputs(n: int) -> np.ndarray:
     """Every bit string of length n, MSB first, one per row."""

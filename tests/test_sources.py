@@ -4,8 +4,12 @@ Numeric pins were frozen from an independent 40-digit evaluation of the
 defining formulas.
 """
 
+import ast
+import inspect
 import math
+import pathlib
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -290,6 +294,38 @@ class TestSourceSpec:
         assert SourceSpec.bernoulli_half().is_renewal_like
         assert SourceSpec.dagger(0.1).is_renewal_like
         assert not SourceSpec.markov(0.6).is_renewal_like
+
+
+#: Calls that build a bit generator or a generator around one.
+RNG_BUILDERS = {
+    *(cls.__name__ for cls in np.random.BitGenerator.__subclasses__()),
+    "BitGenerator", "Generator", "RandomState", "default_rng",
+}
+
+
+def rng_builder_calls(tree) -> list[str]:
+    """Names of the calls in ``tree`` to a name in ``RNG_BUILDERS``, sorted."""
+    return sorted(
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+        in RNG_BUILDERS
+    )
+
+
+class TestGeneratorHome:
+    def test_generator_is_sfc64(self):
+        assert isinstance(_rng_from(0).bit_generator, np.random.SFC64)
+
+    def test_only_rng_from_builds_a_generator(self):
+        builders = ["Generator", "SFC64"]
+        home = ast.parse(textwrap.dedent(inspect.getsource(_rng_from)))
+        assert rng_builder_calls(home) == builders
+        for path in pathlib.Path(sources.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            want = builders if path.name == "sources.py" else []
+            assert rng_builder_calls(tree) == want, path.name
 
 
 class TestSampling:

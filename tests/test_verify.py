@@ -23,6 +23,7 @@ from delchan.verify import (
     _check_group,
     check_capacity_table,
     check_dp_oracle,
+    check_formula_vs_simulation,
     check_markov_analytics,
     check_series_constants,
     run_suite,
@@ -207,3 +208,10 @@ class TestOracleWorkAndOutput:
     def test_report_is_pinned(self, seed):
         checks = check_dp_oracle(seed)
         assert json.dumps([c.as_dict() for c in checks]) == DP_ORACLE_JSON
+
+
+def test_formula_vs_simulation_passes_at_2000_samples():
+    # a larger budget only narrows the tolerance; before h_cond carried
+    # H(M)/n this check read 2.3e-3 low and failed from 1000 samples on
+    (check,) = check_formula_vs_simulation(samples=2000)
+    assert check.passed, check
