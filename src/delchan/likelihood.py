@@ -10,22 +10,24 @@ program ``f[i][j] = f[i-1][j] + [x_i = y_j] * f[i-1][j-1]`` with
 One float64 kernel evaluates the DP for every caller.  Only the band
 ``0 <= delta = i - j <= k = n - m`` reaches ``f[n][m]`` (Davey & MacKay's
 drift states), so it runs ``f_i[delta] = f_{i-1}[delta-1] + [x_i =
-y_{i-delta}] f_{i-1}[delta]`` in O(n (k + 1)) time on a batch of pairs of
-one input length at once, outputs padded with a sentinel that matches no
-input bit.  A pair whose band peak nears overflow is rescaled by an exact
-power of two kept as a log2 scale, so its value is bit-identical alone or
-in any batch.  Band values at most double per input bit, so the peak
-checks start after bit 960.  Counts are exact below 2^53 (every
-``n <= 56``, so the ``n <= 12`` oracles); above, the relative error is
-about ``n * 2^-53``.
+y_{i-delta}] f_{i-1}[delta]`` in O(n (k + 1)) time on R pairs of one input
+length at once, read pairs last and C-contiguous: inputs ``(n, R)`` or one
+``(n, 1)`` column for all pairs, and outputs ``(n + K, R)`` padded with a
+sentinel that matches no input bit (``_band_counts`` lays out row-major
+pairs).  A pair whose band peak nears overflow is rescaled by an exact power
+of two kept as a log2 scale, so its value is bit-identical alone or in any
+batch.  Band values at most double per input bit, so the peak checks start
+after bit 960.  Counts are exact below 2^53 (every ``n <= 56``, so the
+``n <= 12`` oracles); above, the relative error is about ``n * 2^-53``.
 Impossible outputs give the distinguished value ``-inf``, not an error:
 Monte Carlo never produces them but adversarial inputs do.
 
 ``total_probability`` sums ``p(y|x)`` over every output.  A batch of inputs
-takes one kernel call per output length m on inputs x all 2^m outputs (split
-to cap the band cells per call); each sum is bit-identical to a lone input.
-At ``n <= 12`` no pair is rescaled, so the sums read the kernel's counts
-directly.
+takes one kernel call per output length m on a group of inputs x all 2^m
+outputs, the groups sized to cap the band cells per call.  The padded outputs
+are laid out once per (n, m), and a group of one input is a broadcast column;
+each sum is bit-identical to a lone input.  At ``n <= 12`` no pair is
+rescaled, so the sums read the kernel's counts directly.
 
 ``exact_block_information`` enumerates all inputs and masks for
 ``n <= 12`` and returns exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` — the
@@ -118,25 +120,15 @@ def log2_binomial(n: int, k: int) -> float:
     ) / math.log(2.0)
 
 
-def _band_counts(
-    x: np.ndarray, y: np.ndarray, m: np.ndarray | list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding counts ``top * 2**scale`` of R pairs: ``x`` is one input,
-    shape ``(n,)``, or one per pair, ``(R, n)``; output r is ``y[r, :m[r]]``."""
-    xt = np.atleast_2d(x).T  # pairs last throughout: (n, R) or (n, 1)
-    n, m = xt.shape[0], np.asarray(m, dtype=np.int64)
-    k, rows, width = n - m, m.size, y.shape[1]
-    K = int(k.max())
+def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding counts ``top * 2**scale`` of R pairs laid out pairs last:
+    inputs ``xt`` ``(n, R)`` or ``(n, 1)``, outputs ``ypad`` ``(n + K, R)``,
+    both C-contiguous; pair r, with ``k[r] = n - m_r``, has its output in
+    rows ``K..K + m_r - 1`` of column r and ``_SENTINEL`` elsewhere."""
+    n, K, rows = len(xt), len(ypad) - len(xt), ypad.shape[1]
     # Pair r's band fills entries K - k_r..K of column r (zeros below), so
     # its answer is entry K.  Run back to front (N is unchanged), every y
     # starts at offset K of ypad: the step reading x[u] meets ypad[u + c].
-    ypad = np.full((n + K, rows), _SENTINEL, dtype=np.uint8)
-    if (m == width).all():
-        ypad[K : K + width] = y.T
-    else:
-        ypad[K : K + width] = np.where(
-            np.arange(width)[:, None] < m, y.T, _SENTINEL
-        )
     windows = np.ndarray((n, K + 1, rows), np.uint8, ypad, 0, (rows, rows, 1))
     f = np.zeros((K + 1, rows))
     f[K - k, np.arange(rows)] = 1.0
@@ -157,6 +149,23 @@ def _band_counts(
         np.ldexp(f, -e, out=f)
         scale += e
     return f[K], scale
+
+
+def _band_counts(
+    x: np.ndarray, y: np.ndarray, m: np.ndarray | list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_band_dp`` on row-major pairs: ``x`` is one input, shape ``(n,)``,
+    or one per pair, ``(R, n)``; output r is ``y[r, :m[r]]``."""
+    xt = np.ascontiguousarray(np.atleast_2d(x).T)
+    n, m = xt.shape[0], np.asarray(m, dtype=np.int64)
+    k, rows, width = n - m, m.size, y.shape[1]
+    K = int(k.max())
+    ypad = np.full((n + K, rows), _SENTINEL, dtype=np.uint8)
+    ypad[K : K + width] = (
+        y.T if (m == width).all()
+        else np.where(np.arange(width)[:, None] < m, y.T, _SENTINEL)
+    )
+    return _band_dp(xt, ypad, k)
 
 
 def embedding_count(x, y) -> float:
@@ -223,17 +232,23 @@ def _all_words(n: int) -> np.ndarray:
 def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:
     """``total_probability`` of each row of ``xs``, shape ``(R, n)``; a call
     covers inputs x all 2^m outputs, at most ``_MAX_BAND_CELLS`` band cells."""
+    xs = np.ascontiguousarray(xs)
     rows, n = xs.shape
     totals = np.empty((rows, n + 1))
     for m in range(n + 1):
-        ys = _all_words(m)
-        group = max(1, _MAX_BAND_CELLS // (2**m * (n - m + 1)))
+        K, width = n - m, 2**m
+        group = max(1, min(rows, _MAX_BAND_CELLS // (width * (K + 1))))
+        # group copies of every output, laid out once for this (n, m)
+        ypad = np.full((n + K, group * width), _SENTINEL, dtype=np.uint8)
+        ypad[K:n] = np.tile(_all_words(m).T, group)
+        k = np.full(group * width, K)
         for lo in range(0, rows, group):
-            x = np.repeat(xs[lo : lo + group], 2**m, axis=0)
-            y = np.tile(ys, (len(x) // 2**m, 1))
+            x = xs[lo : lo + group]
+            cols = len(x) * width  # fewer in a ragged last group
+            xt = x.T if len(x) == 1 else np.repeat(x.T, width, axis=1)
             # n <= 12 never rescales: scale is 0 and top is the count
-            top, _ = _band_counts(x, y, np.full(len(x), m))
-            totals[lo : lo + group, m] = top.reshape(-1, 2**m).sum(axis=1)
+            top, _ = _band_dp(xt, np.ascontiguousarray(ypad[:, :cols]), k[:cols])
+            totals[lo : lo + group, m] = top.reshape(-1, width).sum(axis=1)
         totals[:, m] *= d ** (n - m) * (1.0 - d) ** m
     return np.array([math.fsum(row) for row in totals.tolist()])
 

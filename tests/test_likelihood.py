@@ -19,6 +19,7 @@ from delchan.likelihood import (
     BlockInformation,
     _all_words,
     _band_counts,
+    _band_dp,
     _group_codes,
     _input_probs,
     _key_maps,
@@ -427,6 +428,50 @@ class TestTotalProbabilities:
             for i, d in enumerate(ds):
                 assert _total_probabilities(xs, d).tolist() == expected[:, i].tolist()
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_bit_identical_to_length_loop_sampled_n_11_12(self, n, monkeypatch):
+        # 7 rows: short outputs take all 7 inputs in one call, longer ones
+        # split them with a ragged last group (6 + 1, 4 + 3, 3 + 3 + 1,
+        # 2 + 2 + 2 + 1, ...), and a group of one input is the (n, 1)
+        # broadcast column
+        xs = np.random.Generator(np.random.Philox(n)).integers(
+            0, 2, (7, n), dtype=np.uint8
+        )
+        ds = (0.1, 0.5, 0.9)
+        groups = {}  # output length -> inputs of each call, at the first d
+
+        def recording(xt, ypad, k):
+            m = n - int(k[0])
+            inputs = ypad.shape[1] // 2**m
+            assert xt.shape[1] == (1 if inputs == 1 else ypad.shape[1])
+            groups.setdefault(m, []).append(inputs)
+            return _band_dp(xt, ypad, k)
+
+        monkeypatch.setattr(likelihood, "_band_dp", recording)
+        got = [_total_probabilities(xs, d).tolist() for d in ds]
+        monkeypatch.undo()
+        calls = {m: g[: len(g) // len(ds)] for m, g in groups.items()}
+        assert calls[0] == [7] and calls[n][-1] == 1  # broadcast at m = n
+        assert any(len(set(c)) > 1 and c[-1] < c[0] for c in calls.values())
+        expected = np.array([loop_total_probability(x, ds) for x in xs])
+        for i in range(len(ds)):
+            assert got[i] == expected[:, i].tolist()
+
+    def test_broadcast_input_equals_repeated_input(self):
+        # one input as an (n, 1) column against the same input in every
+        # pair's column, with mixed m at n = 1100; all ones rescales
+        rng = np.random.Generator(np.random.Philox(3))
+        m = [0, 5, 300, 550, 1000, 1100]
+        for x in (np.ones(1100, np.uint8), rng.integers(0, 2, 1100, np.uint8)):
+            y = np.zeros((len(m), x.size), np.uint8)
+            for r, mr in enumerate(m):
+                y[r, :mr] = x[np.sort(rng.permutation(x.size)[:mr])]
+            top, scale = _band_counts(x, y, m)
+            top_r, scale_r = _band_counts(np.tile(x, (len(m), 1)), y, m)
+            assert top.tolist() == top_r.tolist()
+            assert scale.tolist() == scale_r.tolist()
+            assert (scale.max() > 0) == (x.min() == 1)
+
     def test_split_batch_equals_one_row_calls(self, monkeypatch):
         # at n = 12 the long outputs fill a call with one input, so the
         # 100 rows split across many calls per length
@@ -435,11 +480,12 @@ class TestTotalProbabilities:
         )
         cells = []
 
-        def counting(x, y, m):
-            cells.append(len(x) * (x.shape[1] - m[0] + 1))
-            return _band_counts(x, y, m)
+        def counting(xt, ypad, k):
+            # pairs x band width (K + 1), K = n - m
+            cells.append(ypad.shape[1] * (ypad.shape[0] - xt.shape[0] + 1))
+            return _band_dp(xt, ypad, k)
 
-        monkeypatch.setattr(likelihood, "_band_counts", counting)
+        monkeypatch.setattr(likelihood, "_band_dp", counting)
         got = _total_probabilities(xs, 0.3)
         monkeypatch.undo()
         assert len(cells) > 13  # more than one call per output length

@@ -6,14 +6,16 @@ we check report shapes, suite composition, and the cheap check groups.
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from delchan import cli, likelihood, verify
 from delchan.constants import capacity_estimate
-from delchan.likelihood import _all_words, _band_counts
-from delchan.sources import DEFAULT_SEED
+from delchan.estimation import estimate_h_cond
+from delchan.likelihood import _all_words, _band_counts, _band_dp, embedding_count
+from delchan.sources import DEFAULT_SEED, SourceSpec
 from delchan.verify import (
     SUITES,
     BoundsTable,
@@ -183,26 +185,62 @@ DP_ORACLE_JSON = json.dumps([
 
 class TestOracleWorkAndOutput:
     def test_kernel_calls_and_groups(self, monkeypatch):
-        calls, groups = [], []
+        cells, groups = [], []  # band cells of each kernel call
 
-        def counting_kernel(x, y, m):
-            calls.append(len(m))
-            return _band_counts(x, y, m)
+        def counting_kernel(xt, ypad, k):
+            cells.append(ypad.shape[1] * (ypad.shape[0] - xt.shape[0] + 1))
+            return _band_dp(xt, ypad, k)
 
         def recording_group(xs, ys, check=verify._check_group):
             groups.append((xs.shape[1], ys.shape[1], len(xs)))
             return check(xs, ys)
 
-        monkeypatch.setattr(verify, "_band_counts", counting_kernel)
-        monkeypatch.setattr(likelihood, "_band_counts", counting_kernel)
+        monkeypatch.setattr(likelihood, "_band_dp", counting_kernel)
         monkeypatch.setattr(verify, "_check_group", recording_group)
         check_dp_oracle(DEFAULT_SEED)
-        # 27 exhaustive + 90 random groups, 2634 normalization calls
-        assert len(calls) == 2751
+        # 27 exhaustive + 90 random groups, 2634 normalization calls, the
+        # normalization calls at most _MAX_BAND_CELLS band cells each
+        assert len(cells) == 2751
+        assert max(cells[117:]) <= likelihood._MAX_BAND_CELLS
         exhaustive = [(n, m) for n in range(1, 7) for m in range(n + 1)]
         random_ = [(n, m) for n in range(1, 13) for m in range(n + 1)]
         assert [g[:2] for g in groups] == exhaustive + random_
         assert sum(g[2] for g in groups[len(exhaustive):]) == 10_000
+
+    def test_kernel_operands_are_c_contiguous(self, monkeypatch):
+        # the DP compares rows of xt with windows of ypad; a strided
+        # (transposed) view of either slows every comparison
+        seen = {}
+
+        def checking_kernel(xt, ypad, k):
+            assert xt.flags.c_contiguous and ypad.flags.c_contiguous
+            assert xt.shape[1] in (1, k.size) and ypad.shape[1] == k.size
+            seen[caller] = seen.get(caller, 0) + 1
+            return _band_dp(xt, ypad, k)
+
+        monkeypatch.setattr(likelihood, "_band_dp", checking_kernel)
+        caller = "check_dp_oracle"
+        check_dp_oracle(DEFAULT_SEED)
+        caller = "estimate_h_cond"
+        estimate_h_cond(SourceSpec.dagger(0.05), 0.05, 200, 130, 1)
+        caller = "embedding_count"
+        x = np.tile(np.array([0, 1, 1], np.uint8), 40)
+        embedding_count(x[::2], x[1::3])  # strided rows
+        embedding_count(x, x[::-1][:50])
+        assert seen == {"check_dp_oracle": 2751, "estimate_h_cond": 2,
+                        "embedding_count": 2}
+
+    def test_check_dp_oracle_memory_budget(self):
+        # warm run first (the kept-position cache); 1.30 MB at a cap of
+        # 2^12 band cells, 1.82 MB at 2^13
+        check_dp_oracle(1)
+        tracemalloc.start()
+        try:
+            check_dp_oracle(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6e6
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, DEFAULT_SEED])
     def test_report_is_pinned(self, seed):
