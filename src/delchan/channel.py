@@ -10,12 +10,12 @@ Segmentation utilities decompose a sequence into maximal runs
 (``run_lengths``) and split the runs into *super-runs* (a first run
 followed by the maximal stretch of length-1 runs) with array operations.
 
-Long output streams run through a private path that applies the channel
-in fixed blocks of input bits, drawing the same numbers as
-``transmit``.  Each block's output is segmented by ``run_lengths``; only
-the value and length of the run still open carry into the next block.
-Its memory is the sampled input (one byte per input bit) plus one int32
-per output run, and fixed-size block buffers.
+A bit is kept when its uniform ``u >= d`` (``d`` of 0 or 1 draws none).
+Long output streams apply the channel in fixed blocks of input bits,
+drawing the same numbers as ``transmit``.  Each block's output is
+segmented by ``run_lengths``; only the value and length of the run still
+open carry into the next block.  Its memory is the sampled input (one
+byte per input bit) plus one int32 per output run, and block buffers.
 """
 
 from __future__ import annotations
@@ -68,17 +68,17 @@ def transmit(x, d: float, seed) -> DeletionRealization:
     """
     _check_d_closed(d)
     x = as_bits(x)
-    mask = _deletion_mask(x.shape, d, _rng_from(seed))
-    return DeletionRealization(x=x, mask=mask, y=apply_mask(x, mask))
+    keep = _keep_mask(x.shape, d, _rng_from(seed))
+    return DeletionRealization(x=x, mask=(~keep).view(np.uint8), y=x[keep])
 
 
-def _deletion_mask(shape, d: float, rng: np.random.Generator, out=None) -> np.ndarray:
-    """I.i.d. Bernoulli(d) deletion mask (1 = deleted) of any shape, e.g.
-    ``(rows, n)`` for a batch; draws nothing when ``d`` is 0 or 1.
-    ``out``, if given, is a float buffer of ``shape`` for the uniforms."""
+def _keep_mask(shape, d: float, rng: np.random.Generator, out=None) -> np.ndarray:
+    """I.i.d. keep mask (True = kept, ``u >= d`` for a uniform ``u``) of any
+    shape, e.g. ``(rows, n)`` for a batch; draws nothing when ``d`` is 0 or
+    1.  ``out``, if given, is a float buffer of ``shape`` for the uniforms."""
     if d == 0.0 or d == 1.0:
-        return np.full(shape, d == 1.0, dtype=np.uint8)
-    return (rng.random(shape, out=out) < d).view(np.uint8)
+        return np.full(shape, d == 0.0)
+    return rng.random(shape, out=out) >= d
 
 
 def _run_dtype(size: int) -> type:
@@ -109,7 +109,7 @@ def _output_run_lengths(
     last = open_len = 0  # value and length of the open run (0: none yet)
     for lo in range(0, x.size, _BLOCK):
         xb = x[lo : lo + _BLOCK]
-        yb = apply_mask(xb, _deletion_mask(xb.shape, d, rng, u[: xb.size]))
+        yb = xb[_keep_mask(xb.shape, d, rng, u[: xb.size])]
         if yb.size == 0:
             continue
         block = run_lengths(yb)

@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from delchan.channel import _deletion_mask, _output_run_lengths
+from delchan.channel import _keep_mask, _output_run_lengths
 from delchan.constants import _check_d_closed, _check_d_half_open, _check_int
 from delchan.likelihood import _band_counts, binomial_length_entropy, log2_binomial
 from delchan.runstats import _L_CAP, _capped_counts
@@ -142,7 +142,7 @@ def estimate_h_cond(
             rows = min(_CHUNK, samples - index * _CHUNK)
             rng = _rng_from(child)
             xs_parts.append(_sample_rows(spec, n, rows, rng))
-            keep_parts.append(_deletion_mask((rows, n), d, rng) == 0)
+            keep_parts.append(_keep_mask((rows, n), d, rng))
         xs, keep = np.concatenate(xs_parts), np.concatenate(keep_parts)
         ms = keep.sum(axis=1)
         ys = np.zeros_like(xs)

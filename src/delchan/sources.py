@@ -20,8 +20,9 @@ generator, chosen for speed; parallel streams are spawned from a
 sampler draws many paths from one stream (see ``delchan.estimation``).
 A single long path is simulated in fixed blocks of ``_BLOCK`` draws from
 the same stream, in the same order, so the bits do not depend on the
-block size.  One helper expands run lengths into the bits of alternating
-runs, for a block of one path and for a batch of many alike.
+block size.  A path's bits are the running XOR of its toggles (a Markov
+flip, a renewal run start), taken in place over 8-byte words (parallel
+prefix: Kogge & Stone, IEEE Trans. Computers C-22(8), 1973).
 
 Run lengths are drawn by inverting the cumulative pmf, one uniform per
 length, which gives exactly the draws of ``Generator.choice(p=probs)``.
@@ -336,13 +337,30 @@ def _sample_lengths(rng, inv: _InverseCdf, shape, out=None) -> np.ndarray:
     return lengths
 
 
+def _running_xor(buf: np.ndarray) -> None:
+    """Running XOR, in place, of the 0/1 bytes of ``buf`` (a multiple of 8 of them):
+    three shifted XORs scan each ``<u8`` word, then earlier words' parity is added."""
+    w = buf.view("<u8")
+    for shift in (8, 16, 32):
+        w ^= w << shift
+    parity = buf[7::8].cumsum(dtype=np.uint8) & 1  # mod 256 keeps the parity
+    w[1:] ^= parity[:-1] * np.uint64(0x0101010101010101)  # to all 8 bytes
+
+
 def _expand_runs(lengths: np.ndarray, first) -> np.ndarray:
-    """The bits of alternating runs, row after row: run ``j`` of a row of
-    ``lengths`` has value ``first ^ (j & 1)`` (``first`` is one value per row)."""
-    values = np.empty(lengths.shape, dtype=np.uint8)
-    values[:, 0::2] = first
-    values[:, 1::2] = first ^ 1
-    return np.repeat(values.ravel(), lengths.ravel())
+    """Bits of alternating runs, row after row (rows equally long): run ``j`` of
+    a row of ``lengths`` is ``first ^ (j & 1)``.  The running XOR of a 1 per run
+    start, but of first XOR the previous row's last bit at a row start."""
+    rows, cols = lengths.shape
+    ends = lengths.cumsum()
+    size = int(ends[-1])
+    bits = np.zeros((size + 7) & ~7, dtype=np.uint8)  # whole words
+    bits[ends[:-1]] = 1
+    starts = np.ravel(first).astype(np.uint8)
+    starts[1:] ^= starts[:-1] ^ ((cols - 1) & 1)
+    bits[: size : size // rows] = starts
+    _running_xor(bits)
+    return bits[:size]
 
 
 def _sample_rows(
@@ -361,16 +379,23 @@ def _sample_rows(
         return rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
 
     if spec.kind == "markov":
+        # a row's bits: the running XOR of its first bit and its flips
         step = _BLOCK if rows == 1 else n
-        bits = np.empty((rows, n), dtype=np.uint8)
+        buf = np.empty((rows * n + 7) & ~7, dtype=np.uint8)  # whole words
+        bits = buf[: rows * n].reshape(rows, n)
         bits[:, :1] = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
         u = np.empty((rows, min(step, n - 1)))
         for lo in range(1, n, step):
-            block = bits[:, lo - 1 : lo + step]  # carries the previous bit in
-            flips = block[:, 1:].view(np.bool_)
+            flips = bits[:, lo : lo + step].view(np.bool_)
             uniforms = rng.random(out=u[:, : flips.shape[1]])
             np.greater_equal(uniforms, spec.p_same, out=flips)
-            np.bitwise_xor.accumulate(block, axis=1, out=block)
+            # one row: scan on from the word of the carried-in bit at lo - 1,
+            # its final bits made toggles again; rows: scan all, then undo
+            # the XOR of the rows before each row
+            start = (lo - 1) & ~7
+            buf[start + 1 : lo] ^= buf[start : lo - 1].copy()
+            _running_xor(buf[start : (lo + step + 7) & ~7] if rows == 1 else buf)
+            bits[1:] ^= bits[:-1, -1:].copy()
         return bits
 
     # renewal: run j of a row has value ``value ^ (j & 1)``

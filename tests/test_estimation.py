@@ -19,7 +19,7 @@ import pytest
 
 from delchan import estimation
 from delchan.analytics import markov_rate_bound, optimal_markov_param
-from delchan.channel import _deletion_mask
+from delchan.channel import _keep_mask
 from delchan.estimation import (
     _BOOTSTRAP_RESAMPLES,
     _BURN_IN_RUNS,
@@ -79,8 +79,8 @@ def replica_loop_h_cond(spec, d, n, samples, seed):
     for index, child in enumerate(chunks):
         rng = _rng_from(child)
         xs = _sample_rows(spec, n, min(_CHUNK, samples - index * _CHUNK), rng)
-        for x, mask in zip(xs, _deletion_mask(xs.shape, d, rng)):
-            y = x[mask == 0]
+        for x, keep in zip(xs, _keep_mask(xs.shape, d, rng)):
+            y = x[keep]
             values.append((log2_binomial(n, y.size) - embedding_count(x, y)) / n)
             ms.append(y.size)
     mean = math.fsum(values) / samples
@@ -100,7 +100,7 @@ def per_chunk_h_cond(spec, d, n, samples, seed):
         rows = min(_CHUNK, samples - start)
         rng = _rng_from(child)
         xs = _sample_rows(spec, n, rows, rng)
-        keep = _deletion_mask(xs.shape, d, rng) == 0
+        keep = _keep_mask(xs.shape, d, rng)
         ms = keep.sum(axis=1)
         ys = np.zeros_like(xs)
         ys[np.arange(n) < ms[:, None]] = xs[keep]
@@ -435,7 +435,11 @@ class TestEstimateHOutRenewal:
 
     def test_deterministic(self):
         args = (SourceSpec.renewal(geometric_half()), 0.2, 50000, 13)
-        assert _h_out_from_stream(*args) == _h_out_from_stream(*args)
+        # 50000 output bits leave the stream underpowered, and it says so
+        with pytest.warns(UserWarning, match="underpowered"):
+            first = _h_out_from_stream(*args)
+            second = _h_out_from_stream(*args)
+        assert first == second
 
     def test_validation(self):
         with pytest.raises(ValueError, match="out_bits"):

@@ -10,10 +10,11 @@ import math
 import pathlib
 import re
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delchan import sources
 from delchan.sources import (
@@ -21,8 +22,10 @@ from delchan.sources import (
     _GUIDE_CELLS,
     RunLengthDistribution,
     SourceSpec,
+    _expand_runs,
     _inverse_cdf,
     _rng_from,
+    _running_xor,
     _sample_lengths,
     _sample_rows,
     as_bits,
@@ -509,6 +512,75 @@ class TestSampling:
         np.testing.assert_array_equal(rows[:, 2:], rows[:, :-2] ^ 1)
         assert np.all(rows[:, 0] == rows[:, 1])
         assert np.all(rows[:, 1] != rows[:, 2])
+
+
+def repeat_expand_runs(lengths, first):
+    """``_expand_runs`` as ``np.repeat`` of each run's value."""
+    values = np.empty(lengths.shape, dtype=np.uint8)
+    values[:, 0::2] = first
+    values[:, 1::2] = first ^ 1
+    return np.repeat(values.ravel(), lengths.ravel())
+
+
+@st.composite
+def run_rows(draw):
+    """``(lengths, first)`` for ``_expand_runs``: 1-4 rows of 1-5 runs of
+    length 1-20, each row's last run lengthened so all rows are equally long."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 5))
+    size = rows * cols
+    flat = draw(st.lists(st.integers(1, 20), min_size=size, max_size=size))
+    lengths = np.array(flat, dtype=np.int64).reshape(rows, cols)
+    sums = lengths.sum(axis=1)
+    lengths[:, -1] += sums.max() - sums
+    first = np.array(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+    return lengths, first.reshape(rows, 1)
+
+
+class TestBitBuilders:
+    """The word-parallel running XOR and the run expansion built on it."""
+
+    @given(
+        toggles=st.integers(1, 9).flatmap(  # 1 to 9 words: 8 to 72 bytes
+            lambda w: st.lists(st.integers(0, 1), min_size=8 * w, max_size=8 * w)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_running_xor_matches_accumulate(self, toggles):
+        buf = np.array(toggles, dtype=np.uint8)
+        want = np.bitwise_xor.accumulate(buf)
+        _running_xor(buf)
+        np.testing.assert_array_equal(buf, want)
+
+    @given(run_rows())
+    # more than one row with an even and an odd number of runs
+    @example((np.array([[1, 2], [2, 1], [1, 2]]), np.array([[1], [0], [0]])))
+    @example((np.array([[2, 1, 1], [1, 1, 2]]), np.array([[0], [1]])))
+    # rows of one run, and runs longer than a word that cross words
+    @example((np.array([[9], [9], [9]]), np.array([[1], [1], [0]])))
+    @example((np.array([[3, 17, 5], [20, 4, 1]]), np.array([[1], [0]])))
+    @settings(max_examples=300, deadline=None)
+    def test_expand_runs_matches_repeat(self, case):
+        lengths, first = case
+        got = _expand_runs(lengths, first)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, repeat_expand_runs(lengths, first))
+
+    @pytest.mark.parametrize(
+        "spec", [SourceSpec.dagger(0.1), SourceSpec.markov(0.56)], ids=lambda s: s.kind
+    )
+    def test_long_row_memory_budget(self, spec):
+        # the row itself plus block buffers; a pass over a whole-row word
+        # buffer would hold more than 2n
+        n = 1 << 23
+        sample_sequence(spec, 100, 0)  # build the cached inverse cdf first
+        tracemalloc.start()
+        try:
+            sample_sequence(spec, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n + 3e6
 
 
 #: Laws whose cdf points sit where the guide table can go wrong.
