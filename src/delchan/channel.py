@@ -12,10 +12,12 @@ followed by the maximal stretch of length-1 runs) with array operations.
 
 A bit is kept when its uniform ``u >= d`` (``d`` of 0 or 1 draws none).
 Long output streams apply the channel in fixed blocks of input bits,
-drawing the same numbers as ``transmit``.  Each block's output is
-segmented by ``run_lengths``; only the value and length of the run still
-open carry into the next block.  Its memory is the sampled input (one
-byte per input bit) plus one int32 per output run, and block buffers.
+drawing the same numbers as ``transmit``.  Each block indexes its kept
+bits once and writes the differences of consecutive output run starts
+straight into the run-length buffer; only the open run's start and the
+last output bit carry into the next block.  Its memory is the sampled
+input (one byte per input bit) plus one int32 per output run, and block
+buffers.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ def _output_run_lengths(
 ) -> np.ndarray:
     """``run_lengths(transmit(x, d, rng).y)`` from the same draws, run over
     blocks of ``_BLOCK`` input bits with no per-bit mask or output array.
-    Each block's output is segmented by :func:`run_lengths`; the run open at
-    its end carries its value and length into the next block.
+    Each block indexes its kept bits once and finds its run starts as output
+    indices; the differences of consecutive starts go straight into the run
+    buffer.  Only the open run's start and the last output bit carry into
+    the next block.
 
     The lengths come back as ``_run_dtype(x.size)``, int32 below 2^31
     input bits; numpy sums int32 arrays in int64, so every count and sum
@@ -106,23 +110,32 @@ def _output_run_lengths(
     # 4 bytes per output run below 2^31 input bits
     lengths = np.empty(x.size, dtype=_run_dtype(x.size))
     runs = 0  # runs ended
-    last = open_len = 0  # value and length of the open run (0: none yet)
+    out = start = last = 0  # output bits so far, open run's start, last bit
     for lo in range(0, x.size, _BLOCK):
         xb = x[lo : lo + _BLOCK]
-        yb = xb[_keep_mask(xb.shape, d, rng, u[: xb.size])]
+        yb = np.compress(_keep_mask(xb.shape, d, rng, u[: xb.size]), xb)
         if yb.size == 0:
             continue
-        block = run_lengths(yb)
-        if yb[0] == last:  # the block continues the open run
-            block[0] += open_len
-        elif open_len:
-            lengths[runs] = open_len
+        if out and yb[0] != last:  # the block's first bit starts a run
+            lengths[runs] = out - start
             runs += 1
-        lengths[runs : runs + block.size - 1] = block[:-1]
-        runs += block.size - 1
-        open_len, last = int(block[-1]), yb[-1]
-    if open_len:
-        lengths[runs] = open_len
+            start = out
+        # runs start at output indices out + 1 + starts
+        starts = np.flatnonzero(yb[1:] != yb[:-1])
+        if starts.size:
+            lengths[runs] = out + 1 + starts[0] - start
+            np.subtract(
+                starts[1:],
+                starts[:-1],
+                out=lengths[runs + 1 : runs + starts.size],
+                casting="same_kind",
+            )
+            runs += starts.size
+            start = out + 1 + int(starts[-1])
+        out += yb.size
+        last = yb[-1]
+    if out:
+        lengths[runs] = out - start
         runs += 1
     return lengths[:runs]
 

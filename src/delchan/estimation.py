@@ -204,16 +204,16 @@ def _h_out_from_stream(
     blocks = np.split(interior, edges[1:-1])
     block_counts = np.array([_capped_counts(b, _L_CAP) for b in blocks], np.float64)
     block_runs = np.diff(edges).astype(np.float64)
-    block_length_sums = np.array([b.sum() for b in blocks], np.float64)
+    block_sums = np.array([b.sum() for b in blocks], np.int64)
+    block_length_sums = block_sums.astype(np.float64)
     support_counts = block_counts.sum(axis=0)  # integers: the sum is exact
-    length_sum = float(interior.sum())
+    length_sum = float(block_sums.sum())
 
     # lengths never observed are structural zeros (e.g. deterministic run
     # laws without deletions), not evidence of a starved estimate
-    check_to = min(8, int(interior.max()))
     weak = [
         l
-        for l in range(1, check_to + 1)
+        for l in range(1, 9)
         if 0.0 < support_counts[l - 1] < _MIN_COUNT_PER_SUPPORT_POINT
     ]
     if weak:

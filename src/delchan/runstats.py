@@ -73,8 +73,9 @@ def _interior_run_lengths(x) -> np.ndarray:
 
 
 def _capped_counts(lengths: np.ndarray, cap: int) -> np.ndarray:
-    """Counts of the lengths ``1..cap`` (index ``l - 1``); longer runs are left out."""
-    return np.bincount(lengths[lengths <= cap], minlength=cap + 1)[1:]
+    """Counts of the lengths ``1..cap`` (index ``l - 1``); longer runs are left out
+    (pooled into a bin ``cap + 1`` that is dropped)."""
+    return np.bincount(np.minimum(lengths, cap + 1), minlength=cap + 2)[1 : cap + 1]
 
 
 def empirical_run_distribution(x, *, l_cap: int = _L_CAP) -> EmpiricalRunStats:

@@ -331,9 +331,9 @@ def _sample_lengths(rng, inv: _InverseCdf, shape, out=None) -> np.ndarray:
     """
     u = rng.random(shape, out=out)
     lengths = inv.guide[(u * _GUIDE_CELLS).astype(np.intp)]
-    split = lengths == 0
-    if split.any():
-        lengths[split] = np.searchsorted(inv.cdf, u[split], side="right") + 1
+    split = np.flatnonzero(lengths == 0)
+    if split.size:
+        lengths.flat[split] = np.searchsorted(inv.cdf, u.flat[split], side="right") + 1
     return lengths
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ class TestOutputRunLengths:
         assert got.dtype == np.int32
         np.testing.assert_array_equal(got, want)
         assert a.random() == b.random()  # same number of draws
+
+
+    @pytest.mark.parametrize(
+        "spec", [SourceSpec.dagger(0.1), SourceSpec.markov(0.56)], ids=lambda s: s.kind
+    )
+    def test_memory_budget(self, spec):
+        # one int32 per input bit for the run buffer, and block buffers
+        n = 1 << 22
+        x = sample_sequence(spec, n, 1)
+        tracemalloc.start()
+        try:
+            _output_run_lengths(x, 0.1, _rng_from(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n + 1.5e6
 
 
 class TestSegmentation:

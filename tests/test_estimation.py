@@ -61,6 +61,25 @@ CRITERION_8_JSON = (
     '"mode": "exact-renewal"}'
 )
 
+#: ``estimate_rate(spec, 0.1, n=200, samples=20, out_bits=10**6,
+#: seed=11).to_json()`` at the shape of a benchmark stream op, for a
+#: renewal input and a Markov input, recorded before the stream's run
+#: segmentation was rewritten.
+STREAM_OP_JSON = {
+    "renewal": (
+        '{"rate": 0.5747461576148074, "h_out": 0.8931749427529312, '
+        '"h_cond": 0.3184287851381238, "std_err": 0.010807395121308024, '
+        '"n": 200, "samples": 20, "d": 0.1, "seed": 11, '
+        '"mode": "exact-renewal"}'
+    ),
+    "markov": (
+        '{"rate": 0.5793583986670647, "h_out": 0.89225834604262, '
+        '"h_cond": 0.3128999473755553, "std_err": 0.00982188614144028, '
+        '"n": 200, "samples": 20, "d": 0.1, "seed": 11, '
+        '"mode": "upper-bound"}'
+    ),
+}
+
 
 def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
@@ -340,6 +359,13 @@ class TestBlockedStream:
             out_bits=10**7, seed=DEFAULT_SEED,
         )
         assert r.to_json() == CRITERION_8_JSON
+
+    @pytest.mark.parametrize(
+        "spec", [SourceSpec.dagger(0.1), SourceSpec.markov(0.56)], ids=lambda s: s.kind
+    )
+    def test_stream_op_json_unchanged(self, spec):
+        r = estimate_rate(spec, 0.1, n=200, samples=20, out_bits=10**6, seed=11)
+        assert r.to_json() == STREAM_OP_JSON[spec.kind]
 
     def test_underpowered_warning_points_at_the_caller(self):
         for threads in (1, 2):

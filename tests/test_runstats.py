@@ -75,14 +75,17 @@ class TestEmpiricalRunDistribution:
 
 @pytest.mark.parametrize("cap", [1, 4, _L_CAP])
 def test_capped_counts_leave_longer_runs_out(cap):
-    lengths = np.random.default_rng(cap).integers(1, 3 * _L_CAP, size=4000)
-    assert (lengths > cap).any()
-    counts = _capped_counts(lengths, cap)
-    assert counts.shape == (cap,)
-    assert (counts == np.bincount(lengths[lengths <= cap], minlength=cap + 1)[1:]).all()
-    # the pooled form the output-entropy blocks used before
-    pooled = np.bincount(np.minimum(lengths, cap + 1), minlength=cap + 2)
-    assert (counts == pooled[1 : cap + 1]).all()
+    drawn = np.random.default_rng(cap).integers(1, 3 * _L_CAP, size=4000)
+    # lengths of exactly cap and cap + 1 sit on either side of the cut
+    drawn = np.concatenate((drawn, [cap, cap + 1, cap + 1]))
+    assert (drawn > cap).any()
+    for dtype in (np.int64, np.int32):  # int32: the output stream's lengths
+        lengths = drawn.astype(dtype)
+        counts = _capped_counts(lengths, cap)
+        assert counts.shape == (cap,)
+        want = np.bincount(lengths[lengths <= cap], minlength=cap + 1)[1:]
+        assert (counts == want).all()
+        assert counts[cap - 1] == (drawn == cap).sum()
 
 
 def dict_loop_super_run_pmf(x) -> list[tuple[SuperRunType, float]]:
