@@ -18,7 +18,6 @@ from delchan.analytics import (
 from delchan.channel import (
     DeletionRealization,
     SuperRunType,
-    apply_mask,
     modified_mask,
     run_lengths,
     segment_super_runs,
@@ -88,7 +87,6 @@ __all__ = [
     "SourceSpec",
     "SuiteReport",
     "SuperRunType",
-    "apply_mask",
     "as_bits",
     "binary_entropy",
     "binomial_length_entropy",

@@ -120,10 +120,8 @@ def k_entropy_formula(p: RunLengthDistribution, d: float) -> float:
         return 0.0
 
     lengths = np.arange(1, p.L_max + 1, dtype=np.float64)
-    w_l = probs[1:]  # p(l), l >= 2
+    w_l = probs[1:]  # p(l) for l >= 2, and p(l0) for l0 >= 2
     l_vals = lengths[1:]
-    w_l0 = probs[1:]  # p(l0), l0 >= 2
-    l0_vals = lengths[1:]
 
     def h(x: np.ndarray) -> np.ndarray:
         return -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
@@ -133,10 +131,10 @@ def k_entropy_formula(p: RunLengthDistribution, d: float) -> float:
     for k in range(2, _K_HARD_CAP + 1):
         m = (k - 1) + l_vals  # k-1+l
         double_layer = p1_pow * p1 * float(np.dot(w_l, m * h(1.0 / m)))
-        tot = l0_vals[:, None] + (k - 1) + l_vals[None, :]
-        frac = (l0_vals[:, None] + 1.0) / tot
+        tot = l_vals[:, None] + (k - 1) + l_vals[None, :]
+        frac = (l_vals[:, None] + 1.0) / tot
         triple_layer = p1_pow * float(
-            np.einsum("i,j,ij->", w_l0, w_l, tot * h(frac))
+            np.einsum("i,j,ij->", w_l, w_l, tot * h(frac))
         )
         layer = double_layer + triple_layer
         layers.append(layer)

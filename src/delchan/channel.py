@@ -10,14 +10,9 @@ Segmentation utilities decompose a sequence into maximal runs
 (``run_lengths``) and split the runs into *super-runs* (a first run
 followed by the maximal stretch of length-1 runs) with array operations.
 
-A bit is kept when its uniform ``u >= d`` (``d`` of 0 or 1 draws none).
-Long output streams apply the channel in fixed blocks of input bits,
-drawing the same numbers as ``transmit``.  Each block indexes its kept
-bits once and writes the differences of consecutive output run starts
-straight into the run-length buffer; only the open run's start and the
-last output bit carry into the next block.  Its memory is the sampled
-input (one byte per input bit) plus one int32 per output run, and block
-buffers.
+One keep mask (``_keep_mask``) serves ``transmit`` and the long output
+streams of ``delchan.estimation`` (``_output_run_lengths``), so both make
+the same draws.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ from delchan.sources import _BLOCK, _rng_from, as_bits
 __all__ = [
     "DeletionRealization",
     "SuperRunType",
-    "apply_mask",
     "modified_mask",
     "run_lengths",
     "segment_super_runs",
@@ -55,11 +49,6 @@ class DeletionRealization:
     x: np.ndarray
     mask: np.ndarray
     y: np.ndarray
-
-
-def apply_mask(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Channel output: the mask-0 positions of ``x``, order preserved."""
-    return x[mask == 0]
 
 
 def transmit(x, d: float, seed) -> DeletionRealization:

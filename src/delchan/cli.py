@@ -151,6 +151,14 @@ plot "{csv}" using 1:2 with points pt 6 ps 1.2 title "best lower bound", \\
 """
 
 
+#: Options shared by several commands.
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
+                            show_default=True)
+_bounds_file_option = click.option(
+    "--bounds-file", type=click.Path(), default=None,
+    help="CSV of published bounds (default: bundled table).")
+
+
 @click.group()
 def main() -> None:
     """Deletion-channel capacity toolkit."""
@@ -173,8 +181,7 @@ def constants_cmd(tol: float, out_format: str) -> None:
 
 
 @main.command("table")
-@click.option("--bounds-file", type=click.Path(), default=None,
-              help="CSV of published bounds (default: bundled table).")
+@_bounds_file_option
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 def table_cmd(bounds_file, out_format: str) -> None:
@@ -184,8 +191,7 @@ def table_cmd(bounds_file, out_format: str) -> None:
 
 
 @main.command("plot-data")
-@click.option("--bounds-file", type=click.Path(), default=None,
-              help="CSV of published bounds (default: bundled table).")
+@_bounds_file_option
 @click.option("--points", type=click.IntRange(min=2), default=99,
               show_default=True,
               help="Number of grid points for the estimate curve.")
@@ -240,8 +246,7 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
 @click.option("--out-bits", type=click.IntRange(min=1), default=1_000_000,
               show_default=True,
               help="Output-stream budget for the output entropy.")
-@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
-              show_default=True)
+@_seed_option
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help="2 runs the two halves of the estimate at once; more adds nothing.")
 @click.option("--format", "out_format", type=click.Choice(["json", "csv"]),
@@ -292,8 +297,7 @@ def dist_cmd(kind, out, d, l_max) -> None:
               help="If set, report statistics of the channel output.")
 @click.option("--l-cap", type=click.IntRange(min=1), default=_L_CAP,
               show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
-              show_default=True)
+@_seed_option
 def stats_cmd(source, n, d, l_cap, seed) -> None:
     """Empirical run-length statistics of a source (or channel output)."""
     spec = _parse_source(source, d if d is not None else 0.0)
@@ -313,8 +317,7 @@ def stats_cmd(source, n, d, l_cap, seed) -> None:
               help="Monte Carlo replicas (rates suite only).")
 @click.option("--out-bits", type=click.IntRange(min=1), default=None,
               help="Output-stream budget (rates suite only).")
-@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
-              show_default=True)
+@_seed_option
 def verify_cmd(suite, samples, out_bits, seed) -> None:
     """Run a verification suite; exit 1 on failure.
 

@@ -7,10 +7,10 @@ The binary deletion channel with deletion probability ``d`` has capacity
 where ``A1`` and ``A2`` are absolute constants assembled from
 geometric-weighted series.  This module computes every such constant by
 direct summation with a *certified* truncation bound, evaluates the
-expansion ``capacity_estimate``, and provides the binary entropy
-function used throughout the toolkit and the argument rules (deletion
-probability intervals, integer sizes and seeds) that every public entry
-point applies before any work.
+expansion ``capacity_estimate``, and provides the binary and plug-in
+entropy functions used throughout the toolkit and the argument rules
+(deletion probability intervals, integer sizes and seeds) that every
+public entry point applies before any work.
 
 Defining series (logs: ``ln`` natural, ``log2`` base two)::
 
@@ -50,6 +50,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "SeriesConstants",
@@ -134,6 +136,12 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    """Plug-in entropy ``-sum p log2 p`` (bits) over the entries ``> 0``."""
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
 
 
 def _tail_bound(L: int, kappa: float, a: int, b: int) -> float:

@@ -22,29 +22,10 @@ after bit 960.  Counts are exact below 2^53 (every ``n <= 56``, so the
 Impossible outputs give the distinguished value ``-inf``, not an error:
 Monte Carlo never produces them but adversarial inputs do.
 
-``total_probability`` sums ``p(y|x)`` over every output.  A batch of inputs
-takes one kernel call per output length m on a group of inputs x all 2^m
-outputs, the groups sized to cap the band cells per call.  The padded outputs
-are laid out once per (n, m), and a group of one input is a broadcast column;
-each sum is bit-identical to a lone input.  At ``n <= 12`` no pair is
-rescaled, so the sums read the kernel's counts directly.
-
-``exact_block_information`` enumerates all inputs and masks for
-``n <= 12`` and returns exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` — the
-ground-truth oracle against which the Monte Carlo estimators are gated.
-I.i.d. deletions commute with reversal R and complement C, so it reads
-one input per orbit of {identity, R, C, R∘C}, the smallest code ``c``
-(1056 of 4096 inputs at n = 12).  It keys each (representative, mask)
-pair by its output, one chunk of representatives at a time (2^18 int32
-keys, 64 representatives at n = 12), and reads the keys representative
-by representative: the output law ``q_c`` gives ``H(Y|X = x)`` for the
-whole orbit and, weighted by ``p(g·c) / |Stab(c)|``, one accumulator per
-g.  The keys are exact integers in any chunking, so the results do not
-depend on the chunk, which bounds the working set to a few MB.  The
-accumulators are mapped back to ``p(y)`` by key permutations that apply
-g to the code bits within each output length.  The weights use
-``p(g·c)`` itself because the source law need not be symmetric (the
-renewal start censors only the last run).
+The exhaustive ``n <= 12`` oracles enumerate every output:
+``total_probability`` is the normalization self-check of the DP, and
+``exact_block_information`` gives the exact ``H(Y)`` and ``H(Y|X)``
+against which the Monte Carlo estimators are gated.
 """
 
 from __future__ import annotations
@@ -55,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from delchan.constants import _check_d_closed, _check_d_open, _check_int
+from delchan.constants import _check_d_closed, _check_d_open, _check_int, _entropy_bits
 from delchan.sources import SourceSpec, as_bits
 
 __all__ = [
@@ -155,16 +136,13 @@ def _band_counts(
     x: np.ndarray, y: np.ndarray, m: np.ndarray | list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_band_dp`` on row-major pairs: ``x`` is one input, shape ``(n,)``,
-    or one per pair, ``(R, n)``; output r is ``y[r, :m[r]]``."""
+    or one per pair, ``(R, n)``; output r is ``y[r, :m[r]]`` (uint8)."""
     xt = np.ascontiguousarray(np.atleast_2d(x).T)
     n, m = xt.shape[0], np.asarray(m, dtype=np.int64)
     k, rows, width = n - m, m.size, y.shape[1]
     K = int(k.max())
     ypad = np.full((n + K, rows), _SENTINEL, dtype=np.uint8)
-    ypad[K : K + width] = (
-        y.T if (m == width).all()
-        else np.where(np.arange(width)[:, None] < m, y.T, _SENTINEL)
-    )
+    np.copyto(ypad[K : K + width], y.T, where=np.arange(width)[:, None] < m)
     return _band_dp(xt, ypad, k)
 
 
@@ -231,7 +209,9 @@ def _all_words(n: int) -> np.ndarray:
 
 def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:
     """``total_probability`` of each row of ``xs``, shape ``(R, n)``; a call
-    covers inputs x all 2^m outputs, at most ``_MAX_BAND_CELLS`` band cells."""
+    covers inputs x all 2^m outputs, at most ``_MAX_BAND_CELLS`` band cells.
+    A group of one input is a broadcast column, and each sum is
+    bit-identical to the input's sum alone."""
     xs = np.ascontiguousarray(xs)
     rows, n = xs.shape
     totals = np.empty((rows, n + 1))
@@ -335,12 +315,15 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     complement C commute with i.i.d. deletions, so the output law of
     ``g·x`` is that of ``x`` with g applied to the outputs, and only one
     input per orbit of {identity, R, C, R∘C} is enumerated: the smallest
-    code ``c``.  Its output law ``q_c`` gives ``H(Y|X = x)`` for the whole
-    orbit and adds ``p(g·c) / |Stab(c)| * q_c(g·y)`` to ``p(y)`` for each g;
-    the source law need not be symmetric.  The output keys are built for
-    one chunk of representatives at a time, so the working set is 2^18
-    keys at most, not the whole ``(orbits, 2^n)`` key matrix.  A
-    non-integer ``n`` raises ``TypeError``, ``n > 12`` ``ValueError``.
+    code ``c`` (1056 of 4096 inputs at n = 12).  Its output law ``q_c``
+    gives ``H(Y|X = x)`` for the whole orbit and adds
+    ``p(g·c) / |Stab(c)| * q_c(g·y)`` to ``p(y)`` for each g; the source
+    law need not be symmetric (the renewal start censors only the last
+    run).  The output keys are built for one chunk of representatives at a
+    time, so the working set is 2^18 keys at most, not the whole
+    ``(orbits, 2^n)`` key matrix; the keys are exact integers, so no result
+    depends on the chunk.  A non-integer ``n`` raises ``TypeError``,
+    ``n > 12`` ``ValueError``.
     """
     n = _check_int("n", n, 1)
     if n > _ORACLE_MAX_N:
@@ -394,11 +377,8 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
         for i, row in enumerate(keys, start=lo):
             q = np.bincount(row, weights=weights_mask, minlength=n_keys)
             acc += weights[:, i, None] * q
-            qnz = q[q > 0.0]
-            h_terms.append(p_orbit[i] * float(-np.sum(qnz * np.log2(qnz))))
-    p_y = np.take_along_axis(acc, _key_maps(n), axis=1).sum(axis=0)
-    nz = p_y > 0.0
-    H_Y = float(-np.sum(p_y[nz] * np.log2(p_y[nz])))
+            h_terms.append(p_orbit[i] * _entropy_bits(q))
+    H_Y = _entropy_bits(np.take_along_axis(acc, _key_maps(n), axis=1).sum(axis=0))
     H_Y_given_X = math.fsum(h_terms)
 
     return BlockInformation(

@@ -26,17 +26,12 @@ prefix: Kogge & Stone, IEEE Trans. Computers C-22(8), 1973).
 
 Run lengths are drawn by inverting the cumulative pmf, one uniform per
 length, which gives exactly the draws of ``Generator.choice(p=probs)``.
-The inversion goes through a guide table (indexed search: Chen & Asau,
-AIIE Transactions 6(2), 1974; Devroye 1986, sec. III.2.4) of
-``_GUIDE_CELLS`` equal cells of ``[0, 1)``: a cell that no cdf point
-splits holds its one length, so most uniforms take one table lookup, and
-only those in a split cell are searched in the cdf.  The answer is the
-same ``searchsorted`` result either way.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -80,6 +75,22 @@ _GUIDE_CELLS = 1 << 12
 # --------------------------------------------------------------------------
 # bit-sequence helpers
 # --------------------------------------------------------------------------
+
+
+def _mapped_bytes(size: int) -> np.ndarray:
+    """``size >= 1`` bytes in an anonymous memory map of their own, unmapped
+    when the array is freed.
+
+    Sampled bits go here, not to malloc.  Once glibc frees a block the size of
+    a long stream's input, it raises its mmap threshold past that size and
+    serves the next such block from the heap, where small allocations made
+    between two streams can pin the freed block: a later stream then grows
+    the heap by the whole block, so the peak resident set jumps by the input
+    size after a number of streams that depends on every other allocation in
+    the process.  A fresh map costs its page faults instead, about 10% of
+    the time of a 2 * 10^7-bit stream on a 2-core Xeon VM.
+    """
+    return np.frombuffer(mmap.mmap(-1, size), np.uint8, size)
 
 
 def as_bits(x: "str | Sequence[int] | np.ndarray") -> np.ndarray:
@@ -305,7 +316,8 @@ class _InverseCdf(NamedTuple):
 
 def _inverse_cdf(probs: np.ndarray) -> _InverseCdf:
     """The cumulative pmf as ``Generator.choice(p=probs)`` builds it, and its
-    guide table of ``_GUIDE_CELLS`` cells.
+    guide table of ``_GUIDE_CELLS`` cells (indexed search: Chen & Asau, AIIE
+    Transactions 6(2), 1974; Devroye 1986, sec. III.2.4).
 
     The length of a uniform ``u`` is ``searchsorted(cdf, u, "right") + 1``,
     which never decreases in ``u``.  Over a cell ``[a, b)`` it therefore lies
@@ -381,7 +393,7 @@ def _sample_rows(
     if spec.kind == "markov":
         # a row's bits: the running XOR of its first bit and its flips
         step = _BLOCK if rows == 1 else n
-        buf = np.empty((rows * n + 7) & ~7, dtype=np.uint8)  # whole words
+        buf = _mapped_bytes((rows * n + 7) & ~7)  # whole words
         bits = buf[: rows * n].reshape(rows, n)
         bits[:, :1] = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
         u = np.empty((rows, min(step, n - 1)))
@@ -411,7 +423,7 @@ def _sample_rows(
     batch = max(16, int(n / dist.mean * 1.25) + 16)
     step = min(_BLOCK, batch) if rows == 1 else batch
     u = np.empty((rows, step))
-    row = np.empty(n, dtype=np.uint8) if rows == 1 else None
+    row = _mapped_bytes(n) if rows == 1 else None
     pos = runs = 0
     while total.min() < n:
         for lo in range(0, batch, step):

@@ -109,7 +109,7 @@ PUBLISHED_ESTIMATES = {
 }
 
 #: d-grid of the estimate-only table, used when a bounds table has no rows.
-DEFAULT_D_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
+DEFAULT_D_GRID = tuple(PUBLISHED_ESTIMATES)
 
 _BOUNDS_HEADER = "d,lower,upper"
 

@@ -52,6 +52,7 @@ SUBMODULES = sorted(
 REMOVED = {
     "delchan.channel": (
         "ParentSegmentation",
+        "apply_mask",
         "parent_segmentation",
         "perturbed_mask",
         "segment_runs",

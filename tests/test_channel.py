@@ -15,7 +15,6 @@ from delchan.channel import (
     SuperRunType,
     _output_run_lengths,
     _run_dtype,
-    apply_mask,
     modified_mask,
     run_lengths,
     segment_super_runs,

@@ -13,6 +13,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,28 @@ class TestEstimateHCond:
         mean, se = estimate_h_cond(spec, 0.15, 8, 20000, 777)
         assert abs(mean - target) <= 4.0 * se
 
+    @pytest.mark.parametrize(
+        "spec,n,d",
+        [
+            (SourceSpec.bernoulli_half(), 10, 0.1),
+            (SourceSpec.dagger(0.3), 12, 0.3),
+            (SourceSpec.markov(0.7), 10, 0.2),
+        ],
+        ids=["bernoulli", "dagger", "markov"],
+    )
+    def test_std_err_has_the_right_size(self, spec, n, d):
+        # z = (estimate - exact) / std_err over K seeds: its mean and sd
+        # have standard errors about 1/sqrt(K) and 1/sqrt(2K) when the
+        # std_err is right; too small or too large a std_err moves sd z
+        target = exact_h_cond_per_bit(spec, n, d)
+        z = []
+        for seed in range(100):
+            mean, se = estimate_h_cond(spec, d, n, 2000, seed)
+            z.append((mean - target) / se)
+        K = len(z)
+        assert abs(np.mean(z)) <= 4.0 / math.sqrt(K)
+        assert abs(np.std(z, ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * K)
+
     def test_long_block_bounded_by_binary_entropy(self):
         # the conditional entropy per bit never exceeds h(d)
         mean, _ = estimate_h_cond(SourceSpec.bernoulli_half(), 0.1, 2000, 50, 5)
@@ -360,6 +383,13 @@ class TestBlockedStream:
         )
         assert r.to_json() == CRITERION_8_JSON
 
+    def test_readme_reference_json_is_the_pin(self):
+        # the JSON block under README's "This is the reference run"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        after = readme.split("This is the reference run", 1)[1]
+        block = after.split("```\n", 2)[1]
+        assert block == CRITERION_8_JSON + "\n"
+
     @pytest.mark.parametrize(
         "spec", [SourceSpec.dagger(0.1), SourceSpec.markov(0.56)], ids=lambda s: s.kind
     )
@@ -468,10 +498,6 @@ class TestEstimateHOutRenewal:
         assert first == second
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="out_bits"):
-            _h_out_from_stream(SourceSpec.bernoulli_half(), 0.1, 0, 1)
-        with pytest.raises(ValueError, match="deletion probability"):
-            _h_out_from_stream(SourceSpec.bernoulli_half(), 1.0, 1000, 1)
         # two runs leave no interior run once the boundary runs are dropped
         with pytest.raises(ValueError, match="too short: 2 runs"):
             _interior_output_run_lengths(np.array([5, 3]))
