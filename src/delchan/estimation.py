@@ -168,18 +168,17 @@ def _interior_output_run_lengths(lengths: np.ndarray) -> np.ndarray:
     return lengths[burn:-burn]
 
 
-def _plug_in_h_over_mu(
-    counts: np.ndarray, total_runs: float, length_sum: float
-) -> float:
-    """(plug-in entropy of counts/total) / (length_sum/total), in bits."""
-    return _entropy_bits(counts / total_runs) / (length_sum / total_runs)
-
-
 def _h_out_from_stream(
     spec: SourceSpec, d: float, out_bits: int, seed
 ) -> tuple[float, float]:
-    """Output entropy rate ``(1-d) H(q_hat)/mu_hat`` with a bootstrap error;
-    ``estimate_rate`` has checked ``out_bits`` and ``d < 1``."""
+    """Output entropy rate ``(1-d) H(q_hat)/mu_hat`` with a block bootstrap
+    error; ``estimate_rate`` has checked ``out_bits`` and ``d < 1``.
+
+    A table row per block of runs holds its counts of lengths ``1.._L_CAP``,
+    its run count and its length sum.  One statistic of summed rows gives the
+    point estimate (all rows) and each replicate (resampled rows).  Every
+    entry is an integer below 2^53, so every sum of rows is exact.
+    """
     sample_seed, boot_seed = _as_seed_sequence(seed).spawn(2)
 
     n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
@@ -188,24 +187,25 @@ def _h_out_from_stream(
     interior = _interior_output_run_lengths(_output_run_lengths(x, d, rng))
     n_runs = int(interior.size)
 
-    # run counts per contiguous block of runs, for the bootstrap below;
-    # runs longer than _L_CAP are left out
-    n_blocks = max(8, min(64, n_runs // 200))
+    # contiguous blocks of runs, none empty; runs longer than _L_CAP count
+    # toward the length sum but not the counts
+    n_blocks = min(n_runs, max(8, min(64, n_runs // 200)))
     edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)
     blocks = np.split(interior, edges[1:-1])
-    block_counts = np.array([_capped_counts(b, _L_CAP) for b in blocks], np.float64)
-    block_runs = np.diff(edges).astype(np.float64)
-    block_sums = np.array([b.sum() for b in blocks], np.int64)
-    block_length_sums = block_sums.astype(np.float64)
-    support_counts = block_counts.sum(axis=0)  # integers: the sum is exact
-    length_sum = float(block_sums.sum())
+    table = np.array(
+        [np.append(_capped_counts(b, _L_CAP), (b.size, b.sum())) for b in blocks],
+        np.float64,
+    )
 
+    def h_out_of(total: np.ndarray) -> float:
+        counts, runs, length_sum = total[:-2], total[-2], total[-1]
+        return float((1.0 - d) * (_entropy_bits(counts / runs) / (length_sum / runs)))
+
+    total = table.sum(axis=0)
     # lengths never observed are structural zeros (e.g. deterministic run
     # laws without deletions), not evidence of a starved estimate
     weak = [
-        l
-        for l in range(1, 9)
-        if 0.0 < support_counts[l - 1] < _MIN_COUNT_PER_SUPPORT_POINT
+        l for l in range(1, 9) if 0.0 < total[l - 1] < _MIN_COUNT_PER_SUPPORT_POINT
     ]
     if weak:
         warnings.warn(
@@ -215,7 +215,7 @@ def _h_out_from_stream(
             UserWarning,
             stacklevel=3,
         )
-    over_cap = n_runs - int(support_counts.sum())
+    over_cap = n_runs - int(total[:-2].sum())
     if over_cap:
         warnings.warn(
             f"{over_cap} of {n_runs} output runs ({over_cap / n_runs:.2e}) "
@@ -225,21 +225,9 @@ def _h_out_from_stream(
             stacklevel=3,
         )
 
-    # point estimate: entropy over the capped support, mean over all runs
-    h_over_mu = _plug_in_h_over_mu(support_counts, float(n_runs), length_sum)
-    h_out = (1.0 - d) * h_over_mu
-
-    # block bootstrap over the contiguous run blocks
-    boot_rng = _rng_from(boot_seed)
-    replicas = np.empty(_BOOTSTRAP_RESAMPLES)
-    for r in range(_BOOTSTRAP_RESAMPLES):
-        picks = boot_rng.integers(0, n_blocks, n_blocks)
-        c = block_counts[picks].sum(axis=0)
-        runs = float(block_runs[picks].sum())
-        lsum = float(block_length_sums[picks].sum())
-        replicas[r] = (1.0 - d) * _plug_in_h_over_mu(c, runs, lsum)
-    std_err = float(np.std(replicas, ddof=1))
-    return h_out, std_err
+    picks = _rng_from(boot_seed).integers(0, n_blocks, (_BOOTSTRAP_RESAMPLES, n_blocks))
+    replicas = [h_out_of(table[p].sum(axis=0)) for p in picks]
+    return h_out_of(total), float(np.std(replicas, ddof=1))
 
 
 def estimate_rate(

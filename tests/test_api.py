@@ -1,12 +1,15 @@
 """The public surface: every exported name resolves, removed names and
 options stay removed, and every argument rule is applied where it is due."""
 
+import ast
 import dataclasses
 import importlib
 import math
 import pkgutil
 import re
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,3 +312,29 @@ def test_numpy_integer_arguments_still_serialise():
         )
     assert numpy.to_json() == plain.to_json()
     assert {type(numpy.n), type(numpy.samples), type(numpy.seed)} == {int}
+    for d in (0.1, 0.0, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            r = estimate_rate(BERNOULLI, d, **RATE_ARGS, seed=7)
+        fields = (r.rate, r.h_out, r.h_cond, r.std_err)
+        assert {type(v) for v in fields} == {float}, (d, fields)
+
+
+def test_package_imports_only_declared_dependencies():
+    # scipy and friends may be installed where the tests run, so a stray
+    # import would pass every other test
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text("utf-8")
+    deps = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    declared = set(re.findall(r'"([A-Za-z0-9_]+)', deps))
+    allowed = set(sys.stdlib_module_names) | declared | {"delchan"}
+    for path in sorted((root / "src" / "delchan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}: import {name}"

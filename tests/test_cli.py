@@ -377,6 +377,19 @@ class TestRateCommand:
         )
         assert result.exit_code == 3
 
+    def test_fewer_interior_runs_than_bootstrap_blocks(self, runner, tmp_path):
+        law = tmp_path / "pm300.tsv"
+        law.write_text("1\t0.0\n300\t1.0\n")
+        result = invoke(
+            runner, "rate", "--d", "0.01", "--source", f"renewal:{law}",
+            "--n", "20", "--samples", "2", "--out-bits", "1",
+        )
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        fields = ("rate", "h_out", "h_cond", "std_err")
+        assert all(math.isfinite(doc[k]) for k in fields)
+        assert result.stderr.startswith("warning: ") and "longer than" in result.stderr
+
     def test_bad_sample_budget_is_usage_error(self, runner):
         result = runner.invoke(main, ["rate", "--d", "0.1", "--samples", "1"])
         assert result.exit_code == 2

@@ -21,6 +21,7 @@ import pytest
 from delchan import estimation
 from delchan.analytics import markov_rate_bound, optimal_markov_param
 from delchan.channel import _keep_mask
+from delchan.constants import _entropy_bits
 from delchan.estimation import (
     _BOOTSTRAP_RESAMPLES,
     _BURN_IN_RUNS,
@@ -28,7 +29,6 @@ from delchan.estimation import (
     RateEstimate,
     _h_out_from_stream,
     _interior_output_run_lengths,
-    _plug_in_h_over_mu,
     estimate_h_cond,
     estimate_rate,
 )
@@ -325,12 +325,16 @@ def whole_array_h_out(spec, d, out_bits, seed):
     """``_h_out_from_stream`` as it was before the stream ran in blocks:
     the whole input, mask and output as arrays, one ``run_lengths`` and
     one capped copy of the run lengths."""
+
+    def h_over_mu(counts, total_runs, length_sum):
+        return _entropy_bits(counts / total_runs) / (length_sum / total_runs)
+
     sample_seed, boot_seed = np.random.SeedSequence(seed).spawn(2)
     interior = whole_array_interior_runs(spec, d, out_bits, sample_seed)
     n_runs = interior.size
     capped = np.minimum(interior, _L_CAP + 1)
     counts = np.bincount(capped, minlength=_L_CAP + 2).astype(np.float64)
-    h_out = (1.0 - d) * _plug_in_h_over_mu(
+    h_out = (1.0 - d) * h_over_mu(
         counts[1 : _L_CAP + 1], float(n_runs), float(interior.sum())
     )
     n_blocks = max(8, min(64, n_runs // 200))
@@ -348,7 +352,7 @@ def whole_array_h_out(spec, d, out_bits, seed):
     replicas = []
     for _ in range(_BOOTSTRAP_RESAMPLES):
         picks = boot_rng.integers(0, n_blocks, n_blocks)
-        replicas.append((1.0 - d) * _plug_in_h_over_mu(
+        replicas.append((1.0 - d) * h_over_mu(
             block_counts[picks].sum(axis=0), float(block_runs[picks].sum()),
             float(block_sums[picks].sum()),
         ))
@@ -375,6 +379,15 @@ class TestBlockedStream:
             for out_bits in (2000, 65_536, 300_000):
                 got = _h_out_from_stream(spec, d, out_bits, 5)
                 assert got == whole_array_h_out(spec, d, out_bits, 5)
+
+    def test_fewer_interior_runs_than_blocks(self):
+        # runs of 300 leave a 1-bit budget a few interior runs, all over
+        # the cap: each bootstrap block must still hold a run
+        spec = SourceSpec.renewal(point_mass(300))
+        for seed in range(4):
+            with pytest.warns(UserWarning, match=f"longer than {_L_CAP}"):
+                got = _h_out_from_stream(spec, 0.01, 1, seed)
+            assert got == (0.0, 0.0)
 
     def test_criterion_8_json_unchanged(self):
         r = estimate_rate(
