@@ -139,9 +139,24 @@ def binary_entropy(p: float) -> float:
 
 
 def _entropy_bits(p: np.ndarray) -> float:
-    """Plug-in entropy ``-sum p log2 p`` (bits) over the entries ``> 0``."""
+    """Plug-in entropy ``-sum p log2 p`` (bits) over the entries ``> 0``,
+    taken as ``0.0 - sum``: an input with no positive entry gives ``+0.0``,
+    not ``-0.0``, and every other value keeps its bits."""
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    return float(0.0 - np.sum(p * np.log2(p)))
+
+
+def _segment_entropy_bits(p: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``_entropy_bits`` of every segment ``p[bounds[i]:bounds[i + 1]]``, bit
+    for bit: each segment is summed alone, in the same pairwise order as
+    ``np.sum`` of the compacted segment (``np.add.reduceat`` is not)."""
+    keep = p > 0.0
+    bounds = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+    p = p[keep]
+    terms = p * np.log2(p)
+    return np.array(
+        [0.0 - np.add.reduce(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    )
 
 
 def _tail_bound(L: int, kappa: float, a: int, b: int) -> float:

@@ -25,19 +25,27 @@ Monte Carlo never produces them but adversarial inputs do.
 The exhaustive ``n <= 12`` oracles enumerate every output:
 ``total_probability`` is the normalization self-check of the DP, and
 ``exact_block_information`` gives the exact ``H(Y)`` and ``H(Y|X)``
-against which the Monte Carlo estimators are gated.
+against which the Monte Carlo estimators are gated.  The latter keeps one
+read-only table per n, built on first use: the output keys each orbit
+representative reaches, ascending, and their integer mask counts ``N``.
+Every mask onto an output of length m weighs the same float, so a mask
+by mask sum of ``N`` equal weights is the ``N``-th partial sum of one
+``cumsum`` row, and a call reads its ``q_c(y)`` from there bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from delchan.constants import _check_d_closed, _check_d_open, _check_int, _entropy_bits
-from delchan.sources import SourceSpec, as_bits
+from delchan.constants import (
+    _check_d_closed, _check_d_open, _check_int, _entropy_bits, _segment_entropy_bits,
+)
+from delchan.sources import SourceSpec, _mapped_bytes, as_bits
 
 __all__ = [
     "IMPOSSIBLE",
@@ -65,9 +73,11 @@ _RESCALE_AFTER_BITS = 960
 _RESCALE_ABOVE = 2.0**_RESCALE_AFTER_BITS
 #: Pairs x band width per ``_total_probabilities`` kernel call.
 _MAX_BAND_CELLS = 1 << 12
-#: Output keys per chunk of orbit representatives in
-#: ``exact_block_information``: 64 representatives at n = 12.
-_KEY_CHUNK_CELLS = 1 << 18
+#: Mask keys per chunk of orbit representatives (16 at n = 12) when the
+#: ``exact_block_information`` table is built; a call reads the table in
+#: chunks of as many representatives.  Chunks of 64 at n = 12 ran as fast
+#: but raised the peak resident set by about 1 MB.
+_KEY_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -307,6 +317,71 @@ def _key_maps(n: int) -> np.ndarray:
     )
 
 
+class _OrbitOutputs(NamedTuple):
+    """Reachable outputs of every orbit representative of one n, read-only:
+    representative ``c = orbit[0, i]`` reaches the keys ``keys[b[i]:b[i + 1]]``
+    (ascending, ``b = bounds``) through ``counts[b[i]:b[i + 1]]`` masks."""
+
+    orbit: np.ndarray  # (4, orbits): g·c for each g
+    stab: np.ndarray  # |Stab(c)|
+    bounds: np.ndarray
+    keys: np.ndarray  # int16
+    counts: np.ndarray  # int16, at most C(n, n // 2)
+
+
+@functools.lru_cache(maxsize=_ORACLE_MAX_N)
+def _orbit_outputs(n: int) -> _OrbitOutputs:
+    """The ``exact_block_information`` table of one n, built on first use."""
+    bits = _all_words(n)
+    # orbit representatives c: the smallest code of each orbit
+    orbit = _group_codes(n)
+    reps = np.flatnonzero(orbit.min(axis=0) == orbit[0])
+    orbit = orbit[:, reps]
+    stab = (orbit == reps).sum(axis=0)
+
+    # key of (c, mask): the output y-code, sum over surviving positions of
+    # bit * 2^(survivors strictly to the right), plus 2^len(y) - 1 so that
+    # each output length owns its own block of keys; mask code mk deletes
+    # the 1-bits of mk
+    keep = 1 - bits.astype(np.int64)
+    suffix_keep = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
+    place_t = (keep * (2**suffix_keep)).T.astype(np.float32)
+    offset = (2 ** keep.sum(axis=1) - 1).astype(np.float32)
+    chunk = max(1, _KEY_CHUNK_CELLS // 2**n)
+
+    # float32 holds every key (below 2^13) exactly; each row's keys are
+    # sorted, and a run of equal keys is one reachable output and its mask
+    # count (one cast per chunk)
+    keys, counts, sizes = [], [], []
+    for lo in range(0, reps.size, chunk):
+        rows = bits[reps[lo : lo + chunk]].astype(np.float32)
+        row_keys = rows @ place_t
+        row_keys += offset
+        row_keys.sort(axis=1)
+        flat = row_keys.ravel()
+        first = np.ones(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=first[1:])
+        first[:: 2**n] = True  # each row starts a run
+        starts = np.flatnonzero(first)
+        keys.append(flat[starts].astype(np.int16))
+        counts.append(np.diff(starts, append=flat.size).astype(np.int16))
+        sizes.append(np.bincount(starts >> n, minlength=len(rows)))
+    bounds = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    # the kept table gets an anonymous map of its own, so that it pins no
+    # heap pages (see sources._mapped_bytes); int64 arrays come first, so
+    # every view is aligned
+    arrays = (orbit, stab, bounds, np.concatenate(keys), np.concatenate(counts))
+    buf = _mapped_bytes(sum(a.nbytes for a in arrays))
+    views, lo = [], 0
+    for a in arrays:
+        view = buf[lo : lo + a.nbytes].view(a.dtype).reshape(a.shape)
+        view[...] = a
+        view.setflags(write=False)  # cached: one table for every caller
+        views.append(view)
+        lo += a.nbytes
+    return _OrbitOutputs(*views)
+
+
 def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformation:
     """Exact ``H(Y)``, ``H(Y|X)``, and ``I/n`` by full enumeration (n <= 12).
 
@@ -319,11 +394,15 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     gives ``H(Y|X = x)`` for the whole orbit and adds
     ``p(g·c) / |Stab(c)| * q_c(g·y)`` to ``p(y)`` for each g; the source
     law need not be symmetric (the renewal start censors only the last
-    run).  The output keys are built for one chunk of representatives at a
-    time, so the working set is 2^18 keys at most, not the whole
-    ``(orbits, 2^n)`` key matrix; the keys are exact integers, so no result
-    depends on the chunk.  A non-integer ``n`` raises ``TypeError``,
-    ``n > 12`` ``ValueError``.
+    run).  The mask counts ``N(c, y)`` of the outputs each ``c`` reaches
+    depend on n alone, so they are built once per n, on first use, and
+    kept read-only (273,539 entries in 1.15 MB at n = 12, where an orbit
+    reaches 259 of the 8191 output keys on average and 609 at most).  A
+    call reads ``q_c(y)``, the sum of the ``N(c, y)`` equal weights
+    ``d^(n-m) (1-d)^m`` of the masks onto y added one at a time, as the
+    ``N``-th partial sum of that weight, and touches only reachable
+    entries, one chunk of representatives at a time.  A non-integer
+    ``n`` raises ``TypeError``, ``n > 12`` ``ValueError``.
     """
     n = _check_int("n", n, 1)
     if n > _ORACLE_MAX_N:
@@ -332,53 +411,50 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
             "use the Monte Carlo estimators for larger n"
         )
     _check_d_closed(d)
+    table = _orbit_outputs(n)
 
-    bits = _all_words(n)
-
-    p_x = _input_probs(spec, bits)
+    p_x = _input_probs(spec, _all_words(n))
     total = math.fsum(p_x.tolist())
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"input law sums to {total!r}")
 
-    # orbit representatives c (the smallest code of each orbit), the weight
-    # p(g·c) / |Stab(c)| of each g, and the orbit's probability
-    orbit = _group_codes(n)
-    reps = np.flatnonzero(orbit.min(axis=0) == orbit[0])
-    orbit = orbit[:, reps]
-    weights = p_x[orbit] / (orbit == reps).sum(axis=0)
+    # the weight p(g·c) / |Stab(c)| of each g and the orbit's probability;
+    # dead orbits drop out
+    weights = p_x[table.orbit] / table.stab
     p_orbit = weights.sum(axis=0)
-    live = p_orbit > 0.0
-    reps, weights, p_orbit = reps[live], weights[:, live], p_orbit[live]
+    live = np.flatnonzero(p_orbit > 0.0)
+    reach = np.diff(table.bounds)
 
-    mask_bits = bits.astype(np.int64)  # mask code mk deletes the 1-bits of mk
-    weights_mask = d ** mask_bits.sum(axis=1) * (1.0 - d) ** (
-        n - mask_bits.sum(axis=1)
-    )
+    # q_c(y) adds the weights of the N = N(c, y) masks mapping c to y one
+    # at a time, in mask order, from 0.0 (as np.bincount over all 2^n masks
+    # does).  Each such mask keeps m = len(y) bits and weighs the same
+    # float w_m = d^(n-m) (1-d)^m, so q_c(y) is the N-th sequential partial
+    # sum of w_m: row m, column N - 1 of one cumsum table, the same bits.
+    m = np.arange(n + 1)
+    w = d ** (n - m) * (1.0 - d) ** m
+    partial = np.cumsum(np.repeat(w[:, None], math.comb(n, n // 2), axis=1), axis=1)
+    length = np.repeat(m, 2**m)  # len(y) of each key
+    n_keys = length.size
 
-    # key of (c, mask): the output y-code, sum over surviving positions of
-    # bit * 2^(survivors strictly to the right), plus 2^len(y) - 1 so that
-    # each output length owns its own block of keys
-    keep = 1 - mask_bits
-    suffix_keep = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
-    place_t = (keep * (2**suffix_keep)).T.astype(np.float32)
-    offset = (2 ** keep.sum(axis=1) - 1).astype(np.int32)
-    n_keys = 2 ** (n + 1) - 1
+    # H(Y|X = c) per orbit, and p(y) per g: np.add.at adds one term at a
+    # time in the order given, so each key of acc adds its terms in orbit
+    # order, as a loop ``acc += weights[:, i, None] * q_i`` over orbits
+    # does; an unreachable key would only have added +0.0
     chunk = max(1, _KEY_CHUNK_CELLS // 2**n)
-
-    # one pass over representatives: q_c gives H(Y|X = x) on the orbit and,
-    # through accumulator g, the share of every g·c in p(y); float32 sums of
-    # bits times powers of two below 2^12 are exact in any chunking
     acc = np.zeros((4, n_keys))
     h_terms = []
-    for lo in range(0, reps.size, chunk):
-        rows = bits[reps[lo : lo + chunk]].astype(np.float32)
-        keys = (rows @ place_t).astype(np.int32)
-        keys += offset
-        for i, row in enumerate(keys, start=lo):
-            q = np.bincount(row, weights=weights_mask, minlength=n_keys)
-            acc += weights[:, i, None] * q
-            h_terms.append(p_orbit[i] * _entropy_bits(q))
-    H_Y = _entropy_bits(np.take_along_axis(acc, _key_maps(n), axis=1).sum(axis=0))
+    for lo in range(0, live.size, chunk):
+        orbits = live[lo : lo + chunk]
+        sizes = reach[orbits]
+        seg = np.concatenate(([0], np.cumsum(sizes)))
+        entries = np.arange(seg[-1]) + np.repeat(table.bounds[orbits] - seg[:-1], sizes)
+        k = table.keys[entries].astype(np.intp)
+        q = partial[length[k], table.counts[entries] - 1]
+        h_terms.extend((p_orbit[orbits] * _segment_entropy_bits(q, seg)).tolist())
+        for g in range(4):
+            np.add.at(acc[g], k, np.repeat(weights[g, orbits], sizes) * q)
+    p_y = np.take_along_axis(acc, _key_maps(n), axis=1)
+    H_Y = _entropy_bits(p_y.sum(axis=0))
     H_Y_given_X = math.fsum(h_terms)
 
     return BlockInformation(

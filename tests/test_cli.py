@@ -390,6 +390,19 @@ class TestRateCommand:
         assert all(math.isfinite(doc[k]) for k in fields)
         assert result.stderr.startswith("warning: ") and "longer than" in result.stderr
 
+    def test_no_capped_interior_run_prints_positive_zero(self, runner, tmp_path):
+        # every output run is longer than the cap: the plug-in entropy sums
+        # nothing, which is +0.0, not -0.0
+        law = tmp_path / "pm300.tsv"
+        law.write_text("1\t0\n300\t1\n")
+        result = invoke(
+            runner, "rate", "--d", "0.01", "--source", f"renewal:{law}",
+            "--n", "20", "--samples", "2", "--out-bits", "1",
+        )
+        assert result.exit_code == 0
+        assert '"h_out": 0.0,' in result.stdout
+        assert math.copysign(1.0, json.loads(result.stdout)["h_out"]) == 1.0
+
     def test_bad_sample_budget_is_usage_error(self, runner):
         result = runner.invoke(main, ["rate", "--d", "0.1", "--samples", "1"])
         assert result.exit_code == 2

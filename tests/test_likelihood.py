@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -670,8 +671,11 @@ class TestExactBlockInformation:
     )
     @pytest.mark.parametrize("spec, ns, ds", WHOLE_MATRIX_CASES)
     def test_bit_identical_to_whole_matrix_loop(
-        self, spec, ns, ds, chunk_reps, monkeypatch
+        self, spec, ns, ds, chunk_reps, monkeypatch, request
     ):
+        if chunk_reps is not None:  # build and drop tables of the patched size
+            likelihood._orbit_outputs.cache_clear()
+            request.addfinalizer(likelihood._orbit_outputs.cache_clear)
         for n in ns:
             if chunk_reps is not None:
                 monkeypatch.setattr(
@@ -683,14 +687,55 @@ class TestExactBlockInformation:
 
     def test_memory_budget(self):
         # the whole key matrix at n = 12 is a 1056 x 4096 float32 product
-        # plus its int32 copy (~36 MB peak); one chunk of keys is ~2 MB
-        tracemalloc.start()
-        try:
-            exact_block_information(SourceSpec.dagger(0.05), 12, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 10**6
+        # plus its int32 copy (~36 MB peak); the table is built and read one
+        # chunk of representatives at a time (3.7 MB cold, with the 1.15 MB
+        # table it keeps, and 1.4 MB warm)
+        likelihood._orbit_outputs.cache_clear()
+        for state in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                exact_block_information(SourceSpec.dagger(0.05), 12, 0.05)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 10**6, state
+
+    def test_cold_and_warm_calls_agree(self):
+        likelihood._orbit_outputs.cache_clear()
+        spec = SourceSpec.dagger(0.05)
+        cold = exact_block_information(spec, 12, 0.05)
+        warm = exact_block_information(spec, 12, 0.05)
+        assert cold == warm == DAGGER_N12_PIN
+        assert json.dumps(cold._asdict()) == json.dumps(warm._asdict())
+
+    def test_count_table_matches_brute_force(self):
+        for n in range(1, 9):
+            table = likelihood._orbit_outputs(n)
+            brute = output_key_counts(n)[table.orbit[0]]
+            length = np.repeat(np.arange(n + 1), 2 ** np.arange(n + 1))
+            binomials = [math.comb(n, m) for m in range(n + 1)]
+            assert table.bounds[0] == 0 and table.bounds[-1] == table.keys.size
+            for i, row in enumerate(brute):
+                lo, hi = table.bounds[i], table.bounds[i + 1]
+                keys, counts = table.keys[lo:hi], table.counts[lo:hi]
+                np.testing.assert_array_equal(keys, np.flatnonzero(row))
+                np.testing.assert_array_equal(counts, row[row > 0])
+                assert (np.diff(keys) > 0).all()
+                per_length = np.bincount(length[keys], counts, minlength=n + 1)
+                assert per_length.tolist() == binomials, (n, i)
+
+    def test_count_table_is_read_only(self):
+        table = likelihood._orbit_outputs(5)
+        for array in table:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_d_one_gives_positive_zeros(self, n):
+        # every output is empty: no entropy and no information, each +0.0
+        info = exact_block_information(SourceSpec.bernoulli_half(), n, 1.0)
+        assert info == (0.0, 0.0, 0.0)
+        assert [math.copysign(1.0, v) for v in info] == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
         "spec, n, d, want",
