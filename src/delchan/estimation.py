@@ -43,7 +43,7 @@ import numpy as np
 
 from delchan.channel import _keep_mask, _output_run_lengths
 from delchan.constants import _check_d_closed, _check_int, _entropy_bits
-from delchan.likelihood import _band_counts, binomial_length_entropy, log2_binomial
+from delchan.likelihood import _band_counts, _log2_binomials, binomial_length_entropy
 from delchan.runstats import _L_CAP, _capped_counts
 from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
 from delchan.sources import _as_seed_sequence, _rng_from
@@ -148,10 +148,7 @@ def estimate_h_cond(
         # y is a subsequence of x: N >= 1
         log_n_all[start:stop] = np.log2(top) + scale
 
-    # log2 C(n, m) only at the output lengths drawn (a few dozen of n + 1)
-    drawn, which = np.unique(ms_all, return_inverse=True)
-    log2_binom = np.array([log2_binomial(n, m) for m in drawn.tolist()])
-    values = (log2_binom[which] - log_n_all) / n
+    values = (_log2_binomials(n)[ms_all] - log_n_all) / n
 
     mean = math.fsum(values.tolist()) / samples
     var = math.fsum(((v - mean) ** 2 for v in values.tolist()))

@@ -111,6 +111,16 @@ def log2_binomial(n: int, k: int) -> float:
     ) / math.log(2.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _log2_binomials(n: int) -> np.ndarray:
+    """``log2_binomial(n, m)`` for every ``m = 0..n``, bit for bit (the same
+    lgamma terms in the same order); built once per n and kept read-only."""
+    lgamma = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    table = (lgamma[n] - lgamma - lgamma[::-1]) / math.log(2.0)
+    table.setflags(write=False)
+    return table
+
+
 def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
     """Embedding counts ``top * 2**scale`` of R pairs laid out pairs last:
     inputs ``xt`` ``(n, R)`` or ``(n, 1)``, outputs ``ypad`` ``(n + K, R)``,
@@ -203,9 +213,7 @@ def binomial_length_entropy(n: int, d: float) -> float:
     if d == 0.0 or d == 1.0 or n == 0:
         return 0.0
     m = np.arange(n + 1)
-    lgamma = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    log2_binom = (lgamma[n] - lgamma - lgamma[::-1]) / math.log(2.0)
-    lp = log2_binom + m * math.log2(1.0 - d) + (n - m) * math.log2(d)
+    lp = _log2_binomials(n) + m * math.log2(1.0 - d) + (n - m) * math.log2(d)
     p = np.exp2(lp)
     possible = p > 0.0
     return math.fsum((-p[possible] * lp[possible]).tolist())
@@ -419,10 +427,9 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
         raise AssertionError(f"input law sums to {total!r}")
 
     # the weight p(g·c) / |Stab(c)| of each g and the orbit's probability;
-    # dead orbits drop out
+    # a dead orbit only adds 0.0 * q, which moves no sum
     weights = p_x[table.orbit] / table.stab
     p_orbit = weights.sum(axis=0)
-    live = np.flatnonzero(p_orbit > 0.0)
     reach = np.diff(table.bounds)
 
     # q_c(y) adds the weights of the N = N(c, y) masks mapping c to y one
@@ -443,16 +450,16 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     chunk = max(1, _KEY_CHUNK_CELLS // 2**n)
     acc = np.zeros((4, n_keys))
     h_terms = []
-    for lo in range(0, live.size, chunk):
-        orbits = live[lo : lo + chunk]
-        sizes = reach[orbits]
-        seg = np.concatenate(([0], np.cumsum(sizes)))
-        entries = np.arange(seg[-1]) + np.repeat(table.bounds[orbits] - seg[:-1], sizes)
+    for lo in range(0, p_orbit.size, chunk):
+        orbits = slice(lo, lo + chunk)
+        seg = table.bounds[lo : lo + chunk + 1]
+        entries = slice(seg[0], seg[-1])
         k = table.keys[entries].astype(np.intp)
         q = partial[length[k], table.counts[entries] - 1]
-        h_terms.extend((p_orbit[orbits] * _segment_entropy_bits(q, seg)).tolist())
+        h = p_orbit[orbits] * _segment_entropy_bits(q, seg - seg[0])
+        h_terms.extend(h.tolist())
         for g in range(4):
-            np.add.at(acc[g], k, np.repeat(weights[g, orbits], sizes) * q)
+            np.add.at(acc[g], k, np.repeat(weights[g, orbits], reach[orbits]) * q)
     p_y = np.take_along_axis(acc, _key_maps(n), axis=1)
     H_Y = _entropy_bits(p_y.sum(axis=0))
     H_Y_given_X = math.fsum(h_terms)

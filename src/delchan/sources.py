@@ -20,8 +20,9 @@ generator, chosen for speed; parallel streams are spawned from a
 sampler draws many paths from one stream (see ``delchan.estimation``).
 A single long path is simulated in fixed blocks of ``_BLOCK`` draws from
 the same stream, in the same order, so the bits do not depend on the
-block size.  A path's bits are the running XOR of its toggles (a Markov
-flip, a renewal run start), taken in place over 8-byte words (parallel
+block size.  Every Markov and renewal path's bits are the running XOR of
+its toggles (its first bit, then a 1 at each flip or run start), written
+into one zeroed buffer and scanned in place over 8-byte words (parallel
 prefix: Kogge & Stone, IEEE Trans. Computers C-22(8), 1973).
 
 Run lengths are drawn by inverting the cumulative pmf, one uniform per
@@ -81,14 +82,14 @@ def _mapped_bytes(size: int) -> np.ndarray:
     """``size >= 1`` bytes in an anonymous memory map of their own, unmapped
     when the array is freed.
 
-    Sampled bits go here, not to malloc.  Once glibc frees a block the size of
-    a long stream's input, it raises its mmap threshold past that size and
-    serves the next such block from the heap, where small allocations made
-    between two streams can pin the freed block: a later stream then grows
-    the heap by the whole block, so the peak resident set jumps by the input
-    size after a number of streams that depends on every other allocation in
-    the process.  A fresh map costs its page faults instead, about 10% of
-    the time of a 2 * 10^7-bit stream on a 2-core Xeon VM.
+    A long sampled row and the oracle's table go here, not to malloc.  Once
+    glibc frees a block the size of a long stream's input, it raises its mmap
+    threshold past that size and serves the next such block from the heap,
+    where small allocations made between two streams can pin the freed block:
+    a later stream then grows the heap by the whole block, so the peak RSS
+    jumps by the input size after a number of streams that depends on every
+    other allocation in the process.  A fresh map costs its page faults, about
+    10% of the time of a 2 * 10^7-bit stream on a 2-core Xeon VM.
     """
     return np.frombuffer(mmap.mmap(-1, size), np.uint8, size)
 
@@ -165,6 +166,8 @@ class RunLengthDistribution:
         return RunLengthDistribution(probs, discarded_mass)
 
     def validate(self) -> None:
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("non-finite probability")
         if np.any(self.probs < 0.0):
             raise ValueError("negative probability")
         if abs(math.fsum(self.probs.tolist()) - 1.0) > 1e-12:
@@ -359,20 +362,15 @@ def _running_xor(buf: np.ndarray) -> None:
     w[1:] ^= parity[:-1] * np.uint64(0x0101010101010101)  # to all 8 bytes
 
 
-def _expand_runs(lengths: np.ndarray, first) -> np.ndarray:
-    """Bits of alternating runs, row after row (rows equally long): run ``j`` of
-    a row of ``lengths`` is ``first ^ (j & 1)``.  The running XOR of a 1 per run
-    start, but of first XOR the previous row's last bit at a row start."""
-    rows, cols = lengths.shape
-    ends = lengths.cumsum()
-    size = int(ends[-1])
-    bits = np.zeros((size + 7) & ~7, dtype=np.uint8)  # whole words
-    bits[ends[:-1]] = 1
-    starts = np.ravel(first).astype(np.uint8)
-    starts[1:] ^= starts[:-1] ^ ((cols - 1) & 1)
-    bits[: size : size // rows] = starts
-    _running_xor(bits)
-    return bits[:size]
+def _scan_toggles(buf: np.ndarray, lo: int, hi: int) -> int:
+    """Turn the toggles ``buf[lo:hi]`` (``lo``, ``hi`` multiples of 8) into bits
+    in place after the bits before ``lo``: the last of them is folded into the
+    first toggle, then the running XOR is taken.  Returns ``hi``."""
+    words = buf[lo:hi]
+    if lo and words.size:
+        words[0] ^= buf[lo - 1]
+    _running_xor(words)
+    return hi
 
 
 def _sample_rows(
@@ -385,67 +383,64 @@ def _sample_rows(
 
     Each draw is made for all rows at once, so one row draws exactly what
     :func:`sample_sequence` documents.  One row runs in blocks of
-    ``_BLOCK`` draws, the same numbers as one whole draw.
+    ``_BLOCK`` draws, the same numbers as one whole draw, scanned while in
+    cache; a batch is scanned as one row, then each row's carry undone.
     """
     if spec.kind == "bernoulli_half":
         return rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
 
+    size = (rows * n + 8) & ~7  # whole words, with a byte past the last row
+    buf = _mapped_bytes(size) if rows == 1 else np.zeros(size, dtype=np.uint8)
+    toggles = buf[: rows * n].reshape(rows, n)
+    done = 0  # one row: the bits before ``done`` are final
+
     if spec.kind == "markov":
-        # a row's bits: the running XOR of its first bit and its flips
+        toggles[:, :1] = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
         step = _BLOCK if rows == 1 else n
-        buf = _mapped_bytes((rows * n + 7) & ~7)  # whole words
-        bits = buf[: rows * n].reshape(rows, n)
-        bits[:, :1] = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
         u = np.empty((rows, min(step, n - 1)))
         for lo in range(1, n, step):
-            flips = bits[:, lo : lo + step].view(np.bool_)
+            flips = toggles[:, lo : lo + step].view(np.bool_)
             uniforms = rng.random(out=u[:, : flips.shape[1]])
             np.greater_equal(uniforms, spec.p_same, out=flips)
-            # one row: scan on from the word of the carried-in bit at lo - 1,
-            # its final bits made toggles again; rows: scan all, then undo
-            # the XOR of the rows before each row
-            start = (lo - 1) & ~7
-            buf[start + 1 : lo] ^= buf[start : lo - 1].copy()
-            _running_xor(buf[start : (lo + step + 7) & ~7] if rows == 1 else buf)
-            bits[1:] ^= bits[:-1, -1:].copy()
-        return bits
+            if rows == 1:
+                done = _scan_toggles(buf, done, (lo + flips.shape[1]) & ~7)
+    else:
+        dist = spec.dist
+        assert dist is not None
+        first = rng.integers(0, 2, size=(rows, 1))
+        toggles[:, :1] = first
+        # flat positions: where each row's drawn runs end, and the row's end
+        ends = np.arange(0, rows * n, n)[:, None]
+        limits = ends + n
+        # Draw run lengths in deterministic-size batches until n bits are
+        # covered.  One row inverts and scans block by block until it is
+        # covered; the rest of its batch is still drawn, so later draws do
+        # not move.
+        batch = max(16, int(n / dist.mean * 1.25) + 16)
+        step = min(_BLOCK, batch) if rows == 1 else batch
+        u = np.empty((rows, step))
+        while (ends < limits).any():
+            for lo in range(0, batch, step):
+                k = min(step, batch - lo)
+                if not (ends < limits).any():
+                    rng.random(out=u[:, :k])
+                    continue
+                starts = _sample_lengths(rng, dist._cdf, (rows, k), u[:, :k])
+                starts[:, :1] += ends
+                np.cumsum(starts, axis=1, out=starts)
+                # a run start at or past a row's end lands on that end: the
+                # byte past the last row, or the next row's first toggle,
+                # which is written again after the loop
+                np.minimum(starts, limits, out=starts)
+                buf[starts] = 1
+                ends = starts[:, -1:]
+                if rows == 1:
+                    done = _scan_toggles(buf, done, int(ends[0, 0]) & ~7)
+        toggles[:, :1] = first  # one row: its first bit already, the same value
 
-    # renewal: run j of a row has value ``value ^ (j & 1)``
-    dist = spec.dist
-    assert dist is not None
-    value = rng.integers(0, 2, size=(rows, 1))
-    parts: list[np.ndarray] = []
-    total = np.zeros(rows, dtype=np.int64)
-
-    # Draw run lengths in deterministic-size batches until n bits are covered.
-    # One row inverts and expands block by block until it is covered; the
-    # rest of its batch is still drawn, so later draws do not move.
-    batch = max(16, int(n / dist.mean * 1.25) + 16)
-    step = min(_BLOCK, batch) if rows == 1 else batch
-    u = np.empty((rows, step))
-    row = _mapped_bytes(n) if rows == 1 else None
-    pos = runs = 0
-    while total.min() < n:
-        for lo in range(0, batch, step):
-            k = min(step, batch - lo)
-            if lo and total.min() >= n:
-                rng.random(out=u[:, :k])
-                continue
-            parts.append(_sample_lengths(rng, dist._cdf, (rows, k), u[:, :k]))
-            total += parts[-1].sum(axis=1)
-            if rows == 1:  # expand and drop the block now, while it is in cache
-                end = min(int(total[0]), n)
-                first = value ^ (runs & 1)
-                row[pos:end] = _expand_runs(parts.pop(), first)[: end - pos]
-                pos, runs = end, runs + k
-    if rows == 1:
-        return row[None]
-
-    # lengthen each row's last run so that all rows are equally long
-    parts[-1][:, -1] += total.max() - total
-    # a single batch (the usual case) is not copied
-    lengths = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return _expand_runs(lengths, value).reshape(rows, -1)[:, :n]
+    _scan_toggles(buf, done, size)
+    toggles[1:] ^= toggles[:-1, -1:]  # ufuncs buffer an operand overlapping the output
+    return toggles
 
 
 def sample_sequence(spec: SourceSpec, n: int, seed) -> np.ndarray:

@@ -268,26 +268,6 @@ class TestEstimateHCond:
         if n == 4:
             assert 0 < ms[:_CHUNK].count(0) < _CHUNK
 
-    def test_log2_binomial_only_at_drawn_lengths(self, monkeypatch):
-        # one log2 C(n, m) per distinct drawn m, not a table of all n + 1
-        taken, drawn = [], []
-        binomial, counts = estimation.log2_binomial, estimation._band_counts
-
-        def counting_binomial(n, m):
-            taken.append(m)
-            return binomial(n, m)
-
-        def recording_counts(xs, ys, ms):
-            drawn.extend(ms.tolist())
-            return counts(xs, ys, ms)
-
-        monkeypatch.setattr(estimation, "log2_binomial", counting_binomial)
-        monkeypatch.setattr(estimation, "_band_counts", recording_counts)
-        estimate_h_cond(SourceSpec.dagger(0.05), 0.05, 2000, 50, 7)
-        assert len(drawn) == 50
-        assert taken == sorted(set(drawn))
-        assert len(taken) < 2001
-
     def test_seed_reproducible_and_sensitive(self):
         args = (SourceSpec.bernoulli_half(), 0.2, 100, 20)
         first = estimate_h_cond(*args, 42)

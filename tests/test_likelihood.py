@@ -24,6 +24,7 @@ from delchan.likelihood import (
     _group_codes,
     _input_probs,
     _key_maps,
+    _log2_binomials,
     _total_probabilities,
     binomial_length_entropy,
     embedding_count,
@@ -511,6 +512,15 @@ class TestBinomialLengthEntropy:
         for n, k in ((3, 4), (3, -1)):
             with pytest.raises(ValueError, match=rf"C\({n},{k}\) out of range"):
                 log2_binomial(n, k)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 200, 2000, 4000])
+    def test_log2_binomials_match_scalar_bit_for_bit(self, n):
+        # the one table of log2 C(n, m) that the entropy of M and every
+        # h_cond replica read
+        got = _log2_binomials(n)
+        assert got.shape == (n + 1,) and not got.flags.writeable
+        want = [log2_binomial(n, m).hex() for m in range(n + 1)]
+        assert [v.hex() for v in got.tolist()] == want
 
     def test_single_trial(self):
         assert binomial_length_entropy(1, 0.2) == pytest.approx(

@@ -22,12 +22,12 @@ from delchan.sources import (
     _GUIDE_CELLS,
     RunLengthDistribution,
     SourceSpec,
-    _expand_runs,
     _inverse_cdf,
     _rng_from,
     _running_xor,
     _sample_lengths,
     _sample_rows,
+    _scan_toggles,
     as_bits,
     bits_to_str,
     dagger_distribution,
@@ -261,6 +261,11 @@ class TestDistributions:
             RunLengthDistribution(np.array([1.5, -0.5])).validate()
         with pytest.raises(ValueError, match="do not sum to 1"):
             RunLengthDistribution(np.array([0.5, 0.4])).validate()
+        for probs in ([np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="non-finite probability"):
+                RunLengthDistribution(np.array(probs)).validate()
+            with pytest.raises(ValueError, match="non-finite probability"):
+                SourceSpec.renewal(RunLengthDistribution(np.array(probs)))
         # a renewal source validates its law
         with pytest.raises(ValueError, match="do not sum to 1"):
             SourceSpec.renewal(RunLengthDistribution(np.array([0.5, 0.4])))
@@ -514,31 +519,27 @@ class TestSampling:
         assert np.all(rows[:, 1] != rows[:, 2])
 
 
-def repeat_expand_runs(lengths, first):
-    """``_expand_runs`` as ``np.repeat`` of each run's value."""
-    values = np.empty(lengths.shape, dtype=np.uint8)
-    values[:, 0::2] = first
-    values[:, 1::2] = first ^ 1
-    return np.repeat(values.ravel(), lengths.ravel())
+def runs_to_toggles(lengths, first):
+    """Rows of toggles for alternating runs: a row's first bit ``first``,
+    then a 1 at the start of each later run of ``lengths``."""
+    toggles = np.zeros((len(lengths), int(lengths[0].sum())), dtype=np.uint8)
+    toggles[:, 0] = first.ravel()
+    for row, ends in zip(toggles, lengths.cumsum(axis=1)):
+        row[ends[:-1]] = 1
+    return toggles
 
 
 @st.composite
-def run_rows(draw):
-    """``(lengths, first)`` for ``_expand_runs``: 1-4 rows of 1-5 runs of
-    length 1-20, each row's last run lengthened so all rows are equally long."""
+def toggle_rows(draw):
+    """1-4 equally long rows of 1-40 random toggles."""
     rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(1, 5))
-    size = rows * cols
-    flat = draw(st.lists(st.integers(1, 20), min_size=size, max_size=size))
-    lengths = np.array(flat, dtype=np.int64).reshape(rows, cols)
-    sums = lengths.sum(axis=1)
-    lengths[:, -1] += sums.max() - sums
-    first = np.array(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
-    return lengths, first.reshape(rows, 1)
+    n = draw(st.integers(1, 40))
+    flat = draw(st.lists(st.integers(0, 1), min_size=rows * n, max_size=rows * n))
+    return np.array(flat, dtype=np.uint8).reshape(rows, n)
 
 
 class TestBitBuilders:
-    """The word-parallel running XOR and the run expansion built on it."""
+    """The word-parallel running XOR and the toggle scan built on it."""
 
     @given(
         toggles=st.integers(1, 9).flatmap(  # 1 to 9 words: 8 to 72 bytes
@@ -552,19 +553,32 @@ class TestBitBuilders:
         _running_xor(buf)
         np.testing.assert_array_equal(buf, want)
 
-    @given(run_rows())
+    @given(toggle_rows(), st.lists(st.integers(0, 20)))
     # more than one row with an even and an odd number of runs
-    @example((np.array([[1, 2], [2, 1], [1, 2]]), np.array([[1], [0], [0]])))
-    @example((np.array([[2, 1, 1], [1, 1, 2]]), np.array([[0], [1]])))
+    @example(
+        runs_to_toggles(np.array([[1, 2], [2, 1], [1, 2]]), np.array([1, 0, 0])), []
+    )
+    @example(runs_to_toggles(np.array([[2, 1, 1], [1, 1, 2]]), np.array([0, 1])), [1])
     # rows of one run, and runs longer than a word that cross words
-    @example((np.array([[9], [9], [9]]), np.array([[1], [1], [0]])))
-    @example((np.array([[3, 17, 5], [20, 4, 1]]), np.array([[1], [0]])))
+    @example(runs_to_toggles(np.array([[9], [9], [9]]), np.array([1, 1, 0])), [1, 2, 3])
+    @example(
+        runs_to_toggles(np.array([[3, 17, 5], [20, 4, 1]]), np.array([1, 0])), [2, 2, 5]
+    )
     @settings(max_examples=300, deadline=None)
-    def test_expand_runs_matches_repeat(self, case):
-        lengths, first = case
-        got = _expand_runs(lengths, first)
-        assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, repeat_expand_runs(lengths, first))
+    def test_scan_toggles_matches_accumulate(self, toggles, cuts):
+        # the flat rows scanned in whole-word pieces with the carry (the
+        # empty ones too), then the XOR of the rows before each row undone
+        rows, n = toggles.shape
+        size = (rows * n + 7) & ~7
+        buf = np.zeros(size, dtype=np.uint8)
+        buf[: rows * n] = toggles.ravel()
+        done = 0
+        for hi in sorted(min(8 * c, size) for c in cuts) + [size]:
+            assert _scan_toggles(buf, done, hi) == hi
+            done = hi
+        bits = buf[: rows * n].reshape(rows, n)
+        bits[1:] ^= bits[:-1, -1:].copy()
+        np.testing.assert_array_equal(bits, np.bitwise_xor.accumulate(toggles, axis=1))
 
     @pytest.mark.parametrize(
         "spec", [SourceSpec.dagger(0.1), SourceSpec.markov(0.56)], ids=lambda s: s.kind
