@@ -62,8 +62,9 @@ _CHUNK = 64
 #: Input bits per embedding-DP call.  A call stacks as many whole chunks
 #: as fit (at least one).  At n = 10 that is 51 chunks, so the kernel's
 #: fixed per-call cost is paid once per 3264 replicas, and its largest
-#: buffer (``min(n, 32) x (k + 1) x rows`` floats) stays near 3 MB.  From
-#: n = 512 on a call holds one chunk.
+#: buffer (``min(n, 32) x (k + 1) x rows`` band values) stays near 3 MB in
+#: float64, and near a quarter of that for the int16 counts of n <= 17.
+#: From n = 512 on a call holds one chunk.
 _DP_BITS = 1 << 15
 
 

@@ -7,18 +7,23 @@ subsequence embeddings of ``y`` in ``x``.  ``N`` satisfies the dynamic
 program ``f[i][j] = f[i-1][j] + [x_i = y_j] * f[i-1][j-1]`` with
 ``f[i][0] = 1``.
 
-One float64 kernel evaluates the DP for every caller.  Only the band
+One kernel evaluates the DP for every caller.  Only the band
 ``0 <= delta = i - j <= k = n - m`` reaches ``f[n][m]`` (Davey & MacKay's
 drift states), so it runs ``f_i[delta] = f_{i-1}[delta-1] + [x_i =
 y_{i-delta}] f_{i-1}[delta]`` in O(n (k + 1)) time on R pairs of one input
 length at once, read pairs last and C-contiguous: inputs ``(n, R)`` or one
 ``(n, 1)`` column for all pairs, and outputs ``(n + K, R)`` padded with a
 sentinel that matches no input bit (``_band_counts`` lays out row-major
-pairs).  A pair whose band peak nears overflow is rescaled by an exact power
-of two kept as a log2 scale, so its value is bit-identical alone or in any
-batch.  Band values at most double per input bit, so the peak checks start
-after bit 960.  Counts are exact below 2^53 (every ``n <= 56``, so the
-``n <= 12`` oracles); above, the relative error is about ``n * 2^-53``.
+pairs).  Every band value counts the embeddings of a y-suffix in an
+x-suffix, so it is at most ``C(n, n // 2)``: up to ``n = 17`` (``C(17, 8) =
+24310``) every count fits in int16 and the kernel counts in int16, exactly,
+in a quarter of the bytes; from ``n = 18`` (``C(18, 9) = 48620``) it counts
+in float64.  Either way it returns float64, the same bits.  A float pair
+whose band peak nears overflow is rescaled by an exact power of two kept as
+a log2 scale, so its value is bit-identical alone or in any batch.  Band
+values at most double per input bit, so the peak checks start after bit
+960.  Counts are exact below 2^53 (every ``n <= 56``, so the ``n <= 12``
+oracles); above, the relative error is about ``n * 2^-53``.
 Impossible outputs give the distinguished value ``-inf``, not an error:
 Monte Carlo never produces them but adversarial inputs do.
 
@@ -71,8 +76,18 @@ _SENTINEL = 2
 _RESCALE_EVERY = 32
 _RESCALE_AFTER_BITS = 960
 _RESCALE_ABOVE = 2.0**_RESCALE_AFTER_BITS
-#: Pairs x band width per ``_total_probabilities`` kernel call.
-_MAX_BAND_CELLS = 1 << 12
+#: Band DP type while every value fits.  A band value is an embedding count
+#: of a y-suffix in an x-suffix, at most ``C(n, n // 2)``, so every count of
+#: an input of ``n <= _INT_MAX_N`` bits fits: 17 for int16, as ``C(17, 8) =
+#: 24310 <= 32767 < C(18, 9) = 48620``.  Longer inputs count in float64.
+_INT_COUNTS = np.int16
+_INT_MAX_N = max(
+    n for n in range(64) if math.comb(n, n // 2) <= np.iinfo(_INT_COUNTS).max
+)
+#: Pairs x band width per ``_total_probabilities`` kernel call, all in the
+#: int16 regime (n <= 12).  The ``check_dp_oracle`` tracemalloc peak is
+#: 1.30 MB at 2^13 cells and 1.96 MB at 2^14.
+_MAX_BAND_CELLS = 1 << 13
 #: Mask keys per chunk of orbit representatives (16 at n = 12) when the
 #: ``exact_block_information`` table is built; a call reads the table in
 #: chunks of as many representatives.  Chunks of 64 at n = 12 ran as fast
@@ -125,16 +140,19 @@ def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
     """Embedding counts ``top * 2**scale`` of R pairs laid out pairs last:
     inputs ``xt`` ``(n, R)`` or ``(n, 1)``, outputs ``ypad`` ``(n + K, R)``,
     both C-contiguous; pair r, with ``k[r] = n - m_r``, has its output in
-    rows ``K..K + m_r - 1`` of column r and ``_SENTINEL`` elsewhere."""
+    rows ``K..K + m_r - 1`` of column r and ``_SENTINEL`` elsewhere.  The
+    band counts in int16 for ``n <= _INT_MAX_N`` (every value fits, and no
+    rescale check is reached) and in float64 above; ``top`` is float64."""
     n, K, rows = len(xt), len(ypad) - len(xt), ypad.shape[1]
+    dtype = _INT_COUNTS if n <= _INT_MAX_N else np.float64
     # Pair r's band fills entries K - k_r..K of column r (zeros below), so
     # its answer is entry K.  Run back to front (N is unchanged), every y
     # starts at offset K of ypad: the step reading x[u] meets ypad[u + c].
     windows = np.ndarray((n, K + 1, rows), np.uint8, ypad, 0, (rows, rows, 1))
-    f = np.zeros((K + 1, rows))
-    f[K - k, np.arange(rows)] = 1.0
+    f = np.zeros((K + 1, rows), dtype)
+    f[K - k, np.arange(rows)] = 1
     g = np.empty_like(f)
-    eq = np.empty((min(n, _RESCALE_EVERY), K + 1, rows))
+    eq = np.empty((min(n, _RESCALE_EVERY), K + 1, rows), dtype)
     scale = np.zeros(rows, dtype=np.int64)
     for hi in range(n, 0, -_RESCALE_EVERY):
         lo = max(hi - _RESCALE_EVERY, 0)
@@ -149,7 +167,7 @@ def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
         e = np.where(peak > _RESCALE_ABOVE, np.frexp(peak)[1], 0)
         np.ldexp(f, -e, out=f)
         scale += e
-    return f[K], scale
+    return f[K].astype(np.float64), scale
 
 
 def _band_counts(

@@ -248,6 +248,30 @@ class TestEstimateHCond:
         assert abs(np.mean(z)) <= 4.0 / math.sqrt(K)
         assert abs(np.std(z, ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * K)
 
+    @pytest.mark.parametrize(
+        "spec,d,n,want",
+        [
+            (SourceSpec.bernoulli_half(), 0.5, 10,
+             ("0x1.378f033ba63a0p-1", "0x1.883b93d100944p-9")),
+            (SourceSpec.bernoulli_half(), 0.5, 17,
+             ("0x1.1bfd0f0db29cfp-1", "0x1.3a6092e13d085p-9")),
+            (SourceSpec.bernoulli_half(), 0.5, 18,
+             ("0x1.1a1e613760f3ap-1", "0x1.310f8d35281e9p-9")),
+            (SourceSpec.dagger(0.1), 0.1, 10,
+             ("0x1.712d9b584a496p-2", "0x1.d064ae263c3ffp-9")),
+            (SourceSpec.dagger(0.1), 0.1, 17,
+             ("0x1.5d0e4c088fc9cp-2", "0x1.819567a5271dbp-9")),
+            (SourceSpec.dagger(0.1), 0.1, 18,
+             ("0x1.5e98c11358d78p-2", "0x1.8383220c26a9cp-9")),
+        ],
+        ids=lambda v: getattr(v, "kind", None),
+    )
+    def test_pinned_either_side_of_the_int16_switch(self, spec, d, n, want):
+        # recorded while the DP counted in float64 at every n; it counts in
+        # int16 up to n = 17 and in float64 from n = 18
+        got = estimate_h_cond(spec, d, n, 2000, 7)
+        assert tuple(v.hex() for v in got) == want
+
     def test_long_block_bounded_by_binary_entropy(self):
         # the conditional entropy per bit never exceeds h(d)
         mean, _ = estimate_h_cond(SourceSpec.bernoulli_half(), 0.1, 2000, 50, 5)

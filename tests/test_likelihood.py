@@ -165,7 +165,8 @@ class TestEmbeddingCount:
 
 
 class TestBandKernel:
-    """The float64 band kernel against the big-integer DP."""
+    """The band kernel against the big-integer DP: int16 counts up to
+    n = 17, where every count fits, and float64 counts from n = 18."""
 
     def test_big_int_oracle_matches_brute_force(self):
         rng = np.random.Generator(np.random.Philox(4))
@@ -177,6 +178,8 @@ class TestBandKernel:
             assert big_int_count(x, y) == brute_force_count(x, y)
 
     @given(channel_pairs())
+    @example((np.ones(17, np.uint8), np.ones(8, np.uint8)))
+    @example((np.ones(18, np.uint8), np.ones(9, np.uint8)))
     @example((np.ones(56, np.uint8), np.ones(28, np.uint8)))
     @example((np.ones(57, np.uint8), np.ones(28, np.uint8)))
     @example((np.ones(64, np.uint8), np.ones(32, np.uint8)))
@@ -184,7 +187,8 @@ class TestBandKernel:
     @settings(max_examples=200, deadline=None)
     def test_matches_big_int_dp(self, pair):
         # n runs from 1 past 64; for n <= 56 every count is below
-        # C(56, 28) < 2^53, so float64 must reproduce it exactly
+        # C(56, 28) < 2^53, so int16 (n <= 17) and float64 counts must
+        # both reproduce it exactly
         x, y = pair
         count = big_int_count(x, y)
         got = embedding_count(x, y)
@@ -192,6 +196,39 @@ class TestBandKernel:
             assert got == (math.log2(count) if count else IMPOSSIBLE)
         else:
             assert got == pytest.approx(math.log2(count), abs=1e-12)
+
+    def test_int16_regime_bound(self):
+        # a band value is at most C(n, n // 2): int16 holds every count up
+        # to the switch, and the largest count one bit later overflows it
+        top, limit = likelihood._INT_MAX_N, np.iinfo(likelihood._INT_COUNTS).max
+        assert math.comb(top, top // 2) <= limit < math.comb(top + 1, (top + 1) // 2)
+        assert (likelihood._INT_COUNTS, top) == (np.int16, 17)
+
+    @pytest.mark.parametrize("n", [16, 17, 18, 19])
+    def test_mixed_m_batch_at_the_int16_switch(self, n):
+        # all ones with m = n // 2 reaches the largest count C(n, n // 2),
+        # past int16 from n = 18 on; random pairs, an impossible pair and
+        # m = 0 share the batch
+        rng = np.random.Generator(np.random.Philox(n))
+        ones = np.ones(n, np.uint8)
+        xs = [ones] * 4 + [rng.integers(0, 2, n, np.uint8) for _ in range(4)]
+        ys = [ones[: n // 2], ones[: (n + 1) // 2], ones[: n - 2], ones[:0]]
+        ys += [x[rng.random(n) >= d] for x, d in zip(xs[4:], (0.1, 0.3, 0.5, 0.7))]
+        xs.append(np.tile(np.array([0, 1], np.uint8), n)[:n])
+        ys.append(ones[: n // 2 + 1])  # more ones than x has
+        y = np.zeros((len(ys), n), np.uint8)
+        for r, yr in enumerate(ys):
+            y[r, : yr.size] = yr
+        top, scale = _band_counts(np.array(xs), y, [yr.size for yr in ys])
+        assert top.dtype == np.float64 and not scale.any()
+        assert top[0] == math.comb(n, n // 2) and top[-1] == 0.0
+        assert top.tolist() == [big_int_count(x, yr) for x, yr in zip(xs, ys)]
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    def test_counts_are_float64_either_side_of_the_switch(self, n):
+        x = np.random.Generator(np.random.Philox(n)).integers(0, 2, n, np.uint8)
+        top, scale = _band_counts(x, x[None, ::2], [x[::2].size])
+        assert top.dtype == np.float64 and scale.dtype == np.int64
 
     def test_renormalizing_all_ones(self):
         # C(2000, 1000) ~ 2^1994 overflows float64 without rescaling
@@ -432,12 +469,12 @@ class TestTotalProbabilities:
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_bit_identical_to_length_loop_sampled_n_11_12(self, n, monkeypatch):
-        # 7 rows: short outputs take all 7 inputs in one call, longer ones
-        # split them with a ragged last group (6 + 1, 4 + 3, 3 + 3 + 1,
-        # 2 + 2 + 2 + 1, ...), and a group of one input is the (n, 1)
+        # 9 rows: short outputs take all 9 inputs in one call, longer ones
+        # split them with a ragged last group (8 + 1, 5 + 4, 4 + 4 + 1,
+        # 2 + 2 + 2 + 2 + 1, ...), and a group of one input is the (n, 1)
         # broadcast column
         xs = np.random.Generator(np.random.Philox(n)).integers(
-            0, 2, (7, n), dtype=np.uint8
+            0, 2, (9, n), dtype=np.uint8
         )
         ds = (0.1, 0.5, 0.9)
         groups = {}  # output length -> inputs of each call, at the first d
@@ -453,7 +490,7 @@ class TestTotalProbabilities:
         got = [_total_probabilities(xs, d).tolist() for d in ds]
         monkeypatch.undo()
         calls = {m: g[: len(g) // len(ds)] for m, g in groups.items()}
-        assert calls[0] == [7] and calls[n][-1] == 1  # broadcast at m = n
+        assert calls[0] == [9] and calls[n][-1] == 1  # broadcast at m = n
         assert any(len(set(c)) > 1 and c[-1] < c[0] for c in calls.values())
         expected = np.array([loop_total_probability(x, ds) for x in xs])
         for i in range(len(ds)):

@@ -198,9 +198,9 @@ class TestOracleWorkAndOutput:
         monkeypatch.setattr(likelihood, "_band_dp", counting_kernel)
         monkeypatch.setattr(verify, "_check_group", recording_group)
         check_dp_oracle(DEFAULT_SEED)
-        # 27 exhaustive + 90 random groups, 2634 normalization calls, the
+        # 27 exhaustive + 90 random groups, 1374 normalization calls, the
         # normalization calls at most _MAX_BAND_CELLS band cells each
-        assert len(cells) == 2751
+        assert len(cells) == 1491
         assert max(cells[117:]) <= likelihood._MAX_BAND_CELLS
         exhaustive = [(n, m) for n in range(1, 7) for m in range(n + 1)]
         random_ = [(n, m) for n in range(1, 13) for m in range(n + 1)]
@@ -227,12 +227,13 @@ class TestOracleWorkAndOutput:
         x = np.tile(np.array([0, 1, 1], np.uint8), 40)
         embedding_count(x[::2], x[1::3])  # strided rows
         embedding_count(x, x[::-1][:50])
-        assert seen == {"check_dp_oracle": 2751, "estimate_h_cond": 2,
+        assert seen == {"check_dp_oracle": 1491, "estimate_h_cond": 2,
                         "embedding_count": 2}
 
     def test_check_dp_oracle_memory_budget(self):
-        # warm run first (the kept-position cache); 1.30 MB at a cap of
-        # 2^12 band cells, 1.82 MB at 2^13
+        # warm run first (the kept-position cache); with int16 counts 1.30
+        # MB at a cap of 2^13 band cells and 1.96 MB at 2^14 (float64
+        # counts: 1.30 MB at 2^12, 1.84 MB at 2^13)
         check_dp_oracle(1)
         tracemalloc.start()
         try:
