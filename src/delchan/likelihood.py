@@ -14,12 +14,14 @@ y_{i-delta}] f_{i-1}[delta]`` in O(n (k + 1)) time on R pairs of one input
 length at once, read pairs last and C-contiguous: inputs ``(n, R)`` or one
 ``(n, 1)`` column for all pairs, and outputs ``(n + K, R)`` padded with a
 sentinel that matches no input bit (``_band_counts`` lays out row-major
-pairs).  Every band value counts the embeddings of a y-suffix in an
-x-suffix, so it is at most ``C(n, n // 2)``: up to ``n = 17`` (``C(17, 8) =
-24310``) every count fits in int16 and the kernel counts in int16, exactly,
-in a quarter of the bytes; from ``n = 18`` (``C(18, 9) = 48620``) it counts
-in float64.  Either way it returns float64, the same bits.  A float pair
-whose band peak nears overflow is rescaled by an exact power of two kept as
+pairs).  Pair r's band starts as a one at drift ``k_r`` and zeros
+elsewhere, written for all pairs by one compare.  Every band value counts
+the embeddings of a y-suffix in an x-suffix, so it is at most
+``C(n, n // 2)``: up to ``n = 17`` (``C(17, 8) = 24310``) every count fits
+in int16 and the kernel counts in int16, exactly, in a quarter of the
+bytes; from ``n = 18`` (``C(18, 9) = 48620``) it counts in float64.
+Either way it returns float64, the same bits.  A float pair whose band
+peak nears overflow is rescaled by an exact power of two kept as
 a log2 scale, so its value is bit-identical alone or in any batch.  Band
 values at most double per input bit, so the peak checks start after bit
 960.  Counts are exact below 2^53 (every ``n <= 56``, so the ``n <= 12``
@@ -30,9 +32,11 @@ Monte Carlo never produces them but adversarial inputs do.
 The exhaustive ``n <= 12`` oracles enumerate every output:
 ``total_probability`` is the normalization self-check of the DP, and
 ``exact_block_information`` gives the exact ``H(Y)`` and ``H(Y|X)``
-against which the Monte Carlo estimators are gated.  The latter keeps one
-read-only table per n, built on first use: the output keys each orbit
-representative reaches, ascending, and their integer mask counts ``N``.
+against which the Monte Carlo estimators are gated.  Both read every
+n-bit word from one read-only matrix per n, built on first use.  The
+latter also keeps one read-only table per n, built on first use: the
+output keys each orbit representative reaches, ascending, and their
+integer mask counts ``N``.
 Every mask onto an output of length m weighs the same float, so a mask
 by mask sum of ``N`` equal weights is the ``N``-th partial sum of one
 ``cumsum`` row, and a call reads its ``q_c(y)`` from there bit for bit.
@@ -86,7 +90,7 @@ _INT_MAX_N = max(
 )
 #: Pairs x band width per ``_total_probabilities`` kernel call, all in the
 #: int16 regime (n <= 12).  The ``check_dp_oracle`` tracemalloc peak is
-#: 1.30 MB at 2^13 cells and 1.96 MB at 2^14.
+#: 1.20 MB at 2^13 cells and 1.96 MB at 2^14.
 _MAX_BAND_CELLS = 1 << 13
 #: Mask keys per chunk of orbit representatives (16 at n = 12) when the
 #: ``exact_block_information`` table is built; a call reads the table in
@@ -142,15 +146,18 @@ def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
     both C-contiguous; pair r, with ``k[r] = n - m_r``, has its output in
     rows ``K..K + m_r - 1`` of column r and ``_SENTINEL`` elsewhere.  The
     band counts in int16 for ``n <= _INT_MAX_N`` (every value fits, and no
-    rescale check is reached) and in float64 above; ``top`` is float64."""
+    rescale check is reached) and in float64 above; ``top`` is float64.
+    One broadcast compare of ``K..0`` with ``k`` writes every pair's start,
+    in either type and for any mix of ``k``."""
     n, K, rows = len(xt), len(ypad) - len(xt), ypad.shape[1]
     dtype = _INT_COUNTS if n <= _INT_MAX_N else np.float64
     # Pair r's band fills entries K - k_r..K of column r (zeros below), so
-    # its answer is entry K.  Run back to front (N is unchanged), every y
-    # starts at offset K of ypad: the step reading x[u] meets ypad[u + c].
+    # its answer is entry K; it starts as the one-hot column [K - i == k_r].
+    # Run back to front (N is unchanged), every y starts at offset K of
+    # ypad: the step reading x[u] meets ypad[u + c].
     windows = np.ndarray((n, K + 1, rows), np.uint8, ypad, 0, (rows, rows, 1))
-    f = np.zeros((K + 1, rows), dtype)
-    f[K - k, np.arange(rows)] = 1
+    f = np.empty((K + 1, rows), dtype)
+    np.equal(np.arange(K, -1, -1)[:, None], k, out=f, casting="unsafe")
     g = np.empty_like(f)
     eq = np.empty((min(n, _RESCALE_EVERY), K + 1, rows), dtype)
     scale = np.zeros(rows, dtype=np.int64)
@@ -237,10 +244,14 @@ def binomial_length_entropy(n: int, d: float) -> float:
     return math.fsum((-p[possible] * lp[possible]).tolist())
 
 
+@functools.lru_cache(maxsize=_ORACLE_MAX_N + 1)
 def _all_words(n: int) -> np.ndarray:
-    """Every n-bit word, MSB first, as the rows of a ``(2^n, n)`` matrix."""
+    """Every n-bit word, MSB first, as the rows of a ``(2^n, n)`` matrix;
+    built once per n and kept read-only."""
     codes = np.arange(2**n, dtype=np.int64)
-    return ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(np.uint8)
+    words = ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(np.uint8)
+    words.setflags(write=False)
+    return words
 
 
 def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:

@@ -88,10 +88,17 @@ def _mapped_bytes(size: int) -> np.ndarray:
     where small allocations made between two streams can pin the freed block:
     a later stream then grows the heap by the whole block, so the peak RSS
     jumps by the input size after a number of streams that depends on every
-    other allocation in the process.  A fresh map costs its page faults, about
-    10% of the time of a 2 * 10^7-bit stream on a 2-core Xeon VM.
+    other allocation in the process.  The map is private and, where the
+    platform can, prefaulted: a shared anonymous map is backed by shmem and
+    takes a fault per page on first write.  A fresh map still costs its
+    pages, about 3% of the time of a 2 * 10^7-bit stream over a reused block
+    zeroed again (8-9 ms of 259-331 ms on a 2-core Xeon VM; a shared map
+    cost 13-16 ms).
     """
-    return np.frombuffer(mmap.mmap(-1, size), np.uint8, size)
+    if hasattr(mmap, "MAP_PRIVATE"):
+        flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+        return np.frombuffer(mmap.mmap(-1, size, flags=flags), np.uint8, size)
+    return np.frombuffer(mmap.mmap(-1, size), np.uint8, size)  # Windows: no flags
 
 
 def as_bits(x: "str | Sequence[int] | np.ndarray") -> np.ndarray:
@@ -333,7 +340,10 @@ def _inverse_cdf(probs: np.ndarray) -> _InverseCdf:
     edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS  # exact
     lo = np.searchsorted(cdf, edges[:-1], side="right")
     hi = np.searchsorted(cdf, edges[1:], side="left")
-    return _InverseCdf(cdf, np.where(lo == hi, lo + 1, 0))
+    guide = np.where(lo == hi, lo + 1, 0)
+    for table in (cdf, guide):
+        table.setflags(write=False)  # cached: every sampler call shares it
+    return _InverseCdf(cdf, guide)
 
 
 def _sample_lengths(rng, inv: _InverseCdf, shape, out=None) -> np.ndarray:

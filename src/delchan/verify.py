@@ -312,16 +312,25 @@ def check_formula_pins() -> list[CheckResult]:
 
 
 @functools.lru_cache(maxsize=128)
-def _kept_positions(n: int, m: int) -> np.ndarray:
-    idx = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
-    idx.setflags(write=False)  # cached: one array for every caller
-    return idx
+def _kept_weights(n: int, m: int) -> np.ndarray:
+    """``(n, C(n, m))`` matrix whose column j weighs the j-th set of m kept
+    positions by ``2^(m-1), .., 1`` in order and every other position by 0,
+    so that ``x @ W[:, j]`` is the code (MSB first) of the bits x keeps."""
+    kept = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
+    # float64: every code is below 2^12, so exact, and BLAS multiplies it
+    # faster than numpy's integer loop does int32
+    weights = np.zeros((n, len(kept)))
+    weights[kept.T, np.arange(len(kept))] = 2 ** np.arange(m - 1, -1, -1)[:, None]
+    weights.setflags(write=False)  # cached: one matrix for every caller
+    return weights
 
 
 def _brute_counts(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Kept-position sets spelling ``ys[r]`` in ``xs[r]`` (one n, one m)."""
-    kept = _kept_positions(xs.shape[1], ys.shape[1])
-    return (xs[:, kept] == ys[:, None, :]).all(axis=2).sum(axis=1)
+    """Kept-position sets spelling ``ys[r]`` in ``xs[r]`` (one n, one m): the
+    code of the bits each set keeps from ``xs[r]`` against the code of
+    ``ys[r]``, every code below ``2^12`` and so exact."""
+    n, m = xs.shape[1], ys.shape[1]
+    return (xs @ _kept_weights(n, m) == ys @ _kept_weights(m, m)).sum(axis=1)
 
 
 def _check_group(xs: np.ndarray, ys: np.ndarray) -> tuple[bool, float]:
@@ -341,7 +350,9 @@ def check_dp_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Embedding-count DP vs brute-force enumeration + normalization.
 
     Pairs are checked one (n, m) group at a time, each in one kernel
-    call; the normalization runs one batch of 100 inputs per (n, d).
+    call against ``_brute_counts``, which still enumerates every set of
+    kept positions but compares integer codes of the kept bits; the
+    normalization runs one batch of 100 inputs per (n, d).
     """
     rng = _rng_from(seed)
     out = []

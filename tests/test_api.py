@@ -3,6 +3,7 @@ options stay removed, and every argument rule is applied where it is due."""
 
 import ast
 import dataclasses
+import functools
 import importlib
 import math
 import pkgutil
@@ -338,3 +339,46 @@ def test_package_imports_only_declared_dependencies():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}: import {name}"
+
+
+def test_every_cached_array_is_read_only():
+    # a cache hands one array to every caller, so one caller's write would
+    # reach all later calls; the walk finds every lru_cache and
+    # cached_property of the package, so a new cache is not missed
+    modules = [importlib.import_module(name) for name in SUBMODULES]
+    caches = {
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__
+    }
+    properties = {
+        f"{cls.__qualname__}.{name}"
+        for mod in modules
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and cls.__module__ == mod.__name__
+        for name, attr in vars(cls).items()
+        if isinstance(attr, functools.cached_property)
+    }
+    assert caches == {
+        "delchan.likelihood._all_words",
+        "delchan.likelihood._log2_binomials",
+        "delchan.likelihood._orbit_outputs",
+        "delchan.verify._kept_weights",
+    }
+    # ``mean`` is a float
+    assert properties == {"RunLengthDistribution._cdf", "RunLengthDistribution.mean"}
+    from delchan import likelihood
+
+    arrays = [
+        likelihood._all_words(5),
+        likelihood._log2_binomials(7),
+        *likelihood._orbit_outputs(5),
+        verify._kept_weights(6, 3),
+        *dagger_distribution(0.1)._cdf,
+        *geometric_half()._cdf,
+    ]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]

@@ -597,6 +597,16 @@ def all_inputs(n: int) -> np.ndarray:
     return ((np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1).astype(np.uint8)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_all_words_are_cached_and_read_only(n):
+    # one matrix per n for the oracles, the normalization check and the
+    # DP oracle's exhaustive pairs
+    words = _all_words(n)
+    assert words is _all_words(n)
+    assert not words.flags.writeable and words.dtype == np.uint8
+    np.testing.assert_array_equal(words, all_inputs(n))
+
+
 def loop_input_probs(spec: SourceSpec, bits_matrix: np.ndarray) -> np.ndarray:
     """Palm-start renewal law of every row, one run at a time."""
     dist = spec.dist

@@ -106,6 +106,14 @@ def exhaustive_group(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(_all_words(n), 2**m, axis=0), np.tile(_all_words(m), (2**n, 1))
 
 
+def plain_count(x: np.ndarray, y: np.ndarray) -> int:
+    """Sets of kept positions of ``x`` that spell ``y``, one at a time."""
+    return sum(
+        tuple(x[list(keep)]) == tuple(y)
+        for keep in itertools.combinations(range(len(x)), len(y))
+    )
+
+
 class TestBruteForceReference:
     def test_matches_itertools_enumeration_n_le_6(self):
         # the grouped reference of check_dp_oracle against the plain
@@ -113,14 +121,40 @@ class TestBruteForceReference:
         for n in range(1, 7):
             for m in range(n + 1):
                 xs, ys = exhaustive_group(n, m)
-                expected = [
-                    sum(
-                        tuple(x[list(keep)]) == tuple(y)
-                        for keep in itertools.combinations(range(n), m)
-                    )
-                    for x, y in zip(xs, ys)
-                ]
+                expected = [plain_count(x, y) for x, y in zip(xs, ys)]
                 assert _brute_counts(xs, ys).tolist() == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_itertools_enumeration_random_pairs(self, n):
+        # per (n, m) group: random pairs, outputs of x itself (possible),
+        # and an all-zero input against outputs holding a one (impossible)
+        rng = np.random.default_rng(1000 + n)
+        for m in sorted({0, 1, n // 2, int(rng.integers(0, n + 1)), n - 1, n}):
+            xs = rng.integers(0, 2, size=(6, n), dtype=np.uint8)
+            ys = rng.integers(0, 2, size=(6, m), dtype=np.uint8)
+            for r in range(2):
+                keep = np.sort(rng.choice(n, size=m, replace=False))
+                ys[r] = xs[r, keep]
+            if m:
+                xs[5] = 0
+                ys[5, rng.integers(0, m)] = 1
+            expected = [plain_count(x, y) for x, y in zip(xs, ys)]
+            assert _brute_counts(xs, ys).tolist() == expected
+            assert min(expected[:2]) >= 1 and (m == 0 or expected[5] == 0)
+
+    def test_kept_weights_code_the_kept_bits_msb_first(self):
+        # column j of the weights gives the j-th kept-position set of
+        # itertools.combinations the place values 2^(m-1), .., 1 in order
+        for n, m in [(0, 0), (3, 0), (4, 4), (7, 3), (12, 6)]:
+            weights = verify._kept_weights(n, m)
+            assert weights is verify._kept_weights(n, m)
+            assert not weights.flags.writeable
+            sets = list(itertools.combinations(range(n), m))
+            assert weights.shape == (n, len(sets))
+            for j, keep in enumerate(sets):
+                want = np.zeros(n)
+                want[list(keep)] = 2.0 ** np.arange(m - 1, -1, -1)
+                np.testing.assert_array_equal(weights[:, j], want)
 
 
 class TestGroupedOracle:
@@ -231,9 +265,10 @@ class TestOracleWorkAndOutput:
                         "embedding_count": 2}
 
     def test_check_dp_oracle_memory_budget(self):
-        # warm run first (the kept-position cache); with int16 counts 1.30
-        # MB at a cap of 2^13 band cells and 1.96 MB at 2^14 (float64
-        # counts: 1.30 MB at 2^12, 1.84 MB at 2^13)
+        # warm run first (the kept-weight and word caches); with int16
+        # counts and coded brute force 1.20 MB at a cap of 2^13 band cells
+        # and 1.96 MB at 2^14 (int16 counts with the kept-position compare:
+        # 1.30 MB at 2^13; float64 counts: 1.30 MB at 2^12, 1.84 MB at 2^13)
         check_dp_oracle(1)
         tracemalloc.start()
         try:
