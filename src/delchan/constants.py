@@ -222,9 +222,7 @@ def _c4b_sum(S: int) -> float:
     def shells():
         for s in range(6, S + 1):
             for i in range(2, s - 3):
-                j = s - i
-                if j < 4:
-                    continue
+                j = s - i  # >= 4, as i <= s - 4
                 yield (
                     2.0 ** -(s + 1)
                     * (s - 1)

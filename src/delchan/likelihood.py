@@ -11,21 +11,21 @@ One kernel evaluates the DP for every caller.  Only the band
 ``0 <= delta = i - j <= k = n - m`` reaches ``f[n][m]`` (Davey & MacKay's
 drift states), so it runs ``f_i[delta] = f_{i-1}[delta-1] + [x_i =
 y_{i-delta}] f_{i-1}[delta]`` in O(n (k + 1)) time on R pairs of one input
-length at once, read pairs last and C-contiguous: inputs ``(n, R)`` or one
-``(n, 1)`` column for all pairs, and outputs ``(n + K, R)`` padded with a
-sentinel that matches no input bit (``_band_counts`` lays out row-major
-pairs).  Pair r's band starts as a one at drift ``k_r`` and zeros
-elsewhere, written for all pairs by one compare.  Every band value counts
-the embeddings of a y-suffix in an x-suffix, so it is at most
-``C(n, n // 2)``: up to ``n = 17`` (``C(17, 8) = 24310``) every count fits
-in int16 and the kernel counts in int16, exactly, in a quarter of the
-bytes; from ``n = 18`` (``C(18, 9) = 48620``) it counts in float64.
-Either way it returns float64, the same bits.  A float pair whose band
-peak nears overflow is rescaled by an exact power of two kept as
-a log2 scale, so its value is bit-identical alone or in any batch.  Band
-values at most double per input bit, so the peak checks start after bit
-960.  Counts are exact below 2^53 (every ``n <= 56``, so the ``n <= 12``
-oracles); above, the relative error is about ``n * 2^-53``.
+length at once, read pairs last and C-contiguous: inputs ``(n, R)`` and
+outputs ``(n + K, R)`` padded with a sentinel that matches no input bit
+(``_band_counts`` lays out row-major pairs).  Pair r's band starts as a
+one at drift ``k_r`` and zeros elsewhere, written for all pairs by one
+compare.  Every band value counts the embeddings of a y-suffix in an
+x-suffix, so it is at most ``C(n, n // 2)``: up to ``n = 17``
+(``C(17, 8) = 24310``) every count fits in int16 and the kernel counts in
+int16, exactly, in a quarter of the bytes; from ``n = 18``
+(``C(18, 9) = 48620``) it counts in float64.  Either way it returns
+float64, the same bits.  A float pair whose band peak nears overflow is
+rescaled by an exact power of two kept as a log2 scale, so its value is
+bit-identical alone or in any batch.  Band values at most double per
+input bit, so the peak checks start after bit 960.  Counts are exact
+below 2^53 (every ``n <= 56``, so the ``n <= 12`` oracles); above, the
+relative error is about ``n * 2^-53``.
 Impossible outputs give the distinguished value ``-inf``, not an error:
 Monte Carlo never produces them but adversarial inputs do.
 
@@ -34,9 +34,9 @@ The exhaustive ``n <= 12`` oracles enumerate every output:
 ``exact_block_information`` gives the exact ``H(Y)`` and ``H(Y|X)``
 against which the Monte Carlo estimators are gated.  Both read every
 n-bit word from one read-only matrix per n, built on first use.  The
-latter also keeps one read-only table per n, built on first use: the
-output keys each orbit representative reaches, ascending, and their
-integer mask counts ``N``.
+latter also keeps one table per n, built on first use as plain read-only
+arrays: the output keys each orbit representative reaches, ascending,
+and their integer mask counts ``N``.
 Every mask onto an output of length m weighs the same float, so a mask
 by mask sum of ``N`` equal weights is the ``N``-th partial sum of one
 ``cumsum`` row, and a call reads its ``q_c(y)`` from there bit for bit.
@@ -54,7 +54,7 @@ import numpy as np
 from delchan.constants import (
     _check_d_closed, _check_d_open, _check_int, _entropy_bits, _segment_entropy_bits,
 )
-from delchan.sources import SourceSpec, _mapped_bytes, as_bits
+from delchan.sources import SourceSpec, as_bits
 
 __all__ = [
     "IMPOSSIBLE",
@@ -142,8 +142,8 @@ def _log2_binomials(n: int) -> np.ndarray:
 
 def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
     """Embedding counts ``top * 2**scale`` of R pairs laid out pairs last:
-    inputs ``xt`` ``(n, R)`` or ``(n, 1)``, outputs ``ypad`` ``(n + K, R)``,
-    both C-contiguous; pair r, with ``k[r] = n - m_r``, has its output in
+    inputs ``xt`` ``(n, R)``, outputs ``ypad`` ``(n + K, R)``, both
+    C-contiguous; pair r, with ``k[r] = n - m_r``, has its output in
     rows ``K..K + m_r - 1`` of column r and ``_SENTINEL`` elsewhere.  The
     band counts in int16 for ``n <= _INT_MAX_N`` (every value fits, and no
     rescale check is reached) and in float64 above; ``top`` is float64.
@@ -180,9 +180,9 @@ def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
 def _band_counts(
     x: np.ndarray, y: np.ndarray, m: np.ndarray | list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_band_dp`` on row-major pairs: ``x`` is one input, shape ``(n,)``,
-    or one per pair, ``(R, n)``; output r is ``y[r, :m[r]]`` (uint8)."""
-    xt = np.ascontiguousarray(np.atleast_2d(x).T)
+    """``_band_dp`` on row-major pairs, one input per pair: input r is
+    ``x[r]`` of ``x`` ``(R, n)``, and output r is ``y[r, :m[r]]`` (uint8)."""
+    xt = np.ascontiguousarray(x.T)
     n, m = xt.shape[0], np.asarray(m, dtype=np.int64)
     k, rows, width = n - m, m.size, y.shape[1]
     K = int(k.max())
@@ -205,7 +205,7 @@ def embedding_count(x, y) -> float:
         raise ValueError(f"output longer than input ({m} > {n})")
     if m == 0:
         return 0.0
-    top, scale = _band_counts(x, y[None, :], [m])
+    top, scale = _band_counts(x[None, :], y[None, :], [m])
     return math.log2(top[0]) + int(scale[0]) if top[0] > 0.0 else IMPOSSIBLE
 
 
@@ -256,9 +256,8 @@ def _all_words(n: int) -> np.ndarray:
 
 def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:
     """``total_probability`` of each row of ``xs``, shape ``(R, n)``; a call
-    covers inputs x all 2^m outputs, at most ``_MAX_BAND_CELLS`` band cells.
-    A group of one input is a broadcast column, and each sum is
-    bit-identical to the input's sum alone."""
+    covers inputs x all 2^m outputs, at most ``_MAX_BAND_CELLS`` band cells,
+    and each sum is bit-identical to the input's sum alone."""
     xs = np.ascontiguousarray(xs)
     rows, n = xs.shape
     totals = np.empty((rows, n + 1))
@@ -272,7 +271,7 @@ def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:
         for lo in range(0, rows, group):
             x = xs[lo : lo + group]
             cols = len(x) * width  # fewer in a ragged last group
-            xt = x.T if len(x) == 1 else np.repeat(x.T, width, axis=1)
+            xt = np.repeat(x.T, width, axis=1)
             # n <= 12 never rescales: scale is 0 and top is the count
             top, _ = _band_dp(xt, np.ascontiguousarray(ypad[:, :cols]), k[:cols])
             totals[lo : lo + group, m] = top.reshape(-1, width).sum(axis=1)
@@ -373,7 +372,7 @@ def _orbit_outputs(n: int) -> _OrbitOutputs:
     # orbit representatives c: the smallest code of each orbit
     orbit = _group_codes(n)
     reps = np.flatnonzero(orbit.min(axis=0) == orbit[0])
-    orbit = orbit[:, reps]
+    orbit = orbit.take(reps, axis=1)  # C order, no writable base
     stab = (orbit == reps).sum(axis=0)
 
     # key of (c, mask): the output y-code, sum over surviving positions of
@@ -404,19 +403,10 @@ def _orbit_outputs(n: int) -> _OrbitOutputs:
         counts.append(np.diff(starts, append=flat.size).astype(np.int16))
         sizes.append(np.bincount(starts >> n, minlength=len(rows)))
     bounds = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    # the kept table gets an anonymous map of its own, so that it pins no
-    # heap pages (see sources._mapped_bytes); int64 arrays come first, so
-    # every view is aligned
-    arrays = (orbit, stab, bounds, np.concatenate(keys), np.concatenate(counts))
-    buf = _mapped_bytes(sum(a.nbytes for a in arrays))
-    views, lo = [], 0
-    for a in arrays:
-        view = buf[lo : lo + a.nbytes].view(a.dtype).reshape(a.shape)
-        view[...] = a
-        view.setflags(write=False)  # cached: one table for every caller
-        views.append(view)
-        lo += a.nbytes
-    return _OrbitOutputs(*views)
+    table = (orbit, stab, bounds, np.concatenate(keys), np.concatenate(counts))
+    for a in table:
+        a.setflags(write=False)  # cached: one table for every caller
+    return _OrbitOutputs(*table)
 
 
 def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformation:

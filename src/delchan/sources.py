@@ -82,7 +82,7 @@ def _mapped_bytes(size: int) -> np.ndarray:
     """``size >= 1`` bytes in an anonymous memory map of their own, unmapped
     when the array is freed.
 
-    A long sampled row and the oracle's table go here, not to malloc.  Once
+    Only the one-row sampler's buffer goes here, not to malloc.  Once
     glibc frees a block the size of a long stream's input, it raises its mmap
     threshold past that size and serves the next such block from the heap,
     where small allocations made between two streams can pin the freed block:

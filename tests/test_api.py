@@ -379,6 +379,7 @@ def test_every_cached_array_is_read_only():
         *geometric_half()._cdf,
     ]
     for array in arrays:
-        assert not array.flags.writeable
+        # owns its memory: no writable base to write the cache through
+        assert not array.flags.writeable and array.base is None
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = array.flat[0]

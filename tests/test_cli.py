@@ -172,6 +172,16 @@ class TestBoundsTable:
         f.write_text("d,lower,upper\n")
         assert BoundsTable.parse(f).rows == ()
 
+    def test_parse_skips_blank_and_comment_lines(self, tmp_path):
+        plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+        plain.write_text("d,lower,upper\n0.05,0.7,0.8\n0.10,0.6,0.7\n")
+        noted.write_text(
+            "# bounds\n\nd,lower,upper\n  \n0.05,0.7,0.8\n"
+            "  # between rows\n\n0.10,0.6,0.7\n# end\n"
+        )
+        assert BoundsTable.parse(noted) == BoundsTable.parse(plain)
+        assert BoundsTable.parse(noted).rows == ((0.05, 0.7, 0.8), (0.10, 0.6, 0.7))
+
 
 class TestConstantsCommand:
     def test_csv_values_parse_back_exactly(self, runner):
@@ -364,6 +374,14 @@ class TestRateCommand:
         )
         assert result.exit_code == 2, result.output
         assert "deletion probability must be in [0, 1]" in result.output
+
+    @pytest.mark.parametrize("d", ["1.5", "nan", "-0.1"])
+    def test_dagger_without_usable_channel_d_is_usage_error(self, runner, d):
+        # plain ``dagger`` takes its parameter from --d, checked before the run
+        result = runner.invoke(main, ["rate", f"--d={d}", "--source", "dagger"])
+        assert result.exit_code == 2, result.output
+        assert "dagger needs a usable deletion probability" in result.output
+        assert "pass dagger:<d> to pin one explicitly" in result.output
 
     def test_unknown_source_is_usage_error(self, runner):
         result = runner.invoke(main, ["rate", "--d", "0.1", "--source", "wat"])

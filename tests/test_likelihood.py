@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delchan.constants import binary_entropy
-from delchan.channel import run_lengths
+from delchan.channel import _keep_mask, run_lengths
 from delchan import likelihood
 from delchan.likelihood import (
     IMPOSSIBLE,
@@ -33,7 +33,15 @@ from delchan.likelihood import (
     log_likelihood,
     total_probability,
 )
-from delchan.sources import SourceSpec, as_bits, geometric_half, point_mass
+from delchan.sources import (
+    RunLengthDistribution,
+    SourceSpec,
+    _rng_from,
+    _sample_rows,
+    as_bits,
+    geometric_half,
+    point_mass,
+)
 
 
 def brute_force_count(x: str, y: str) -> int:
@@ -227,7 +235,7 @@ class TestBandKernel:
     @pytest.mark.parametrize("n", [10, 2000])
     def test_counts_are_float64_either_side_of_the_switch(self, n):
         x = np.random.Generator(np.random.Philox(n)).integers(0, 2, n, np.uint8)
-        top, scale = _band_counts(x, x[None, ::2], [x[::2].size])
+        top, scale = _band_counts(x[None, :], x[None, ::2], [x[::2].size])
         assert top.dtype == np.float64 and scale.dtype == np.int64
 
     def test_renormalizing_all_ones(self):
@@ -249,7 +257,9 @@ class TestBandKernel:
         assert embedding_count(x, x[::-1]) == IMPOSSIBLE
         assert embedding_count(x, []) == 0.0
         assert embedding_count(x, x) == 0.0
-        top, scale = _band_counts(x, np.zeros((2, 0), np.uint8), [0, 0])
+        top, scale = _band_counts(
+            np.tile(x, (2, 1)), np.zeros((2, 0), np.uint8), [0, 0]
+        )
         assert top.tolist() == [1.0, 1.0] and scale.tolist() == [0, 0]
 
     @pytest.mark.parametrize("n", [959, 960, 961, 992, 993, 1100])
@@ -257,7 +267,7 @@ class TestBandKernel:
         # peak checks start after bit 960; C(1100, 550) ~ 2^1095 overflows
         # float64 unless a check fires after it
         m = n // 2
-        got = kernel_log2(np.ones(n, np.uint8), np.ones((1, m), np.uint8), [m])
+        got = kernel_log2(np.ones((1, n), np.uint8), np.ones((1, m), np.uint8), [m])
         assert got[0] == pytest.approx(log2_binomial(n, m), rel=1e-12)
 
     @pytest.mark.parametrize("n", [959, 960, 961, 992, 993, 1100])
@@ -277,7 +287,7 @@ class TestBandKernel:
         top, scale = _band_counts(np.array(xs), y, m)
         assert top[4] == 0.0 and top[5] == 1.0  # impossible, and m = 0
         for r in range(len(ys)):
-            alone = _band_counts(xs[r], ys[r][None, :], [m[r]])
+            alone = _band_counts(xs[r][None, :], ys[r][None, :], [m[r]])
             assert (alone[0][0], alone[1][0]) == (top[r], scale[r])
 
     @staticmethod
@@ -323,10 +333,70 @@ class TestBandKernel:
         top, scale = _band_counts(xs, y, m)
         assert scale.max() > 0  # the batch exercises rescaling
         for r in range(m.size):
-            alone = _band_counts(xs[r], ys[r][None, :], [m[r]])
+            alone = _band_counts(xs[r : r + 1], ys[r][None, :], [m[r]])
             assert (alone[0][0], alone[1][0]) == (top[r], scale[r])
-            assert kernel_log2(xs[r], ys[r][None, :], [m[r]])[0] == (
+            assert kernel_log2(xs[r : r + 1], ys[r][None, :], [m[r]])[0] == (
                 embedding_count(xs[r], ys[r]))
+
+
+def sampled_log2_counts(spec, n, d, rows, seed):
+    """``log2 N(x, y)`` of ``rows`` replicas drawn as ``estimate_h_cond``
+    draws them, with the run-structure count of each: the sum over input
+    runs of ``log2 C(L_i, k_i)``, ``k_i`` the deleted bits of run i, and
+    whether every input run keeps a bit."""
+    rng = _rng_from(seed)
+    xs = _sample_rows(spec, n, rows, rng)
+    keep = _keep_mask((rows, n), d, rng)
+    ms = keep.sum(axis=1)
+    ys = np.zeros_like(xs)
+    ys[np.arange(n) < ms[:, None]] = xs[keep]
+    top, scale = _band_counts(xs, ys, ms)
+    # runs of all rows in row-major order; every row starts a run
+    starts = np.ones((rows, n), dtype=bool)
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=starts[:, 1:])
+    run = np.cumsum(starts.ravel()) - 1
+    L = np.bincount(run)
+    k = np.bincount(run, weights=~keep.ravel()).astype(np.int64)
+    lgamma = np.array([math.lgamma(l + 1) for l in range(n + 1)])
+    log2_c = (lgamma[L] - lgamma[k] - lgamma[L - k]) / math.log(2.0)
+    row = np.flatnonzero(starts.ravel()) // n
+    runs_count = np.bincount(row, weights=log2_c, minlength=rows)
+    kept = np.bincount(row, weights=k == L, minlength=rows) == 0
+    return np.log2(top) + scale, scale, runs_count, kept
+
+
+class TestRunStructureOracle:
+    """Deleting k_i bits anywhere in input run i gives the same output, so
+    ``N(x, y) >= prod C(L_i, k_i)``; when every run keeps a bit, y has the
+    runs of x and each of its runs embeds only in its own, so the two are
+    equal.  Checks sampled pairs at the lengths ``estimate_h_cond`` runs."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SourceSpec.dagger(0.05), SourceSpec.markov(0.56), SourceSpec.bernoulli_half()],
+        ids=["dagger", "markov", "bernoulli"],
+    )
+    def test_sampled_pairs_at_production_n(self, spec):
+        equal_rows = 0
+        for n in (1100, 2000, 4000):
+            for d in (0.005, 0.05):
+                log_n, _, runs_count, kept = sampled_log2_counts(spec, n, d, 128, n)
+                assert np.all(log_n >= runs_count * (1 - 1e-12))
+                np.testing.assert_allclose(
+                    log_n[kept], runs_count[kept], rtol=1e-12, atol=0.0
+                )
+                equal_rows += int(kept.sum())
+        assert equal_rows > 0
+
+    def test_long_runs_rescale_and_stay_exact(self):
+        # runs of 16..32 bits all keep a bit at d = 0.2, and N ~ 2^2300-2^2430
+        # passes the 2^960 rescale threshold several times per pair
+        spec = SourceSpec.renewal(
+            RunLengthDistribution.from_weights([0.0] * 15 + [1.0] * 17)
+        )
+        log_n, scale, runs_count, kept = sampled_log2_counts(spec, 4000, 0.2, 16, 3)
+        assert kept.all() and scale.min() > 960
+        np.testing.assert_allclose(log_n, runs_count, rtol=1e-12, atol=0.0)
 
 
 class TestLogLikelihood:
@@ -404,7 +474,8 @@ def loop_total_probability(x, ds) -> list[float]:
     for m in range(n + 1):
         codes = np.arange(2**m, dtype=np.int64)
         ys = ((codes[:, None] >> (m - 1 - np.arange(m))) & 1).astype(np.uint8)
-        top, scale = _band_counts(x, ys, np.full(codes.size, m))
+        xs = np.tile(x, (codes.size, 1))
+        top, scale = _band_counts(xs, ys, np.full(codes.size, m))
         sums.append(float(np.ldexp(top, scale).sum()))
     return [
         math.fsum(s * (d ** (n - m) * (1.0 - d) ** m) for m, s in enumerate(sums))
@@ -471,8 +542,8 @@ class TestTotalProbabilities:
     def test_bit_identical_to_length_loop_sampled_n_11_12(self, n, monkeypatch):
         # 9 rows: short outputs take all 9 inputs in one call, longer ones
         # split them with a ragged last group (8 + 1, 5 + 4, 4 + 4 + 1,
-        # 2 + 2 + 2 + 2 + 1, ...), and a group of one input is the (n, 1)
-        # broadcast column
+        # 2 + 2 + 2 + 2 + 1, ...), and a group of one input is repeated
+        # like any other
         xs = np.random.Generator(np.random.Philox(n)).integers(
             0, 2, (9, n), dtype=np.uint8
         )
@@ -482,7 +553,7 @@ class TestTotalProbabilities:
         def recording(xt, ypad, k):
             m = n - int(k[0])
             inputs = ypad.shape[1] // 2**m
-            assert xt.shape[1] == (1 if inputs == 1 else ypad.shape[1])
+            assert xt.shape == (n, ypad.shape[1])
             groups.setdefault(m, []).append(inputs)
             return _band_dp(xt, ypad, k)
 
@@ -490,26 +561,11 @@ class TestTotalProbabilities:
         got = [_total_probabilities(xs, d).tolist() for d in ds]
         monkeypatch.undo()
         calls = {m: g[: len(g) // len(ds)] for m, g in groups.items()}
-        assert calls[0] == [9] and calls[n][-1] == 1  # broadcast at m = n
+        assert calls[0] == [9] and calls[n][-1] == 1  # one input at m = n
         assert any(len(set(c)) > 1 and c[-1] < c[0] for c in calls.values())
         expected = np.array([loop_total_probability(x, ds) for x in xs])
         for i in range(len(ds)):
             assert got[i] == expected[:, i].tolist()
-
-    def test_broadcast_input_equals_repeated_input(self):
-        # one input as an (n, 1) column against the same input in every
-        # pair's column, with mixed m at n = 1100; all ones rescales
-        rng = np.random.Generator(np.random.Philox(3))
-        m = [0, 5, 300, 550, 1000, 1100]
-        for x in (np.ones(1100, np.uint8), rng.integers(0, 2, 1100, np.uint8)):
-            y = np.zeros((len(m), x.size), np.uint8)
-            for r, mr in enumerate(m):
-                y[r, :mr] = x[np.sort(rng.permutation(x.size)[:mr])]
-            top, scale = _band_counts(x, y, m)
-            top_r, scale_r = _band_counts(np.tile(x, (len(m), 1)), y, m)
-            assert top.tolist() == top_r.tolist()
-            assert scale.tolist() == scale_r.tolist()
-            assert (scale.max() > 0) == (x.min() == 1)
 
     def test_split_batch_equals_one_row_calls(self, monkeypatch):
         # at n = 12 the long outputs fill a call with one input, so the

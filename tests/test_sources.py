@@ -336,6 +336,32 @@ class TestGeneratorHome:
             assert rng_builder_calls(tree) == want, path.name
 
 
+def test_only_the_one_row_sampler_maps_its_bytes():
+    # _mapped_bytes keeps a long one-row sample off the heap; every other
+    # array, a cached table included, is a plain numpy array
+    callers, importers = [], []
+    for path in sorted(pathlib.Path(sources.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        importers += [
+            path.stem
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name == "_mapped_bytes"
+        ]
+        callers += [
+            f"{path.stem}.{fn.name}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "_mapped_bytes"
+        ]
+    assert callers == ["sources._sample_rows"]
+    assert importers == []
+
+
 class TestSampling:
     def test_forced_alternation(self):
         spec = SourceSpec.renewal(point_mass(1))

@@ -248,7 +248,7 @@ class TestOracleWorkAndOutput:
 
         def checking_kernel(xt, ypad, k):
             assert xt.flags.c_contiguous and ypad.flags.c_contiguous
-            assert xt.shape[1] in (1, k.size) and ypad.shape[1] == k.size
+            assert xt.shape[1] == ypad.shape[1] == k.size
             seen[caller] = seen.get(caller, 0) + 1
             return _band_dp(xt, ypad, k)
 
@@ -282,6 +282,14 @@ class TestOracleWorkAndOutput:
     def test_report_is_pinned(self, seed):
         checks = check_dp_oracle(seed)
         assert json.dumps([c.as_dict() for c in checks]) == DP_ORACLE_JSON
+
+    def test_dp_suite_reports_the_oracle_rows(self):
+        report = run_suite("dp", seed=3)
+        assert report.suite == "dp" and report.passed
+        assert not report.underpowered and report.notes == []
+        rows = [c.as_dict() for c in report.checks]
+        assert rows == [c.as_dict() for c in check_dp_oracle(3)]
+        assert json.dumps(rows) == DP_ORACLE_JSON
 
 
 def test_formula_vs_simulation_passes_at_2000_samples():
