@@ -57,14 +57,14 @@ __all__ = [
 _BURN_IN_RUNS = 64
 _BOOTSTRAP_RESAMPLES = 200
 _MIN_COUNT_PER_SUPPORT_POINT = 100
-#: Replicas per RNG stream: fixed, since the draws depend on it.
+#: Rows per embedding-DP call come in whole chunks of this size.
 _CHUNK = 64
-#: Input bits per embedding-DP call.  A call stacks as many whole chunks
-#: as fit (at least one).  At n = 10 that is 51 chunks, so the kernel's
-#: fixed per-call cost is paid once per 3264 replicas, and its largest
-#: buffer (``min(n, 32) x (k + 1) x rows`` band values) stays near 3 MB in
-#: float64, and near a quarter of that for the int16 counts of n <= 17.
-#: From n = 512 on a call holds one chunk.
+#: Input bits per embedding-DP call: as many whole chunks as fit, at least
+#: one; the draws depend on the rows per call.  At n = 10 that is 51
+#: chunks, so the kernel's fixed per-call cost is paid once per 3264
+#: replicas, and its largest buffer (``min(n, 32) x (k + 1) x rows`` band
+#: values) stays near 3 MB in float64, and near a quarter of that for the
+#: int16 counts of n <= 17.  From n = 512 on a call holds one chunk.
 _DP_BITS = 1 << 15
 
 
@@ -115,10 +115,10 @@ def estimate_h_cond(
     information of the received string given input and output length.
     Their mean estimates ``H(Y|X, M)/n``; the exact ``H(M)/n`` of the
     Binomial(n, 1-d) output length is added to it.
-    Replicas draw in fixed chunks of 64, one RNG stream per chunk spawned by
-    chunk index; one DP call covers a batch of whole chunks, up to 2^15
-    input bits, and gives each pair the same value in any batch.  Before
-    any work: the integer rule on ``n >= 1``, ``samples >= 2`` and an int
+    All replicas draw from one stream; a ``SeedSequence`` is read, not
+    spawned from.  One DP call covers whole 64-row chunks, up to 2^15 input
+    bits, and gives each pair the same value in any batch.  Before any
+    work: the integer rule on ``n >= 1``, ``samples >= 2`` and an int
     ``seed``, and the closed rule ``d`` in ``[0, 1]``.
     """
     n, samples = _check_h_cond_args(d, n, samples)
@@ -127,27 +127,21 @@ def estimate_h_cond(
         # every mask (all-keep / all-delete) is certain: p(y|x, m) = 1
         return 0.0, 0.0
 
-    chunks = root.spawn(-(-samples // _CHUNK))
-    per_call = max(1, _DP_BITS // (_CHUNK * n))
+    rng = _rng_from(root)
+    per_call = _CHUNK * max(1, _DP_BITS // (_CHUNK * n))
     ms_all = np.empty(samples, dtype=np.int64)
     log_n_all = np.empty(samples)
-    for first in range(0, len(chunks), per_call):
-        xs_parts, keep_parts = [], []
-        for index, child in enumerate(chunks[first : first + per_call], first):
-            rows = min(_CHUNK, samples - index * _CHUNK)
-            rng = _rng_from(child)
-            xs_parts.append(_sample_rows(spec, n, rows, rng))
-            keep_parts.append(_keep_mask((rows, n), d, rng))
-        xs, keep = np.concatenate(xs_parts), np.concatenate(keep_parts)
+    for start in range(0, samples, per_call):
+        rows = min(per_call, samples - start)
+        xs = _sample_rows(spec, n, rows, rng)
+        keep = _keep_mask((rows, n), d, rng)
         ms = keep.sum(axis=1)
         ys = np.zeros_like(xs)
         ys[np.arange(n) < ms[:, None]] = xs[keep]
         top, scale = _band_counts(xs, ys, ms)
-        start = first * _CHUNK
-        stop = start + len(xs)
-        ms_all[start:stop] = ms
+        ms_all[start : start + rows] = ms
         # y is a subsequence of x: N >= 1
-        log_n_all[start:stop] = np.log2(top) + scale
+        log_n_all[start : start + rows] = np.log2(top) + scale
 
     values = (_log2_binomials(n)[ms_all] - log_n_all) / n
 

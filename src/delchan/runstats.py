@@ -153,19 +153,15 @@ def stats_to_json(stats: EmpiricalRunStats) -> str:
     ``sum_l p(l) (log2 p(l) + l)``, not as ``mean - H_L``, so that
     ``H_L = mean - D`` holds for the pmf's mean to accumulation error.
     """
-    h_terms = []
-    d_terms = []
+    pmf, h_terms, d_terms = [], [], []
     for l, pl in enumerate(stats.pmf.probs.tolist(), start=1):
         if pl > 0.0:
             lg = math.log2(pl)
+            pmf.append([l, pl])
             h_terms.append(-pl * lg)
             d_terms.append(pl * (lg + l))
     doc = {
-        "pmf": [
-            [l, pl]
-            for l, pl in enumerate(stats.pmf.probs.tolist(), start=1)
-            if pl > 0.0
-        ],
+        "pmf": pmf,
         "mu": stats.mu_hat,
         "H_L": math.fsum(h_terms),
         "D": math.fsum(d_terms),

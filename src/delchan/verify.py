@@ -424,7 +424,7 @@ def check_formula_vs_simulation(
     mean, se = estimate_h_cond(spec, d, n, samples, seed)
 
     # empirical run law of the same source, on a stream disjoint from
-    # the replica streams (distinct entropy family, not a spawn child)
+    # the replicas' one stream (entropy [seed, 1], not seed)
     x = sample_sequence(spec, 10**6, np.random.SeedSequence([seed, 1]))
     q_hat = empirical_run_distribution(x).pmf
     predicted = hy_given_x_formula(q_hat, d) - compute_constants().c4 * d * d

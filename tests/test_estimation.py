@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from delchan import estimation
+from delchan import estimation, likelihood
 from delchan.analytics import markov_rate_bound, optimal_markov_param
 from delchan.channel import _keep_mask
 from delchan.constants import _entropy_bits
@@ -41,6 +42,7 @@ from delchan.likelihood import (
 )
 from delchan.runstats import _L_CAP
 from delchan.channel import run_lengths, transmit
+from delchan.cli import main
 from delchan.sources import (
     DEFAULT_SEED,
     SourceSpec,
@@ -53,29 +55,29 @@ from delchan.sources import (
 from test_sources import whole_array_sample_rows
 
 #: ``estimate_rate(...).to_json()`` for the arguments of acceptance
-#: criterion 8 (the README reference run), recorded when the draws moved
-#: to SFC64 and ``h_cond`` gained the exact ``H(M)/n``.
+#: criterion 8 (the README reference run), recorded when ``h_cond`` moved
+#: to one RNG stream per call.
 CRITERION_8_JSON = (
-    '{"rate": 0.7291955647866865, "h_out": 0.9478684416644345, '
-    '"h_cond": 0.21867287687774806, "std_err": 0.0006653643816170114, '
+    '{"rate": 0.7295846097021574, "h_out": 0.9478684416644345, '
+    '"h_cond": 0.21828383196227708, "std_err": 0.0006891053399669285, '
     '"n": 2000, "samples": 500, "d": 0.05, "seed": 901342, '
     '"mode": "exact-renewal"}'
 )
 
 #: ``estimate_rate(spec, 0.1, n=200, samples=20, out_bits=10**6,
 #: seed=11).to_json()`` at the shape of a benchmark stream op, for a
-#: renewal input and a Markov input, recorded before the stream's run
-#: segmentation was rewritten.
+#: renewal input and a Markov input, recorded when ``h_cond`` moved to one
+#: RNG stream per call (``h_out`` as before).
 STREAM_OP_JSON = {
     "renewal": (
-        '{"rate": 0.5747461576148074, "h_out": 0.8931749427529312, '
-        '"h_cond": 0.3184287851381238, "std_err": 0.010807395121308024, '
+        '{"rate": 0.5697967610922516, "h_out": 0.8931749427529312, '
+        '"h_cond": 0.32337818166067955, "std_err": 0.01047591770577176, '
         '"n": 200, "samples": 20, "d": 0.1, "seed": 11, '
         '"mode": "exact-renewal"}'
     ),
     "markov": (
-        '{"rate": 0.5793583986670647, "h_out": 0.89225834604262, '
-        '"h_cond": 0.3128999473755553, "std_err": 0.00982188614144028, '
+        '{"rate": 0.5584582220565237, "h_out": 0.89225834604262, '
+        '"h_cond": 0.33380012398609626, "std_err": 0.008484973812428657, '
         '"n": 200, "samples": 20, "d": 0.1, "seed": 11, '
         '"mode": "upper-bound"}'
     ),
@@ -91,49 +93,55 @@ def exact_h_cond_per_bit(spec: SourceSpec, n: int, d: float) -> float:
     return exact_block_information(spec, n, d).H_Y_given_X / n
 
 
+def one_stream_draws(spec, d, n, samples, seed):
+    """The inputs and keep masks ``estimate_h_cond`` draws, one batch per DP
+    call (whole 64-row chunks up to 2^15 input bits), all from one stream."""
+    rng = _rng_from(seed)
+    per_call = _CHUNK * max(1, (1 << 15) // (_CHUNK * n))
+    for start in range(0, samples, per_call):
+        xs = _sample_rows(spec, n, min(per_call, samples - start), rng)
+        yield xs, _keep_mask(xs.shape, d, rng)
+
+
+def mean_and_std_err(values, samples, h_m):
+    """The mean plus ``h_m``, and its standard error, summed in order."""
+    mean = math.fsum(values) / samples
+    var = math.fsum((v - mean) ** 2 for v in values)
+    return mean + h_m, math.sqrt(var / (samples * (samples - 1)))
+
+
 def replica_loop_h_cond(spec, d, n, samples, seed):
-    """``estimate_h_cond`` with each chunk's draws evaluated one replica at
-    a time by ``embedding_count``; also returns the output lengths."""
-    chunks = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
+    """``estimate_h_cond`` with its draws evaluated one replica at a time by
+    ``embedding_count``; also returns the output lengths."""
     values, ms = [], []
-    for index, child in enumerate(chunks):
-        rng = _rng_from(child)
-        xs = _sample_rows(spec, n, min(_CHUNK, samples - index * _CHUNK), rng)
-        for x, keep in zip(xs, _keep_mask(xs.shape, d, rng)):
+    for xs, keeps in one_stream_draws(spec, d, n, samples, seed):
+        for x, keep in zip(xs, keeps):
             y = x[keep]
             values.append((log2_binomial(n, y.size) - embedding_count(x, y)) / n)
             ms.append(y.size)
-    mean = math.fsum(values) / samples
-    var = math.fsum((v - mean) ** 2 for v in values)
     h_m = binomial_length_entropy(n, d) / n
-    return (mean + h_m, math.sqrt(var / (samples * (samples - 1)))), ms
+    return mean_and_std_err(values, samples, h_m), ms
 
 
 def per_chunk_h_cond(spec, d, n, samples, seed):
     """``estimate_h_cond`` with one ``_band_counts`` call per 64-replica
-    chunk: the reference for calls that stack whole chunks."""
-    chunks = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
-    ms_all = np.empty(samples, dtype=np.int64)
-    log_n_all = np.empty(samples)
-    for index, child in enumerate(chunks):
-        start = index * _CHUNK
-        rows = min(_CHUNK, samples - start)
-        rng = _rng_from(child)
-        xs = _sample_rows(spec, n, rows, rng)
-        keep = _keep_mask(xs.shape, d, rng)
-        ms = keep.sum(axis=1)
-        ys = np.zeros_like(xs)
-        ys[np.arange(n) < ms[:, None]] = xs[keep]
-        top, scale = _band_counts(xs, ys, ms)
-        ms_all[start : start + rows] = ms
-        log_n_all[start : start + rows] = np.log2(top) + scale
+    chunk of its draws: the reference for calls that stack whole chunks."""
+    ms_parts, log_n_parts = [], []
+    for xs, keep in one_stream_draws(spec, d, n, samples, seed):
+        for lo in range(0, len(xs), _CHUNK):
+            x, k = xs[lo : lo + _CHUNK], keep[lo : lo + _CHUNK]
+            ms = k.sum(axis=1)
+            ys = np.zeros_like(x)
+            ys[np.arange(n) < ms[:, None]] = x[k]
+            top, scale = _band_counts(x, ys, ms)
+            ms_parts.append(ms)
+            log_n_parts.append(np.log2(top) + scale)
+    ms_all, log_n_all = np.concatenate(ms_parts), np.concatenate(log_n_parts)
     drawn, which = np.unique(ms_all, return_inverse=True)
     log2_binom = np.array([log2_binomial(n, m) for m in drawn.tolist()])
     values = (log2_binom[which] - log_n_all) / n
-    mean = math.fsum(values.tolist()) / samples
-    var = math.fsum((v - mean) ** 2 for v in values.tolist())
     h_m = binomial_length_entropy(n, d) / n
-    return mean + h_m, math.sqrt(var / (samples * (samples - 1)))
+    return mean_and_std_err(values.tolist(), samples, h_m)
 
 
 class TestBatchedKernelCalls:
@@ -227,22 +235,24 @@ class TestEstimateHCond:
         assert abs(mean - target) <= 4.0 * se
 
     @pytest.mark.parametrize(
-        "spec,n,d",
+        "spec,n,d,samples",
         [
-            (SourceSpec.bernoulli_half(), 10, 0.1),
-            (SourceSpec.dagger(0.3), 12, 0.3),
-            (SourceSpec.markov(0.7), 10, 0.2),
+            (SourceSpec.bernoulli_half(), 10, 0.1, 2000),
+            (SourceSpec.dagger(0.3), 12, 0.3, 2000),
+            (SourceSpec.markov(0.7), 10, 0.2, 2000),
+            # 2688 rows per DP call: three calls
+            (SourceSpec.dagger(0.3), 12, 0.3, 6000),
         ],
-        ids=["bernoulli", "dagger", "markov"],
+        ids=["bernoulli", "dagger", "markov", "dagger-3-calls"],
     )
-    def test_std_err_has_the_right_size(self, spec, n, d):
+    def test_std_err_has_the_right_size(self, spec, n, d, samples):
         # z = (estimate - exact) / std_err over K seeds: its mean and sd
         # have standard errors about 1/sqrt(K) and 1/sqrt(2K) when the
         # std_err is right; too small or too large a std_err moves sd z
         target = exact_h_cond_per_bit(spec, n, d)
         z = []
         for seed in range(100):
-            mean, se = estimate_h_cond(spec, d, n, 2000, seed)
+            mean, se = estimate_h_cond(spec, d, n, samples, seed)
             z.append((mean - target) / se)
         K = len(z)
         assert abs(np.mean(z)) <= 4.0 / math.sqrt(K)
@@ -252,23 +262,28 @@ class TestEstimateHCond:
         "spec,d,n,want",
         [
             (SourceSpec.bernoulli_half(), 0.5, 10,
-             ("0x1.378f033ba63a0p-1", "0x1.883b93d100944p-9")),
+             ("0x1.3788486223465p-1", "0x1.7d09a55a27333p-9")),
             (SourceSpec.bernoulli_half(), 0.5, 17,
-             ("0x1.1bfd0f0db29cfp-1", "0x1.3a6092e13d085p-9")),
+             ("0x1.1d905c6510668p-1", "0x1.32c8cccbbb593p-9")),
             (SourceSpec.bernoulli_half(), 0.5, 18,
-             ("0x1.1a1e613760f3ap-1", "0x1.310f8d35281e9p-9")),
+             ("0x1.1be27235b30dap-1", "0x1.29666f0185ad2p-9")),
             (SourceSpec.dagger(0.1), 0.1, 10,
-             ("0x1.712d9b584a496p-2", "0x1.d064ae263c3ffp-9")),
+             ("0x1.63cdb53aee848p-2", "0x1.ca1c60b9dc639p-9")),
             (SourceSpec.dagger(0.1), 0.1, 17,
-             ("0x1.5d0e4c088fc9cp-2", "0x1.819567a5271dbp-9")),
+             ("0x1.5ef33f0fc7ad8p-2", "0x1.93ac3caaefc73p-9")),
             (SourceSpec.dagger(0.1), 0.1, 18,
-             ("0x1.5e98c11358d78p-2", "0x1.8383220c26a9cp-9")),
+             ("0x1.5aafa33c4a4bep-2", "0x1.84b196ad5512ap-9")),
         ],
         ids=lambda v: getattr(v, "kind", None),
     )
-    def test_pinned_either_side_of_the_int16_switch(self, spec, d, n, want):
-        # recorded while the DP counted in float64 at every n; it counts in
-        # int16 up to n = 17 and in float64 from n = 18
+    def test_pinned_either_side_of_the_int16_switch(
+        self, monkeypatch, spec, d, n, want
+    ):
+        # the DP counts in int16 up to n = 17 and in float64 from n = 18;
+        # each pin holds as shipped and with float64 counts at every n
+        got = estimate_h_cond(spec, d, n, 2000, 7)
+        assert tuple(v.hex() for v in got) == want
+        monkeypatch.setattr(likelihood, "_INT_MAX_N", 0)
         got = estimate_h_cond(spec, d, n, 2000, 7)
         assert tuple(v.hex() for v in got) == want
 
@@ -303,6 +318,25 @@ class TestEstimateHCond:
         assert estimate_h_cond(*args, 42) == estimate_h_cond(
             *args, np.random.SeedSequence(42)
         )
+
+    def test_same_seed_sequence_twice_gives_the_same_result(self):
+        # the seed sequence is read, not spawned from
+        args = (SourceSpec.bernoulli_half(), 0.1, 10, 5000)
+        root = np.random.SeedSequence(42)
+        first = estimate_h_cond(*args, root)
+        assert estimate_h_cond(*args, root) == first == estimate_h_cond(*args, 42)
+        assert root.n_children_spawned == 0
+
+    def test_one_generator_per_call(self, monkeypatch):
+        built, rng_from = [], estimation._rng_from
+
+        def counting_rng_from(seed):
+            built.append(seed)
+            return rng_from(seed)
+
+        monkeypatch.setattr(estimation, "_rng_from", counting_rng_from)
+        estimate_h_cond(SourceSpec.bernoulli_half(), 0.1, 10, 20_000, 3)
+        assert len(built) == 1
 
     def test_n_doubling_at_fixed_bit_budget(self):
         # fixed total bits: halving samples while doubling n moves the
@@ -406,6 +440,14 @@ class TestBlockedStream:
         after = readme.split("This is the reference run", 1)[1]
         block = after.split("```\n", 2)[1]
         assert block == CRITERION_8_JSON + "\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_readme_command_prints_the_pin(self, threads):
+        args = ["rate", "--d", "0.05", "--source", "dagger", "--n", "2000",
+                "--samples", "500", "--out-bits", "10000000", "--threads", threads]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == CRITERION_8_JSON + "\n"
 
     @pytest.mark.parametrize(
         "spec", [SourceSpec.dagger(0.1), SourceSpec.markov(0.56)], ids=lambda s: s.kind
