@@ -67,16 +67,20 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bounds_table(bounds_file) -> BoundsTable:
+    """The published bounds in ``bounds_file``, or the bundled table."""
+    return BoundsTable.bundled() if bounds_file is None else BoundsTable.parse(
+        bounds_file
+    )
+
+
 def run_table(bounds_file=None, out_format: str = "csv") -> str:
     """Formatted capacity table for a bounds file (default: bundled).
 
     A bounds file without rows degrades to an estimate-only table over
     the default d-grid.
     """
-    bounds = BoundsTable.bundled() if bounds_file is None else BoundsTable.parse(
-        bounds_file
-    )
-    rows = table_rows(bounds)
+    rows = table_rows(_bounds_table(bounds_file))
     if out_format == "json":
         return json.dumps(rows, indent=2)
     return _rows_to_csv(rows)
@@ -208,8 +212,7 @@ def plot_data_cmd(bounds_file, points: int, out_path, gnuplot_script) -> None:
     if gnuplot_script is not None and out_path is None:
         raise click.UsageError("--gnuplot-script requires --out")
     with _io_errors():
-        bounds = (BoundsTable.bundled() if bounds_file is None
-                  else BoundsTable.parse(bounds_file))
+        bounds = _bounds_table(bounds_file)
 
     known = {round(d, 6): (lower, upper) for d, lower, upper in bounds.rows}
     grid = sorted(

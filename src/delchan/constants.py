@@ -146,19 +146,6 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(0.0 - np.sum(p * np.log2(p)))
 
 
-def _segment_entropy_bits(p: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """``_entropy_bits`` of every segment ``p[bounds[i]:bounds[i + 1]]``, bit
-    for bit: each segment is summed alone, in the same pairwise order as
-    ``np.sum`` of the compacted segment (``np.add.reduceat`` is not)."""
-    keep = p > 0.0
-    bounds = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
-    p = p[keep]
-    terms = p * np.log2(p)
-    return np.array(
-        [0.0 - np.add.reduce(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    )
-
-
 def _tail_bound(L: int, kappa: float, a: int, b: int) -> float:
     """Upper bound on ``sum_{l>L} 2^-l * kappa * l^a * (ln l)^b`` (L >= 8)."""
     deg = a + b

@@ -23,12 +23,14 @@ Binomial(n, 1-d) variable independent of the input, so
   limit as ``n`` grows, which ``rate = h_out - h_cond`` pairs with
   ``H(Y|X)/n``.
 
-The identity is exact for Markov inputs too: the runs of a symmetric
-Markov chain are i.i.d. Geometric(1 - p_same), and the first run from a
-uniform first bit has the same law, so the input is renewal.  Their
-estimates are still labelled ``"upper-bound"``, the value the
-``mc-stream`` gate in ``bench/workloads.py`` asserts; relabelling them
-``"exact-renewal"`` belongs with a change to that benchmark.
+A ``RateEstimate``'s ``mode`` is ``"exact-renewal"`` for renewal and
+uniform inputs and ``"upper-bound"`` for Markov inputs.  The identity is
+exact for Markov inputs too: the runs of a symmetric Markov chain are
+i.i.d. Geometric(1 - p_same), and the first run from a uniform first bit
+has the same law, so the input is renewal.  Their estimates are still
+labelled ``"upper-bound"``, the value the ``mc-stream`` gate in
+``bench/workloads.py`` asserts; relabelling them ``"exact-renewal"``
+belongs with a change to that benchmark.
 """
 
 from __future__ import annotations
@@ -73,9 +75,7 @@ class RateEstimate:
     """One Monte Carlo rate estimation run.
 
     ``rate = h_out - h_cond``; ``std_err`` is the quadrature sum of the
-    component errors.  ``mode`` is ``"exact-renewal"`` for renewal or
-    uniform inputs and ``"upper-bound"`` for Markov inputs, although the
-    output entropy identity is exact for them too (see the module
+    component errors.  ``mode`` labels the input (see the module
     docstring).
     """
 
@@ -234,11 +234,8 @@ def estimate_rate(
 ) -> RateEstimate:
     """Monte Carlo achievable-rate estimate ``h_out - h_cond``.
 
-    ``mode`` is ``"exact-renewal"`` for renewal/uniform sources and
-    ``"upper-bound"`` for Markov sources, whose runs are i.i.d. geometric,
-    so the output entropy identity holds for them too; the label is kept
-    for the benchmark (see the module docstring).  The result is
-    deterministic given ``seed`` and the sampling sizes.  Before
+    ``mode`` labels the input as the module docstring explains.  The
+    result is deterministic given ``seed`` and the sampling sizes.  Before
     either half starts: the integer rule on ``threads``, ``n``,
     ``out_bits`` (each >= 1), ``samples >= 2`` and ``seed >= 0`` (reported
     as an ``int``), and the closed rule ``d`` in ``[0, 1]``.  The two halves

@@ -37,9 +37,10 @@ n-bit word from one read-only matrix per n, built on first use.  The
 latter also keeps one table per n, built on first use as plain read-only
 arrays: the output keys each orbit representative reaches, ascending,
 and their integer mask counts ``N``.
-Every mask onto an output of length m weighs the same float, so a mask
-by mask sum of ``N`` equal weights is the ``N``-th partial sum of one
-``cumsum`` row, and a call reads its ``q_c(y)`` from there bit for bit.
+Every mask onto an output of length m weighs the same float ``w_m``, so a
+call takes ``q_c(y) = N w_m``, one rounding of the exact product, and sums
+each orbit's ``q log2 q`` terms alone: no value depends on the chunk size
+or on earlier calls.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from delchan.constants import (
-    _check_d_closed, _check_d_open, _check_int, _entropy_bits, _segment_entropy_bits,
-)
+from delchan.constants import _check_d_closed, _check_d_open, _check_int, _entropy_bits
 from delchan.sources import SourceSpec, as_bits
 
 __all__ = [
@@ -94,8 +93,9 @@ _INT_MAX_N = max(
 _MAX_BAND_CELLS = 1 << 13
 #: Mask keys per chunk of orbit representatives (16 at n = 12) when the
 #: ``exact_block_information`` table is built; a call reads the table in
-#: chunks of as many representatives.  Chunks of 64 at n = 12 ran as fast
-#: but raised the peak resident set by about 1 MB.
+#: chunks of as many representatives, which sets its memory, not its bits.
+#: Chunks of 64 at n = 12 ran as fast but raised the peak resident set by
+#: about 1 MB.
 _KEY_CHUNK_CELLS = 1 << 16
 
 
@@ -425,11 +425,13 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     depend on n alone, so they are built once per n, on first use, and
     kept read-only (273,539 entries in 1.15 MB at n = 12, where an orbit
     reaches 259 of the 8191 output keys on average and 609 at most).  A
-    call reads ``q_c(y)``, the sum of the ``N(c, y)`` equal weights
-    ``d^(n-m) (1-d)^m`` of the masks onto y added one at a time, as the
-    ``N``-th partial sum of that weight, and touches only reachable
-    entries, one chunk of representatives at a time.  A non-integer
-    ``n`` raises ``TypeError``, ``n > 12`` ``ValueError``.
+    call takes ``q_c(y) = N(c, y) w_m``, each of the ``N`` masks onto y
+    weighing ``w_m = d^(n-m) (1-d)^m``, and touches only reachable
+    entries, one chunk of representatives at a time.  Each orbit's
+    ``H(Y|X = c)`` is summed over its own entries alone and ``p(y)`` adds
+    its terms in orbit order, so the result does not depend on the chunk
+    size or on earlier calls.  A non-integer ``n`` raises ``TypeError``,
+    ``n > 12`` ``ValueError``.
     """
     n = _check_int("n", n, 1)
     if n > _ORACLE_MAX_N:
@@ -451,32 +453,27 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     p_orbit = weights.sum(axis=0)
     reach = np.diff(table.bounds)
 
-    # q_c(y) adds the weights of the N = N(c, y) masks mapping c to y one
-    # at a time, in mask order, from 0.0 (as np.bincount over all 2^n masks
-    # does).  Each such mask keeps m = len(y) bits and weighs the same
-    # float w_m = d^(n-m) (1-d)^m, so q_c(y) is the N-th sequential partial
-    # sum of w_m: row m, column N - 1 of one cumsum table, the same bits.
+    # q_c(y) = N(c, y) w_m: each of the N masks onto y keeps m = len(y) bits
+    # and weighs w_m = d^(n-m) (1-d)^m, so the product rounds once.  Each
+    # orbit's H(Y|X = c) sums its own segment alone (a reduceat segment
+    # never crosses a chunk), and np.add.at adds the terms of p(y) one at a
+    # time in orbit order; an unreachable key would only have added +0.0
     m = np.arange(n + 1)
     w = d ** (n - m) * (1.0 - d) ** m
-    partial = np.cumsum(np.repeat(w[:, None], math.comb(n, n // 2), axis=1), axis=1)
     length = np.repeat(m, 2**m)  # len(y) of each key
-    n_keys = length.size
-
-    # H(Y|X = c) per orbit, and p(y) per g: np.add.at adds one term at a
-    # time in the order given, so each key of acc adds its terms in orbit
-    # order, as a loop ``acc += weights[:, i, None] * q_i`` over orbits
-    # does; an unreachable key would only have added +0.0
     chunk = max(1, _KEY_CHUNK_CELLS // 2**n)
-    acc = np.zeros((4, n_keys))
+    acc = np.zeros((4, length.size))
     h_terms = []
     for lo in range(0, p_orbit.size, chunk):
         orbits = slice(lo, lo + chunk)
         seg = table.bounds[lo : lo + chunk + 1]
         entries = slice(seg[0], seg[-1])
         k = table.keys[entries].astype(np.intp)
-        q = partial[length[k], table.counts[entries] - 1]
-        h = p_orbit[orbits] * _segment_entropy_bits(q, seg - seg[0])
-        h_terms.extend(h.tolist())
+        q = table.counts[entries] * w[length[k]]
+        q_log_q = np.log2(q, where=q > 0.0, out=np.zeros_like(q))
+        q_log_q *= q
+        h = 0.0 - np.add.reduceat(q_log_q, seg[:-1] - seg[0])
+        h_terms.extend((p_orbit[orbits] * h).tolist())
         for g in range(4):
             np.add.at(acc[g], k, np.repeat(weights[g, orbits], reach[orbits]) * q)
     p_y = np.take_along_axis(acc, _key_maps(n), axis=1)

@@ -106,7 +106,9 @@ def empirical_super_run_distribution(x) -> EmpiricalRunStats:
     by the maximal stretch of length-1 runs; the first and last
     super-runs are discarded as boundary.  ``super_run_pmf`` is the pmf
     over ``(l_rep, l_alt)`` types, ``pmf`` the law of the total length
-    ``l_rep + l_alt``, and ``mu_hat`` its mean.
+    ``l_rep + l_alt``, and ``mu_hat`` its mean.  ``super_run_pmf`` lists
+    the types in order of first occurrence, each with mass ``count / n``
+    over the ``n`` interior super-runs, the float nearest its frequency.
     """
     l_rep, l_alt = _super_run_arrays(x)
     if l_rep.size < 3:
@@ -118,14 +120,13 @@ def empirical_super_run_distribution(x) -> EmpiricalRunStats:
     n = l_rep.size
     totals = l_rep + l_alt
 
-    # one key per type, in order of first occurrence; a type seen c times
-    # gets 1/n added c times in sequence, the c-th running sum of a cumsum
+    # one key per type, in order of first occurrence
     _, first, seen = np.unique(
         l_rep * (int(l_alt.max()) + 1) + l_alt, return_index=True, return_counts=True
     )
     order = np.argsort(first)
     first, seen = first[order], seen[order]
-    mass = np.cumsum(np.full(int(seen.max()), 1.0 / n))[seen - 1]
+    mass = seen / n
     super_run_pmf = dict(
         zip(
             map(SuperRunType, l_rep[first].tolist(), l_alt[first].tolist()),

@@ -383,3 +383,57 @@ def test_every_cached_array_is_read_only():
         assert not array.flags.writeable and array.base is None
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = array.flat[0]
+
+
+def _module_trees() -> dict[str, ast.Module]:
+    root = Path(__file__).resolve().parents[1] / "src" / "delchan"
+    return {
+        path.name: ast.parse(path.read_text("utf-8"))
+        for path in sorted(root.glob("*.py"))
+    }
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Names read in ``tree``: loaded identifiers and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_name_and_package_import_is_used():
+    # a helper whose last caller is gone, or an import left behind by a
+    # deleted call, passes every other test
+    trees = _module_trees()
+    used = set().union(*map(_loaded_names, trees.values()))
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__"):
+                    assert name in used, f"{module}: {name} is never used"
+        exported = {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        local = _loaded_names(tree) | exported
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "delchan"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    assert name in local, f"{module}: import {name} is never used"

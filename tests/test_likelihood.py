@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -485,7 +487,9 @@ def loop_total_probability(x, ds) -> list[float]:
 
 def whole_matrix_block_information(spec: SourceSpec, n: int, d: float):
     """``exact_block_information`` with the whole ``(orbits, 2^n)`` key
-    matrix built at once: the loop that the chunked keys reproduce."""
+    matrix built at once, one orbit at a time: ``q = N w_m`` from the
+    orbit's mask counts, its ``q log2 q`` terms over the reached keys
+    summed by one ``reduceat``, and ``p(y)`` added in orbit order."""
     bits = _all_words(n)
 
     p_x = _input_probs(spec, bits)
@@ -498,25 +502,26 @@ def whole_matrix_block_information(spec: SourceSpec, n: int, d: float):
     live = p_orbit > 0.0
     reps, weights, p_orbit = reps[live], weights[:, live], p_orbit[live]
 
-    mask_bits = bits.astype(np.int64)
-    weights_mask = d ** mask_bits.sum(axis=1) * (1.0 - d) ** (
-        n - mask_bits.sum(axis=1)
-    )
-
-    keep = 1 - mask_bits
+    keep = 1 - bits.astype(np.int64)
     suffix_keep = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
     place = (keep * (2**suffix_keep)).astype(np.float32)
     keys = (bits[reps].astype(np.float32) @ place.T).astype(np.int32)
     keys += (2 ** keep.sum(axis=1) - 1).astype(np.int32)
     n_keys = 2 ** (n + 1) - 1
+    m = np.arange(n + 1)
+    w_key = np.repeat(d ** (n - m) * (1.0 - d) ** m, 2**m)
 
     acc = np.zeros((4, n_keys))
     h_terms = []
     for i in range(reps.size):
-        q = np.bincount(keys[i], weights=weights_mask, minlength=n_keys)
-        acc += weights[:, i, None] * q
-        qnz = q[q > 0.0]
-        h_terms.append(p_orbit[i] * float(-np.sum(qnz * np.log2(qnz))))
+        counts = np.bincount(keys[i], minlength=n_keys)
+        q = counts * w_key
+        np.add.at(acc, (slice(None), np.flatnonzero(counts)),
+                  weights[:, i, None] * q[counts > 0])
+        reached = q[counts > 0]  # ascending keys
+        terms = reached * np.log2(reached, where=reached > 0.0,
+                                  out=np.zeros_like(reached))
+        h_terms.append(p_orbit[i] * float(0.0 - np.add.reduceat(terms, [0])[0]))
     p_y = np.take_along_axis(acc, _key_maps(n), axis=1).sum(axis=0)
     nz = p_y > 0.0
     H_Y = float(-np.sum(p_y[nz] * np.log2(p_y[nz])))
@@ -752,19 +757,43 @@ TWO_PASS_CASES = [
 ]
 
 
-#: The five laws of ``TWO_PASS_CASES`` on a finer d grid, and the
-#: benchmark's n = 12 call and its neighbour, checked bit for bit against
-#: the whole-matrix loop.
+#: The five input laws of ``TWO_PASS_CASES``.
+LAWS = [pytest.param(case.values[0], id=case.id) for case in TWO_PASS_CASES[:5]]
+
+#: The five laws on a finer d grid, and the benchmark's n = 12 call and its
+#: neighbour, checked bit for bit against the whole-matrix loop.
 WHOLE_MATRIX_CASES = [
-    pytest.param(case.values[0], range(1, 11), (0.0, 0.05, 0.3, 0.5, 1.0),
-                 id=case.id)
-    for case in TWO_PASS_CASES[:5]
+    pytest.param(law.values[0], range(1, 11), (0.0, 0.05, 0.3, 0.5, 1.0), id=law.id)
+    for law in LAWS
 ] + [TWO_PASS_CASES[5]]
 
 
 #: ``exact_block_information(SourceSpec.dagger(0.05), 12, 0.05)``, the
 #: tiny-block benchmark's call.
-DAGGER_N12_PIN = (12.838573548814082, 2.714428977151501, 0.8436787143052151)
+DAGGER_N12_PIN = (12.838573548814082, 2.7144289771515013, 0.8436787143052151)
+
+
+def mpmath_block_information(spec: SourceSpec, n: int, d: float):
+    """``H(Y)`` and ``H(Y|X)`` to 40 digits from the brute-force mask counts
+    of every input, taking the float input law and ``d`` as exact."""
+    counts = output_key_counts(n)
+    p_x = _input_probs(spec, all_inputs(n)).tolist()
+    length = np.repeat(np.arange(n + 1), 2 ** np.arange(n + 1)).tolist()
+    with mpmath.workdps(40):
+        dd = mpmath.mpf(d)
+        w = [dd ** (n - m) * (1 - dd) ** m for m in range(n + 1)]
+        p_y = [mpmath.mpf(0)] * counts.shape[1]
+        h_terms = []
+        for x, px in enumerate(p_x):
+            if px == 0.0:
+                continue
+            for key in np.flatnonzero(counts[x]).tolist():
+                q = int(counts[x, key]) * w[length[key]]
+                if q > 0:
+                    p_y[key] += px * q
+                    h_terms.append(-px * q * mpmath.log(q, 2))
+        H_Y = -mpmath.fsum(p * mpmath.log(p, 2) for p in p_y if p > 0)
+        return float(H_Y), float(mpmath.fsum(h_terms))
 
 
 class TestExactBlockInformation:
@@ -798,11 +827,20 @@ class TestExactBlockInformation:
                 got = exact_block_information(spec, n, d)
                 assert got == whole_matrix_block_information(spec, n, d), (n, d)
 
+    @pytest.mark.parametrize("spec", LAWS)
+    def test_matches_mpmath_reference(self, spec):
+        for n in (4, 7):
+            for d in (0.05, 0.3, 0.5):
+                got = exact_block_information(spec, n, d)
+                want = mpmath_block_information(spec, n, d)
+                for g, w in zip(got, want):  # H(Y), H(Y|X)
+                    assert g == pytest.approx(w, rel=0, abs=2e-14), (n, d)
+
     def test_memory_budget(self):
         # the whole key matrix at n = 12 is a 1056 x 4096 float32 product
         # plus its int32 copy (~36 MB peak); the table is built and read one
         # chunk of representatives at a time (3.7 MB cold, with the 1.15 MB
-        # table it keeps, and 1.4 MB warm)
+        # table it keeps, and 1.1 MB warm)
         likelihood._orbit_outputs.cache_clear()
         for state in ("cold", "warm"):
             tracemalloc.start()
@@ -820,6 +858,17 @@ class TestExactBlockInformation:
         warm = exact_block_information(spec, 12, 0.05)
         assert cold == warm == DAGGER_N12_PIN
         assert json.dumps(cold._asdict()) == json.dumps(warm._asdict())
+        # calls at other n, d and laws in between, in shuffled order
+        others = [
+            (law.values[0], n, d)
+            for law in LAWS
+            for n in (5, 11, 12)
+            for d in (0.05, 0.3)
+        ]
+        random.Random(12).shuffle(others)
+        for args in others:
+            exact_block_information(*args)
+            assert exact_block_information(spec, 12, 0.05) == DAGGER_N12_PIN, args
 
     def test_count_table_matches_brute_force(self):
         for n in range(1, 9):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -88,14 +89,11 @@ def test_capped_counts_leave_longer_runs_out(cap):
         assert counts[cap - 1] == (drawn == cap).sum()
 
 
-def dict_loop_super_run_pmf(x) -> list[tuple[SuperRunType, float]]:
-    """The type pmf as the per-super-run dict loop built it, items in order."""
+def counter_super_run_pmf(x) -> list[tuple[SuperRunType, float]]:
+    """The type pmf as exact frequencies: each interior type, in order of
+    first occurrence, with ``count / n``, correctly rounded."""
     interior = segment_super_runs(x)[1:-1]
-    n = len(interior)
-    pmf: dict[SuperRunType, float] = {}
-    for t in interior:
-        pmf[t] = pmf.get(t, 0.0) + 1.0 / n
-    return list(pmf.items())
+    return [(t, c / len(interior)) for t, c in Counter(interior).items()]
 
 
 class TestEmpiricalSuperRuns:
@@ -108,7 +106,7 @@ class TestEmpiricalSuperRuns:
     def test_type_pmf_matches_dict_loop(self, spec, n, seed):
         x = sample_sequence(spec, n, seed=seed)
         got = list(empirical_super_run_distribution(x).super_run_pmf.items())
-        assert got == dict_loop_super_run_pmf(x)  # keys, key order and values
+        assert got == counter_super_run_pmf(x)  # keys, key order and values
         assert all(type(v) is int for t, _ in got for v in t)
 
     def test_pure_alternation_is_error(self):
