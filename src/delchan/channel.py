@@ -12,7 +12,7 @@ followed by the maximal stretch of length-1 runs) with array operations.
 
 One keep mask (``_keep_mask``) serves ``transmit`` and the long output
 streams of ``delchan.estimation`` (``_output_run_lengths``), so both make
-the same draws.
+the same draws; a stream keeps one byte per output run.
 """
 
 from __future__ import annotations
@@ -72,61 +72,64 @@ def _keep_mask(shape, d: float, rng: np.random.Generator, out=None) -> np.ndarra
     return rng.random(shape, out=out) >= d
 
 
-def _run_dtype(size: int) -> type:
-    """Integer type for the run lengths of a ``size``-bit sequence: int32
-    below 2^31 bits, int64 from there on.  No run is longer than the
-    sequence.  Signed, so ``np.bincount`` can still cast it safely to
-    ``intp``."""
-    return np.int32 if size < 2**31 else np.int64
+class _OutputRuns(NamedTuple):
+    """Run lengths in one byte each (``short``, saturated at 255); the run at
+    ``long_at[i]`` (ascending) is ``long[i]`` >= 255 bits long."""
+
+    short: np.ndarray  # uint8
+    long_at: np.ndarray
+    long: np.ndarray
 
 
 def _output_run_lengths(
     x: np.ndarray, d: float, rng: np.random.Generator
-) -> np.ndarray:
+) -> _OutputRuns:
     """``run_lengths(transmit(x, d, rng).y)`` from the same draws, run over
     blocks of ``_BLOCK`` input bits with no per-bit mask or output array.
-    Each block indexes its kept bits once and finds its run starts as output
-    indices; the differences of consecutive starts go straight into the run
-    buffer.  Only the open run's start and the last output bit carry into
-    the next block.
-
-    The lengths come back as ``_run_dtype(x.size)``, int32 below 2^31
-    input bits; numpy sums int32 arrays in int64, so every count and sum
-    is the same as from int64.  Besides ``x``, the memory resident is one
-    such integer per output run plus buffers of one block."""
+    Each block indexes its kept bits once, finds its run starts as output
+    indices and writes the differences of consecutive starts into one
+    scratch buffer, which is stored saturated into the byte per run.  Only
+    the open run's start and the last output bit carry into the next
+    block.  Besides ``x``, the memory resident is one byte per output run,
+    the rare runs of 255 bits or more, and buffers of one block."""
     u = np.empty(min(_BLOCK, x.size))
-    # at most one run per output bit; only the pages written are touched,
-    # 4 bytes per output run below 2^31 input bits
-    lengths = np.empty(x.size, dtype=_run_dtype(x.size))
+    scratch = np.empty(min(_BLOCK, x.size) + 1, dtype=np.intp)
+    # at most one run per output bit; only the pages written are touched
+    short = np.empty(x.size, dtype=np.uint8)
+    long_at, long = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     runs = 0  # runs ended
     out = start = last = 0  # output bits so far, open run's start, last bit
     for lo in range(0, x.size, _BLOCK):
         xb = x[lo : lo + _BLOCK]
         yb = np.compress(_keep_mask(xb.shape, d, rng, u[: xb.size]), xb)
-        if yb.size == 0:
-            continue
-        if out and yb[0] != last:  # the block's first bit starts a run
-            lengths[runs] = out - start
-            runs += 1
-            start = out
-        # runs start at output indices out + 1 + starts
-        starts = np.flatnonzero(yb[1:] != yb[:-1])
-        if starts.size:
-            lengths[runs] = out + 1 + starts[0] - start
-            np.subtract(
-                starts[1:],
-                starts[:-1],
-                out=lengths[runs + 1 : runs + starts.size],
-                casting="same_kind",
-            )
-            runs += starts.size
-            start = out + 1 + int(starts[-1])
-        out += yb.size
-        last = yb[-1]
-    if out:
-        lengths[runs] = out - start
-        runs += 1
-    return lengths[:runs]
+        k = 0  # runs ended in this block, their lengths in scratch[:k]
+        if yb.size:
+            if out and yb[0] != last:  # the block's first bit starts a run
+                scratch[0] = out - start
+                k, start = 1, out
+            # runs start at output indices out + 1 + starts
+            starts = np.flatnonzero(yb[1:] != yb[:-1])
+            if starts.size:
+                scratch[k] = out + 1 + starts[0] - start
+                np.subtract(
+                    starts[1:], starts[:-1], out=scratch[k + 1 : k + starts.size]
+                )
+                k += starts.size
+                start = out + 1 + int(starts[-1])
+            out += yb.size
+            last = yb[-1]
+        if lo + _BLOCK >= x.size and out:  # the open run ends the stream
+            scratch[k] = out - start
+            k += 1
+        if k:
+            ended = scratch[:k]
+            np.minimum(ended, 255, out=short[runs : runs + k], casting="unsafe")
+            if ended.max() >= 255:
+                at = np.flatnonzero(ended >= 255)
+                long_at.append(at + runs)
+                long.append(ended[at])
+            runs += k
+    return _OutputRuns(short[:runs], np.concatenate(long_at), np.concatenate(long))
 
 
 # --------------------------------------------------------------------------

@@ -43,10 +43,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from delchan.channel import _keep_mask, _output_run_lengths
+from delchan.channel import _keep_mask, _output_run_lengths, _OutputRuns
 from delchan.constants import _check_d_closed, _check_int, _entropy_bits
 from delchan.likelihood import _band_counts, _log2_binomials, binomial_length_entropy
-from delchan.runstats import _L_CAP, _capped_counts
+from delchan.runstats import _L_CAP
 from delchan.sources import DEFAULT_SEED, SourceSpec, _sample_rows, sample_sequence
 from delchan.sources import _as_seed_sequence, _rng_from
 
@@ -151,13 +151,31 @@ def estimate_h_cond(
     return mean + binomial_length_entropy(n, d) / n, std_err
 
 
-def _interior_output_run_lengths(lengths: np.ndarray) -> np.ndarray:
-    burn = _BURN_IN_RUNS if lengths.size >= 2 * _BURN_IN_RUNS + 16 else 1
-    if lengths.size < 2 * burn + 1:
-        raise ValueError(
-            f"output stream too short: {lengths.size} runs after the channel"
-        )
-    return lengths[burn:-burn]
+def _interior_output_run_lengths(runs: _OutputRuns) -> _OutputRuns:
+    size = runs.short.size
+    burn = _BURN_IN_RUNS if size >= 2 * _BURN_IN_RUNS + 16 else 1
+    if size < 2 * burn + 1:
+        raise ValueError(f"output stream too short: {size} runs after the channel")
+    inside = slice(*np.searchsorted(runs.long_at, (burn, size - burn)))
+    return _OutputRuns(
+        runs.short[burn:-burn], runs.long_at[inside] - burn, runs.long[inside]
+    )
+
+
+def _run_table(runs: _OutputRuns) -> np.ndarray:
+    """A row per contiguous block of runs (none empty): its counts of lengths
+    ``1.._L_CAP``, its run count and its length sum.  Longer runs count
+    toward the length sum alone; a run of 255 bits or more adds the rest of
+    its length beyond its byte."""
+    n_runs = runs.short.size
+    n_blocks = min(n_runs, max(8, min(64, n_runs // 200)))
+    edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)[1:-1]
+    rests = np.split(runs.long - 255, np.searchsorted(runs.long_at, edges))
+    rows = []
+    for b, rest in zip(np.split(runs.short, edges), rests):
+        counts = np.bincount(b, minlength=_L_CAP + 2)[1 : _L_CAP + 1]
+        rows.append(np.append(counts, (b.size, b.sum(dtype=np.int64) + rest.sum())))
+    return np.array(rows, np.float64)
 
 
 def _h_out_from_stream(
@@ -166,10 +184,9 @@ def _h_out_from_stream(
     """Output entropy rate ``(1-d) H(q_hat)/mu_hat`` with a block bootstrap
     error; ``estimate_rate`` has checked ``out_bits`` and ``d < 1``.
 
-    A table row per block of runs holds its counts of lengths ``1.._L_CAP``,
-    its run count and its length sum.  One statistic of summed rows gives the
-    point estimate (all rows) and each replicate (resampled rows).  Every
-    entry is an integer below 2^53, so every sum of rows is exact.
+    One statistic of summed ``_run_table`` rows gives the point estimate
+    (all rows) and each replicate (resampled rows).  Every entry is an
+    integer below 2^53, so every sum of rows is exact.
     """
     sample_seed, boot_seed = _as_seed_sequence(seed).spawn(2)
 
@@ -177,17 +194,8 @@ def _h_out_from_stream(
     rng = _rng_from(sample_seed)
     x = sample_sequence(spec, n_in, rng)
     interior = _interior_output_run_lengths(_output_run_lengths(x, d, rng))
-    n_runs = int(interior.size)
-
-    # contiguous blocks of runs, none empty; runs longer than _L_CAP count
-    # toward the length sum but not the counts
-    n_blocks = min(n_runs, max(8, min(64, n_runs // 200)))
-    edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)
-    blocks = np.split(interior, edges[1:-1])
-    table = np.array(
-        [np.append(_capped_counts(b, _L_CAP), (b.size, b.sum())) for b in blocks],
-        np.float64,
-    )
+    table = _run_table(interior)
+    n_runs, n_blocks = int(interior.short.size), len(table)
 
     def h_out_of(total: np.ndarray) -> float:
         counts, runs, length_sum = total[:-2], total[-2], total[-1]

@@ -363,6 +363,7 @@ class _OrbitOutputs(NamedTuple):
     bounds: np.ndarray
     keys: np.ndarray  # int16
     counts: np.ndarray  # int16, at most C(n, n // 2)
+    key_map: np.ndarray  # _key_maps(n): key(g·y) for each g
 
 
 @functools.lru_cache(maxsize=_ORACLE_MAX_N)
@@ -403,7 +404,8 @@ def _orbit_outputs(n: int) -> _OrbitOutputs:
         counts.append(np.diff(starts, append=flat.size).astype(np.int16))
         sizes.append(np.bincount(starts >> n, minlength=len(rows)))
     bounds = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    table = (orbit, stab, bounds, np.concatenate(keys), np.concatenate(counts))
+    keys, counts = np.concatenate(keys), np.concatenate(counts)
+    table = (orbit, stab, bounds, keys, counts, _key_maps(n))
     for a in table:
         a.setflags(write=False)  # cached: one table for every caller
     return _OrbitOutputs(*table)
@@ -423,8 +425,9 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
     law need not be symmetric (the renewal start censors only the last
     run).  The mask counts ``N(c, y)`` of the outputs each ``c`` reaches
     depend on n alone, so they are built once per n, on first use, and
-    kept read-only (273,539 entries in 1.15 MB at n = 12, where an orbit
-    reaches 259 of the 8191 output keys on average and 609 at most).  A
+    kept read-only with the map of each g on the output keys (273,539
+    entries in 1.15 MB at n = 12, where an orbit reaches 259 of the 8191
+    output keys on average and 609 at most, plus a 0.26 MB key map).  A
     call takes ``q_c(y) = N(c, y) w_m``, each of the ``N`` masks onto y
     weighing ``w_m = d^(n-m) (1-d)^m``, and touches only reachable
     entries, one chunk of representatives at a time.  Each orbit's
@@ -476,7 +479,7 @@ def exact_block_information(spec: SourceSpec, n: int, d: float) -> BlockInformat
         h_terms.extend((p_orbit[orbits] * h).tolist())
         for g in range(4):
             np.add.at(acc[g], k, np.repeat(weights[g, orbits], reach[orbits]) * q)
-    p_y = np.take_along_axis(acc, _key_maps(n), axis=1)
+    p_y = np.take_along_axis(acc, table.key_map, axis=1)
     H_Y = _entropy_bits(p_y.sum(axis=0))
     H_Y_given_X = math.fsum(h_terms)
 

@@ -14,7 +14,6 @@ from delchan import channel
 from delchan.channel import (
     SuperRunType,
     _output_run_lengths,
-    _run_dtype,
     modified_mask,
     run_lengths,
     segment_super_runs,
@@ -119,6 +118,18 @@ class ScriptedUniforms:
         return out
 
 
+def stream_run_lengths(x, d, rng) -> np.ndarray:
+    """``_output_run_lengths`` as int64 lengths, rebuilt from its bytes and
+    its saturated runs after checking that form."""
+    runs = _output_run_lengths(x, d, rng)
+    assert runs.short.dtype == np.uint8
+    np.testing.assert_array_equal(runs.long_at, np.flatnonzero(runs.short == 255))
+    assert (runs.long >= 255).all()
+    lengths = runs.short.astype(np.int64)
+    lengths[runs.long_at] = runs.long
+    return lengths
+
+
 class TestOutputRunLengths:
     """The blocked stream path against the whole-array ``transmit``."""
 
@@ -140,11 +151,24 @@ class TestOutputRunLengths:
             x = sample_sequence(spec, n, n)
             a = _rng_from(n + 1)
             b = _rng_from(n + 1)
-            got = _output_run_lengths(x, d, a)
+            got = stream_run_lengths(x, d, a)
             want = run_lengths(transmit(x, d, b).y)
-            assert got.dtype == np.int32 and want.dtype == np.int64
             np.testing.assert_array_equal(got, want)
             assert a.random() == b.random()  # same number of draws
+
+    @pytest.mark.parametrize("length,d", [(300, 0.0), (300, 0.01), (255, 0.0)])
+    def test_saturated_runs_match_transmit_run_lengths(self, length, d):
+        # every input run is over a byte with or without deletions, or
+        # exactly 255 bits, the first saturated length
+        spec = SourceSpec.renewal(point_mass(length))
+        x = sample_sequence(spec, 3 * _BLOCK + 7, 3)
+        a = _rng_from(5)
+        b = _rng_from(5)
+        got = stream_run_lengths(x, d, a)
+        want = run_lengths(transmit(x, d, b).y)
+        np.testing.assert_array_equal(got, want)
+        assert (want[1:-1] >= 255).all()
+        assert a.random() == b.random()
 
     def test_all_deleted(self):
         x = sample_sequence(SourceSpec.bernoulli_half(), 2 * _BLOCK + 3, 1)
@@ -152,22 +176,19 @@ class TestOutputRunLengths:
             a = _rng_from(2)
             b = _rng_from(2)
             got = _output_run_lengths(x, d, a)
-            assert got.size == 0 and got.dtype == np.int32
+            assert got.short.size == got.long_at.size == got.long.size == 0
+            assert got.short.dtype == np.uint8
             assert transmit(x, d, b).y.size == 0
             assert a.random() == b.random()
-        assert _output_run_lengths(x[:0], 0.5, _rng_from(2)).size == 0
-
-    def test_run_dtype_holds_the_longest_run(self):
-        # no run is longer than the input, so int32 holds sizes below 2^31
-        assert _run_dtype(2**31 - 1) is np.int32
-        assert _run_dtype(2**31) is np.int64
+        assert _output_run_lengths(x[:0], 0.5, _rng_from(2)).short.size == 0
 
     def test_one_run_as_long_as_the_input(self):
         x = np.ones(3 * _BLOCK + 7, dtype=np.uint8)
         a = _rng_from(4)
         b = _rng_from(4)
-        got = _output_run_lengths(x, 0.0, a)
-        assert got.dtype == np.int32
+        runs = _output_run_lengths(x, 0.0, _rng_from(4))
+        assert runs.short.tolist() == [255] and runs.long_at.tolist() == [0]
+        got = stream_run_lengths(x, 0.0, a)
         assert got.tolist() == [x.size]
         np.testing.assert_array_equal(got, run_lengths(transmit(x, 0.0, b).y))
         assert a.random() == b.random()
@@ -191,7 +212,7 @@ class TestOutputRunLengths:
         x = np.repeat(np.array(values, dtype=np.uint8), _BLOCK)
         uniforms = np.repeat([0.75 if k else 0.25 for k in keep], _BLOCK)
         rng = ScriptedUniforms(uniforms)
-        got = _output_run_lengths(x, 0.5, rng)
+        got = stream_run_lengths(x, 0.5, rng)
         assert rng.used == x.size
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, run_lengths(x[uniforms >= 0.5]))
@@ -210,10 +231,31 @@ class TestOutputRunLengths:
         b = _rng_from(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(channel, "_BLOCK", block)
-            got = _output_run_lengths(x, d, a)
+            got = stream_run_lengths(x, d, a)
         want = run_lengths(transmit(x, d, b).y)
-        assert got.dtype == np.int32
         np.testing.assert_array_equal(got, want)
+        assert a.random() == b.random()  # same number of draws
+
+    @given(
+        head=bit_strings,
+        long=st.integers(400, 1200),
+        tail=bit_strings,
+        block=st.sampled_from([1, 3, 7, 64]),
+        d=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tiny_blocks_keep_runs_over_a_byte(self, head, long, tail, block, d, seed):
+        # a forced input run of 400+ bits leaves an output run over 255
+        x = as_bits(head + "1" * long + tail)
+        a = _rng_from(seed)
+        b = _rng_from(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "_BLOCK", block)
+            got = stream_run_lengths(x, d, a)
+        want = run_lengths(transmit(x, d, b).y)
+        np.testing.assert_array_equal(got, want)
+        assert want.max() > 255
         assert a.random() == b.random()  # same number of draws
 
 
@@ -221,7 +263,8 @@ class TestOutputRunLengths:
         "spec", [SourceSpec.dagger(0.1), SourceSpec.markov(0.56)], ids=lambda s: s.kind
     )
     def test_memory_budget(self, spec):
-        # one int32 per input bit for the run buffer, and block buffers
+        # one byte per input bit reserved for the run lengths, and block
+        # buffers of about 1.9 MB (4 bytes per input bit with int32 runs)
         n = 1 << 22
         x = sample_sequence(spec, n, 1)
         tracemalloc.start()
@@ -230,7 +273,7 @@ class TestOutputRunLengths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n + 1.5e6
+        assert peak <= n + 2.5e6
 
 
 class TestSegmentation:

@@ -21,7 +21,7 @@ from click.testing import CliRunner
 
 from delchan import estimation, likelihood
 from delchan.analytics import markov_rate_bound, optimal_markov_param
-from delchan.channel import _keep_mask
+from delchan.channel import _keep_mask, _output_run_lengths, _OutputRuns
 from delchan.constants import _entropy_bits
 from delchan.estimation import (
     _BOOTSTRAP_RESAMPLES,
@@ -30,6 +30,7 @@ from delchan.estimation import (
     RateEstimate,
     _h_out_from_stream,
     _interior_output_run_lengths,
+    _run_table,
     estimate_h_cond,
     estimate_rate,
 )
@@ -496,10 +497,44 @@ class TestBlockedStream:
             warnings.simplefilter("error")
             _h_out_from_stream(SourceSpec.dagger(0.05), 0.05, 2 * 10**6, 3)
 
+    @pytest.mark.parametrize(
+        "spec,d,saturated",
+        [
+            (SourceSpec.dagger(0.1), 0.1, False),
+            (SourceSpec.markov(0.9), 0.05, False),
+            (SourceSpec.renewal(point_mass(300)), 0.01, True),
+        ],
+        ids=["dagger", "markov", "point_mass_300"],
+    )
+    def test_table_rows_match_int64_lengths(self, spec, d, saturated):
+        # counts, run count and length sum of each block, from the bytes and
+        # the saturated runs, against the whole-array int64 run lengths
+        out_bits, seed = 200_000, 9
+        sample_seed, _ = np.random.SeedSequence(seed).spawn(2)
+        n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
+        rng = _rng_from(sample_seed)
+        x = sample_sequence(spec, n_in, rng)
+        interior = _interior_output_run_lengths(_output_run_lengths(x, d, rng))
+        got = _run_table(interior)
+
+        lengths = whole_array_interior_runs(spec, d, out_bits, sample_seed)
+        edges = np.linspace(0, lengths.size, len(got) + 1).astype(np.int64)
+        want = []
+        for b in np.split(lengths, edges[1:-1]):
+            capped = np.minimum(b, _L_CAP + 1)
+            counts = np.bincount(capped, minlength=_L_CAP + 2)[1 : _L_CAP + 1]
+            want.append([*counts, b.size, b.sum()])
+        np.testing.assert_array_equal(got, np.array(want, np.float64))
+        assert len(got) == max(8, min(64, lengths.size // 200))
+        # runs of 255 bits or more are the saturated ones, every one of them
+        # for runs of 300 at d = 0.01
+        assert interior.long.size == np.count_nonzero(lengths >= 255)
+        assert interior.long.size == (lengths.size if saturated else 0)
+
     def test_memory_budget(self, monkeypatch):
-        # one byte per input bit for the input, one int32 per input bit
+        # one byte per input bit for the input, one byte per input bit
         # reserved for the run lengths, and fixed-size block buffers: about
-        # 6 bytes per input bit (10 with an int64 run buffer)
+        # 2.2 bytes per input bit (5 with an int32 run buffer)
         sizes = []
 
         def sample(spec, n, rng):
@@ -513,7 +548,7 @@ class TestBlockedStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5 * sizes[0]
+        assert peak <= 2.5 * sizes[0]
 
 
 class TestEstimateHOutRenewal:
@@ -559,7 +594,10 @@ class TestEstimateHOutRenewal:
     def test_validation(self):
         # two runs leave no interior run once the boundary runs are dropped
         with pytest.raises(ValueError, match="too short: 2 runs"):
-            _interior_output_run_lengths(np.array([5, 3]))
+            empty = np.empty(0, np.intp)
+            _interior_output_run_lengths(
+                _OutputRuns(np.array([5, 3], np.uint8), empty, empty)
+            )
 
 
 @pytest.fixture(scope="module")
