@@ -12,7 +12,7 @@ followed by the maximal stretch of length-1 runs) with array operations.
 
 One keep mask (``_keep_mask``) serves ``transmit`` and the long output
 streams of ``delchan.estimation`` (``_output_run_lengths``), so both make
-the same draws; a stream keeps one byte per output run.
+the same draws; only this module decodes a stream's byte per output run.
 """
 
 from __future__ import annotations
@@ -74,11 +74,18 @@ def _keep_mask(shape, d: float, rng: np.random.Generator, out=None) -> np.ndarra
 
 class _OutputRuns(NamedTuple):
     """Run lengths in one byte each (``short``, saturated at 255); the run at
-    ``long_at[i]`` (ascending) is ``long[i]`` >= 255 bits long."""
+    ``long_at[i]`` (ascending) is ``long[i]`` >= 255 bits long.  Other modules
+    read the bytes as capped lengths and exact sums from :meth:`length_sum`."""
 
     short: np.ndarray  # uint8
     long_at: np.ndarray
     long: np.ndarray
+
+    def length_sum(self, lo: int, hi: int) -> int:
+        """Exact total length of runs ``lo..hi-1``."""
+        a, b = np.searchsorted(self.long_at, (lo, hi))
+        rest = self.long[a:b].sum() - 255 * (b - a)
+        return int(self.short[lo:hi].sum(dtype=np.int64) + rest)
 
 
 def _output_run_lengths(

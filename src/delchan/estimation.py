@@ -151,30 +151,22 @@ def estimate_h_cond(
     return mean + binomial_length_entropy(n, d) / n, std_err
 
 
-def _interior_output_run_lengths(runs: _OutputRuns) -> _OutputRuns:
+def _run_table(runs: _OutputRuns) -> np.ndarray:
+    """A row per contiguous block of interior runs (none empty): its counts of
+    lengths ``1.._L_CAP``, its run count and its exact length sum.  The
+    first and last ``_BURN_IN_RUNS`` runs (1 on a short stream) are cut as
+    burn-in; longer runs count toward the length sum alone."""
     size = runs.short.size
     burn = _BURN_IN_RUNS if size >= 2 * _BURN_IN_RUNS + 16 else 1
     if size < 2 * burn + 1:
         raise ValueError(f"output stream too short: {size} runs after the channel")
-    inside = slice(*np.searchsorted(runs.long_at, (burn, size - burn)))
-    return _OutputRuns(
-        runs.short[burn:-burn], runs.long_at[inside] - burn, runs.long[inside]
-    )
-
-
-def _run_table(runs: _OutputRuns) -> np.ndarray:
-    """A row per contiguous block of runs (none empty): its counts of lengths
-    ``1.._L_CAP``, its run count and its length sum.  Longer runs count
-    toward the length sum alone; a run of 255 bits or more adds the rest of
-    its length beyond its byte."""
-    n_runs = runs.short.size
+    n_runs = size - 2 * burn
     n_blocks = min(n_runs, max(8, min(64, n_runs // 200)))
-    edges = np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)[1:-1]
-    rests = np.split(runs.long - 255, np.searchsorted(runs.long_at, edges))
+    edges = (burn + np.linspace(0, n_runs, n_blocks + 1).astype(np.int64)).tolist()
     rows = []
-    for b, rest in zip(np.split(runs.short, edges), rests):
-        counts = np.bincount(b, minlength=_L_CAP + 2)[1 : _L_CAP + 1]
-        rows.append(np.append(counts, (b.size, b.sum(dtype=np.int64) + rest.sum())))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        counts = np.bincount(runs.short[lo:hi], minlength=_L_CAP + 2)[1 : _L_CAP + 1]
+        rows.append(np.append(counts, (hi - lo, runs.length_sum(lo, hi))))
     return np.array(rows, np.float64)
 
 
@@ -193,15 +185,14 @@ def _h_out_from_stream(
     n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
     rng = _rng_from(sample_seed)
     x = sample_sequence(spec, n_in, rng)
-    interior = _interior_output_run_lengths(_output_run_lengths(x, d, rng))
-    table = _run_table(interior)
-    n_runs, n_blocks = int(interior.short.size), len(table)
+    table = _run_table(_output_run_lengths(x, d, rng))
+    total = table.sum(axis=0)
+    n_runs, n_blocks = int(total[-2]), len(table)
 
     def h_out_of(total: np.ndarray) -> float:
         counts, runs, length_sum = total[:-2], total[-2], total[-1]
         return float((1.0 - d) * (_entropy_bits(counts / runs) / (length_sum / runs)))
 
-    total = table.sum(axis=0)
     # lengths never observed are structural zeros (e.g. deterministic run
     # laws without deletions), not evidence of a starved estimate
     weak = [

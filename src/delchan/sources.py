@@ -144,14 +144,17 @@ class RunLengthDistribution:
     """Truncated pmf over run lengths ``l = 1..L_max``.
 
     ``probs[l-1]`` is ``P(L = l)``, so ``L_max`` is ``probs.size``;
-    probabilities are nonnegative and sum to 1 within 1e-12.  Build one
-    with :meth:`from_weights`.
+    probabilities are nonnegative and sum to 1 within 1e-12 (checked when
+    built).  Build one with :meth:`from_weights`.
     ``discarded_mass`` records the pre-normalization mass beyond
     ``L_max`` for constructed laws (diagnostic metadata).
     """
 
     probs: np.ndarray
     discarded_mass: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @staticmethod
     def from_weights(
@@ -283,7 +286,6 @@ class SourceSpec:
         elif self.kind == "renewal":
             if self.dist is None:
                 raise ValueError("renewal requires a run-length distribution")
-            self.dist.validate()
         else:
             raise ValueError(f"unknown source kind {self.kind!r}")
 
@@ -392,9 +394,9 @@ def _sample_rows(
     """Sample ``rows`` independent paths of ``n >= 1`` bits, shape ``(rows, n)``.
 
     Each draw is made for all rows at once, so one row draws exactly what
-    :func:`sample_sequence` documents.  One row runs in blocks of
-    ``_BLOCK`` draws, the same numbers as one whole draw, scanned while in
-    cache; a batch is scanned as one row, then each row's carry undone.
+    :func:`sample_sequence` documents.  One row draws blocks of ``_BLOCK``
+    into a private map, a batch whole rows.  Row 0's finished words are
+    scanned as written, the rest at the end, then each row's carry undone.
     """
     if spec.kind == "bernoulli_half":
         return rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
@@ -402,7 +404,7 @@ def _sample_rows(
     size = (rows * n + 8) & ~7  # whole words, with a byte past the last row
     buf = _mapped_bytes(size) if rows == 1 else np.zeros(size, dtype=np.uint8)
     toggles = buf[: rows * n].reshape(rows, n)
-    done = 0  # one row: the bits before ``done`` are final
+    done = 0  # the bits before ``done``, all in row 0, are final
 
     if spec.kind == "markov":
         toggles[:, :1] = rng.integers(0, 2, size=(rows, 1), dtype=np.uint8)
@@ -412,8 +414,7 @@ def _sample_rows(
             flips = toggles[:, lo : lo + step].view(np.bool_)
             uniforms = rng.random(out=u[:, : flips.shape[1]])
             np.greater_equal(uniforms, spec.p_same, out=flips)
-            if rows == 1:
-                done = _scan_toggles(buf, done, (lo + flips.shape[1]) & ~7)
+            done = _scan_toggles(buf, done, (lo + flips.shape[1]) & ~7)
     else:
         dist = spec.dist
         assert dist is not None
@@ -423,9 +424,8 @@ def _sample_rows(
         ends = np.arange(0, rows * n, n)[:, None]
         limits = ends + n
         # Draw run lengths in deterministic-size batches until n bits are
-        # covered.  One row inverts and scans block by block until it is
-        # covered; the rest of its batch is still drawn, so later draws do
-        # not move.
+        # covered.  One row inverts block by block until it is covered; the
+        # rest of its batch is still drawn, so later draws do not move.
         batch = max(16, int(n / dist.mean * 1.25) + 16)
         step = min(_BLOCK, batch) if rows == 1 else batch
         u = np.empty((rows, step))
@@ -444,9 +444,8 @@ def _sample_rows(
                 np.minimum(starts, limits, out=starts)
                 buf[starts] = 1
                 ends = starts[:, -1:]
-                if rows == 1:
-                    done = _scan_toggles(buf, done, int(ends[0, 0]) & ~7)
-        toggles[:, :1] = first  # one row: its first bit already, the same value
+                done = _scan_toggles(buf, done, int(ends[0, 0]) & ~7)
+        toggles[:, :1] = first  # row 0: its first bit already, the same value
 
     _scan_toggles(buf, done, size)
     toggles[1:] ^= toggles[:-1, -1:]  # ufuncs buffer an operand overlapping the output

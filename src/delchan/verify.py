@@ -44,6 +44,7 @@ from delchan.channel import modified_mask, run_lengths, transmit
 from delchan.constants import capacity_estimate, compute_constants
 from delchan.estimation import estimate_h_cond, estimate_rate
 from delchan.likelihood import (
+    IMPOSSIBLE,
     _all_words,
     _band_counts,
     _total_probabilities,
@@ -335,14 +336,14 @@ def _brute_counts(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def _check_group(xs: np.ndarray, ys: np.ndarray) -> tuple[bool, float]:
     """One kernel call on the pairs of one (n, m) vs brute force: impossible
-    pairs must give exactly -inf, the rest log2 N within 1e-12."""
+    pairs must give exactly ``IMPOSSIBLE``, the rest log2 N within 1e-12."""
     brute = _brute_counts(xs, ys)
     top, scale = _band_counts(xs, ys, np.full(len(xs), ys.shape[1]))
     with np.errstate(divide="ignore"):
         got = np.log2(top) + scale
     possible = brute > 0
     err = np.abs(got[possible] - np.log2(brute[possible]))
-    ok = bool((got[~possible] == -np.inf).all() and (err <= 1e-12).all())
+    ok = bool((got[~possible] == IMPOSSIBLE).all() and (err <= 1e-12).all())
     return ok, float(err.max(initial=0.0))
 
 

@@ -14,6 +14,7 @@ from delchan import channel
 from delchan.channel import (
     SuperRunType,
     _output_run_lengths,
+    _OutputRuns,
     modified_mask,
     run_lengths,
     segment_super_runs,
@@ -118,16 +119,52 @@ class ScriptedUniforms:
         return out
 
 
-def stream_run_lengths(x, d, rng) -> np.ndarray:
-    """``_output_run_lengths`` as int64 lengths, rebuilt from its bytes and
-    its saturated runs after checking that form."""
-    runs = _output_run_lengths(x, d, rng)
+def rebuilt_lengths(runs: _OutputRuns) -> np.ndarray:
+    """The int64 run lengths of ``runs``, rebuilt from its bytes and its
+    saturated runs after checking that form."""
     assert runs.short.dtype == np.uint8
     np.testing.assert_array_equal(runs.long_at, np.flatnonzero(runs.short == 255))
     assert (runs.long >= 255).all()
     lengths = runs.short.astype(np.int64)
     lengths[runs.long_at] = runs.long
     return lengths
+
+
+def stream_run_lengths(x, d, rng) -> np.ndarray:
+    """``_output_run_lengths`` as rebuilt int64 lengths."""
+    return rebuilt_lengths(_output_run_lengths(x, d, rng))
+
+
+def assert_length_sums_exact(runs: _OutputRuns) -> None:
+    """``length_sum(lo, hi)`` against the rebuilt lengths, for every
+    ``0 <= lo <= hi <= size``."""
+    lengths = rebuilt_lengths(runs)
+    for lo in range(lengths.size + 1):
+        for hi in range(lo, lengths.size + 1):
+            got = runs.length_sum(lo, hi)
+            assert type(got) is int
+            assert got == lengths[lo:hi].sum(), (lo, hi)
+
+
+class TestLengthSum:
+    """Exact block sums are the one read of the saturated runs."""
+
+    def test_saturated_runs_first_inside_and_last(self):
+        lengths = [300, 1, 255, 7, 1000, 254, 2, 256]
+        short = np.minimum(lengths, 255).astype(np.uint8)
+        at = np.flatnonzero(short == 255)
+        runs = _OutputRuns(short, at, np.asarray(lengths)[at])
+        assert rebuilt_lengths(runs).tolist() == lengths
+        assert_length_sums_exact(runs)
+
+    def test_every_run_saturated(self):
+        # point_mass(300) at d = 0.01: every output run, the last one too,
+        # is over a byte, and not all of them are equally long
+        x = sample_sequence(SourceSpec.renewal(point_mass(300)), 40 * 300, 3)
+        runs = _output_run_lengths(x, 0.01, _rng_from(5))
+        assert runs.long_at.tolist() == list(range(runs.short.size))
+        assert (runs.long > 255).all() and np.unique(runs.long).size > 1
+        assert_length_sums_exact(runs)
 
 
 class TestOutputRunLengths:

@@ -29,7 +29,6 @@ from delchan.estimation import (
     _CHUNK,
     RateEstimate,
     _h_out_from_stream,
-    _interior_output_run_lengths,
     _run_table,
     estimate_h_cond,
     estimate_rate,
@@ -46,6 +45,7 @@ from delchan.channel import run_lengths, transmit
 from delchan.cli import main
 from delchan.sources import (
     DEFAULT_SEED,
+    RunLengthDistribution,
     SourceSpec,
     _rng_from,
     _sample_rows,
@@ -350,6 +350,11 @@ class TestEstimateHCond:
         assert abs(m1 - m2) <= 2.0 * math.hypot(s1, s2)
 
 
+#: Runs of 1 and of 300 bits, equally likely: at d = 0.01 about half the
+#: output runs are longer than a byte, among them the first runs of blocks.
+ONES_AND_300 = RunLengthDistribution.from_weights([1.0] + [0.0] * 298 + [1.0])
+
+
 def whole_array_interior_runs(spec, d, out_bits, sample_seed):
     """The output run lengths of the whole-array stream, burn-in cut."""
     n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
@@ -500,22 +505,23 @@ class TestBlockedStream:
     @pytest.mark.parametrize(
         "spec,d,saturated",
         [
-            (SourceSpec.dagger(0.1), 0.1, False),
-            (SourceSpec.markov(0.9), 0.05, False),
-            (SourceSpec.renewal(point_mass(300)), 0.01, True),
+            (SourceSpec.dagger(0.1), 0.1, "none"),
+            (SourceSpec.markov(0.9), 0.05, "none"),
+            (SourceSpec.renewal(point_mass(300)), 0.01, "all"),
+            (SourceSpec.renewal(ONES_AND_300), 0.01, "block starts"),
         ],
-        ids=["dagger", "markov", "point_mass_300"],
+        ids=["dagger", "markov", "point_mass_300", "ones_and_300"],
     )
     def test_table_rows_match_int64_lengths(self, spec, d, saturated):
-        # counts, run count and length sum of each block, from the bytes and
-        # the saturated runs, against the whole-array int64 run lengths
+        # counts, run count and length sum of each block of interior runs,
+        # from the untrimmed bytes and saturated runs, against the
+        # whole-array int64 run lengths with the burn-in cut
         out_bits, seed = 200_000, 9
         sample_seed, _ = np.random.SeedSequence(seed).spawn(2)
         n_in = int(out_bits / (1.0 - d) * 1.02) + 1024
         rng = _rng_from(sample_seed)
         x = sample_sequence(spec, n_in, rng)
-        interior = _interior_output_run_lengths(_output_run_lengths(x, d, rng))
-        got = _run_table(interior)
+        got = _run_table(_output_run_lengths(x, d, rng))
 
         lengths = whole_array_interior_runs(spec, d, out_bits, sample_seed)
         edges = np.linspace(0, lengths.size, len(got) + 1).astype(np.int64)
@@ -526,10 +532,15 @@ class TestBlockedStream:
             want.append([*counts, b.size, b.sum()])
         np.testing.assert_array_equal(got, np.array(want, np.float64))
         assert len(got) == max(8, min(64, lengths.size // 200))
-        # runs of 255 bits or more are the saturated ones, every one of them
-        # for runs of 300 at d = 0.01
-        assert interior.long.size == np.count_nonzero(lengths >= 255)
-        assert interior.long.size == (lengths.size if saturated else 0)
+        # runs of 255 bits or more are the saturated ones: none, every one
+        # for runs of 300 at d = 0.01, or some longer than a byte that start
+        # a block, and so test which block a saturated run is summed into
+        over = lengths > 255
+        assert {
+            "none": not (lengths >= 255).any(),
+            "all": over.all(),
+            "block starts": over[edges[:-1]].any() and not over.all(),
+        }[saturated]
 
     def test_memory_budget(self, monkeypatch):
         # one byte per input bit for the input, one byte per input bit
@@ -593,11 +604,12 @@ class TestEstimateHOutRenewal:
 
     def test_validation(self):
         # two runs leave no interior run once the boundary runs are dropped
+        empty = np.empty(0, np.intp)
         with pytest.raises(ValueError, match="too short: 2 runs"):
-            empty = np.empty(0, np.intp)
-            _interior_output_run_lengths(
-                _OutputRuns(np.array([5, 3], np.uint8), empty, empty)
-            )
+            _run_table(_OutputRuns(np.array([5, 3], np.uint8), empty, empty))
+        # three runs leave one, a table of one row
+        table = _run_table(_OutputRuns(np.array([5, 3, 9], np.uint8), empty, empty))
+        np.testing.assert_array_equal(table[:, -2:], [[1, 3]])
 
 
 @pytest.fixture(scope="module")

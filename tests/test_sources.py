@@ -270,6 +270,16 @@ class TestDistributions:
         with pytest.raises(ValueError, match="do not sum to 1"):
             SourceSpec.renewal(RunLengthDistribution(np.array([0.5, 0.4])))
 
+    def test_construction_validates(self):
+        # a law the formulas must never see: mass 0.9, which they read as a
+        # smaller rate, or a negative mass, which ends in a ZeroDivisionError
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            RunLengthDistribution(np.array([0.5, 0.4]))
+        with pytest.raises(ValueError, match="negative probability"):
+            RunLengthDistribution(np.array([2.0, -1.0]))
+        with pytest.raises(ValueError, match="non-finite probability"):
+            RunLengthDistribution(np.array([np.nan, 1.0]), discarded_mass=0.5)
+
     def test_from_weights_rejects_bad_input(self):
         with pytest.raises(ValueError):
             RunLengthDistribution.from_weights([])
@@ -360,6 +370,28 @@ def test_only_the_one_row_sampler_maps_its_bytes():
         ]
     assert callers == ["sources._sample_rows"]
     assert importers == []
+
+
+def test_only_channel_reads_the_run_bytes():
+    # channel._OutputRuns saturates run lengths at 255 and keeps longer runs
+    # on the side; every other module reads exact sums through length_sum
+    for path in sorted(pathlib.Path(sources.__file__).parent.glob("*.py")):
+        if path.stem == "channel":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("long", "long_at")
+        ]
+        bytes_max = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is int
+            and node.value == 255
+        ]
+        assert reads == [] and bytes_max == [], path.name
 
 
 class TestSampling:
