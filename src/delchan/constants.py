@@ -138,12 +138,22 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _entropy_bits(p: np.ndarray) -> float:
+def _entropy_bits(p: np.ndarray) -> float | np.ndarray:
     """Plug-in entropy ``-sum p log2 p`` (bits) over the entries ``> 0``,
     taken as ``0.0 - sum``: an input with no positive entry gives ``+0.0``,
-    not ``-0.0``, and every other value keeps its bits."""
-    p = p[p > 0.0]
-    return float(0.0 - np.sum(p * np.log2(p)))
+    not ``-0.0``, and every other value keeps its bits.  A 2-D ``p`` gives
+    an array of row entropies, each bit-identical to the 1-D call on its
+    row: each row's positive terms are summed alone by ``np.add.reduce``
+    (``reduceat`` would sum them in another order)."""
+    positive = p > 0.0
+    q = p[positive]
+    terms = q * np.log2(q)
+    if p.ndim == 1:
+        return float(0.0 - np.add.reduce(terms))
+    ends = np.cumsum(np.count_nonzero(positive, axis=1)).tolist()
+    return 0.0 - np.array(
+        [np.add.reduce(terms[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    )
 
 
 def _tail_bound(L: int, kappa: float, a: int, b: int) -> float:

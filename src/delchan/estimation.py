@@ -35,6 +35,7 @@ belongs with a change to that benchmark.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -64,9 +65,10 @@ _CHUNK = 64
 #: Input bits per embedding-DP call: as many whole chunks as fit, at least
 #: one; the draws depend on the rows per call.  At n = 10 that is 51
 #: chunks, so the kernel's fixed per-call cost is paid once per 3264
-#: replicas, and its largest buffer (``min(n, 32) x (k + 1) x rows`` band
-#: values) stays near 3 MB in float64, and near a quarter of that for the
-#: int16 counts of n <= 17.  From n = 512 on a call holds one chunk.
+#: replicas.  Its largest buffer holds ``min(n, 16) x (k + 1) x rows`` band
+#: values (k the call's largest ``n - m``): at most 0.72 MB of int16 counts
+#: at n = 10, and in float64 0.76 MB at n = 2000 with 50 rows (d = 0.05)
+#: and 4.1 MB at n = 18 (d = 0.5).  From n = 512 on a call holds one chunk.
 _DP_BITS = 1 << 15
 
 
@@ -146,7 +148,8 @@ def estimate_h_cond(
     values = (_log2_binomials(n)[ms_all] - log_n_all) / n
 
     mean = math.fsum(values.tolist()) / samples
-    var = math.fsum(((v - mean) ** 2 for v in values.tolist()))
+    # the IEEE difference and libm pow of ``(v - mean) ** 2``, term by term
+    var = math.fsum(map(pow, (values - mean).tolist(), itertools.repeat(2.0)))
     std_err = math.sqrt(var / (samples * (samples - 1)))
     return mean + binomial_length_entropy(n, d) / n, std_err
 
@@ -177,8 +180,11 @@ def _h_out_from_stream(
     error; ``estimate_rate`` has checked ``out_bits`` and ``d < 1``.
 
     One statistic of summed ``_run_table`` rows gives the point estimate
-    (all rows) and each replicate (resampled rows).  Every entry is an
-    integer below 2^53, so every sum of rows is exact.
+    (all rows) and each replicate (resampled rows).  The replicates count
+    their draws of each block with one ``bincount`` and take every sum of
+    rows at once, as one integer product of those counts with the table
+    (``einsum``, which calls no BLAS).  Every entry and every product is
+    an integer below 2^53, so every sum is exact in any order.
     """
     sample_seed, boot_seed = _as_seed_sequence(seed).spawn(2)
 
@@ -189,9 +195,11 @@ def _h_out_from_stream(
     total = table.sum(axis=0)
     n_runs, n_blocks = int(total[-2]), len(table)
 
-    def h_out_of(total: np.ndarray) -> float:
-        counts, runs, length_sum = total[:-2], total[-2], total[-1]
-        return float((1.0 - d) * (_entropy_bits(counts / runs) / (length_sum / runs)))
+    def h_out_of(totals: np.ndarray) -> np.ndarray:
+        """The statistic of each row of summed table rows."""
+        counts, runs, length_sum = totals[:, :-2], totals[:, -2], totals[:, -1]
+        h = _entropy_bits(counts / runs[:, None])
+        return (1.0 - d) * (h / (length_sum / runs))
 
     # lengths never observed are structural zeros (e.g. deterministic run
     # laws without deletions), not evidence of a starved estimate
@@ -216,9 +224,13 @@ def _h_out_from_stream(
             stacklevel=3,
         )
 
+    # replicate r draws picks[r] and sums table[picks[r]]: weights[r, b]
+    # counts the draws of block b, and one integer product forms every sum
     picks = _rng_from(boot_seed).integers(0, n_blocks, (_BOOTSTRAP_RESAMPLES, n_blocks))
-    replicas = [h_out_of(table[p].sum(axis=0)) for p in picks]
-    return h_out_of(total), float(np.std(replicas, ddof=1))
+    picks += np.arange(0, picks.size, n_blocks)[:, None]
+    weights = np.bincount(picks.ravel(), minlength=picks.size).astype(np.float64)
+    replicas = h_out_of(np.einsum("rb,bc->rc", weights.reshape(picks.shape), table))
+    return float(h_out_of(total[None, :])[0]), float(np.std(replicas, ddof=1))
 
 
 def estimate_rate(

@@ -74,11 +74,16 @@ _ORACLE_MAX_N = 12
 #: Pads the outputs in ``_band_counts``; matches no input bit.
 _SENTINEL = 2
 #: Band values at most double per input bit, so they stay <= 2^960 over
-#: the first 960 bits; after that a peak check every 32 bits against 2^960
-#: keeps them below 2^992.
+#: the first 960 bits; after that a peak check against 2^960 every 32
+#: bits counted from the last input bit, and after bit 0, keeps them below
+#: 2^992.
 _RESCALE_EVERY = 32
 _RESCALE_AFTER_BITS = 960
 _RESCALE_ABOVE = 2.0**_RESCALE_AFTER_BITS
+#: Input bits per compare block of the band DP, a ``(16, K + 1, R)`` buffer
+#: that stays cache-sized.  It divides ``_RESCALE_EVERY``, so the peak
+#: checks fall after whole blocks and do not move with it.
+_COMPARE_BITS = 16
 #: Band DP type while every value fits.  A band value is an embedding count
 #: of a y-suffix in an x-suffix, at most ``C(n, n // 2)``, so every count of
 #: an input of ``n <= _INT_MAX_N`` bits fits: 17 for int16, as ``C(17, 8) =
@@ -148,7 +153,11 @@ def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
     band counts in int16 for ``n <= _INT_MAX_N`` (every value fits, and no
     rescale check is reached) and in float64 above; ``top`` is float64.
     One broadcast compare of ``K..0`` with ``k`` writes every pair's start,
-    in either type and for any mix of ``k``."""
+    in either type and for any mix of ``k``.  The input is compared with
+    its output windows ``_COMPARE_BITS`` bits at a time, back to front; the
+    peak check and rescale keep their own interval, after the block whose
+    first bit ``lo`` has ``n - lo`` a multiple of ``_RESCALE_EVERY`` and
+    after the block at ``lo = 0``."""
     n, K, rows = len(xt), len(ypad) - len(xt), ypad.shape[1]
     dtype = _INT_COUNTS if n <= _INT_MAX_N else np.float64
     # Pair r's band fills entries K - k_r..K of column r (zeros below), so
@@ -159,22 +168,29 @@ def _band_dp(xt, ypad, k) -> tuple[np.ndarray, np.ndarray]:
     f = np.empty((K + 1, rows), dtype)
     np.equal(np.arange(K, -1, -1)[:, None], k, out=f, casting="unsafe")
     g = np.empty_like(f)
-    eq = np.empty((min(n, _RESCALE_EVERY), K + 1, rows), dtype)
+    # each step reads one band and writes the other: the views of both
+    # directions are made once, and views[s] reads the band of parity s
+    views = ((f, f[:-1], g, g[1:]), (g, g[:-1], f, f[1:]))
+    s = 0
+    eq = np.empty((min(n, _COMPARE_BITS), K + 1, rows), dtype)
     scale = np.zeros(rows, dtype=np.int64)
-    for hi in range(n, 0, -_RESCALE_EVERY):
-        lo = max(hi - _RESCALE_EVERY, 0)
+    for hi in range(n, 0, -_COMPARE_BITS):
+        lo = max(hi - _COMPARE_BITS, 0)
         np.equal(windows[lo:hi], xt[lo:hi, None, :], out=eq[: hi - lo])
-        for u in range(hi - lo - 1, -1, -1):
-            np.multiply(f, eq[u], out=g)
-            g[1:] += f[:-1]
-            f, g = g, f
-        if n - lo <= _RESCALE_AFTER_BITS:  # every value <= 2^(n - lo)
+        for match in eq[hi - lo - 1 :: -1]:
+            src, src_head, dst, dst_tail = views[s]
+            np.multiply(src, match, out=dst)
+            np.add(dst_tail, src_head, out=dst_tail)
+            s ^= 1
+        # every value <= 2^(n - lo) until the checks start
+        if n - lo <= _RESCALE_AFTER_BITS or (lo and (n - lo) % _RESCALE_EVERY):
             continue
-        peak = f.max(axis=0)
+        band = views[s][0]
+        peak = band.max(axis=0)
         e = np.where(peak > _RESCALE_ABOVE, np.frexp(peak)[1], 0)
-        np.ldexp(f, -e, out=f)
+        np.ldexp(band, -e, out=band)
         scale += e
-    return f[K].astype(np.float64), scale
+    return views[s][0][K].astype(np.float64), scale
 
 
 def _band_counts(

@@ -7,8 +7,10 @@ reference values are pinned at 1e-7.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from delchan.constants import (
     DEFAULT_TOL,
@@ -21,6 +23,7 @@ from delchan.constants import (
     _c4b_sum,
     _c5_sum,
     _choose_L,
+    _entropy_bits,
     _sa_sum,
     _sb_sum,
     _tail_bound,
@@ -94,6 +97,30 @@ class TestBinaryEntropy:
         h = binary_entropy(p)
         assert 0.0 <= h <= 1.0
         assert h == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
+
+
+@st.composite
+def count_matrices(draw):
+    """Integer counts with zeros anywhere, whole rows of them too."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 70)))
+    values = st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 10**7))
+    return draw(arrays(np.int64, shape, elements=values))
+
+
+class TestEntropyBits:
+    @given(count_matrices())
+    def test_rows_match_one_dimensional_calls_bit_for_bit(self, counts):
+        totals = np.maximum(counts.sum(axis=1), 1).astype(np.float64)
+        p = counts / totals[:, None]
+        want = np.array([_entropy_bits(row) for row in p])
+        got = _entropy_bits(p)
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_no_positive_entry_gives_positive_zero(self):
+        assert math.copysign(1.0, _entropy_bits(np.zeros(3))) == 1.0
+        got = _entropy_bits(np.array([[0.0, 0.0], [0.5, 0.5]]))
+        assert got.view(np.int64).tolist() == np.array([0.0, 1.0]).view(np.int64).tolist()
 
 
 class TestComputeConstants:

@@ -365,10 +365,12 @@ def whole_array_interior_runs(spec, d, out_bits, sample_seed):
     return lengths[burn:-burn]
 
 
-def whole_array_h_out(spec, d, out_bits, seed):
+def whole_array_h_out(spec, d, out_bits, seed, replicate_counts=None):
     """``_h_out_from_stream`` as it was before the stream ran in blocks:
     the whole input, mask and output as arrays, one ``run_lengths`` and
-    one capped copy of the run lengths."""
+    one capped copy of the run lengths, and each bootstrap replicate
+    summed alone.  Each replicate's length counts are appended to the
+    list ``replicate_counts`` when one is given."""
 
     def h_over_mu(counts, total_runs, length_sum):
         return _entropy_bits(counts / total_runs) / (length_sum / total_runs)
@@ -396,9 +398,11 @@ def whole_array_h_out(spec, d, out_bits, seed):
     replicas = []
     for _ in range(_BOOTSTRAP_RESAMPLES):
         picks = boot_rng.integers(0, n_blocks, n_blocks)
+        counts = block_counts[picks].sum(axis=0)
+        if replicate_counts is not None:
+            replicate_counts.append(counts)
         replicas.append((1.0 - d) * h_over_mu(
-            block_counts[picks].sum(axis=0), float(block_runs[picks].sum()),
-            float(block_sums[picks].sum()),
+            counts, float(block_runs[picks].sum()), float(block_sums[picks].sum()),
         ))
     return h_out, float(np.std(replicas, ddof=1))
 
@@ -418,11 +422,18 @@ class TestBlockedStream:
     )
     @pytest.mark.parametrize("d", [0.0, 0.05, 0.1, 0.5])
     def test_matches_whole_array_stream(self, spec, d):
+        replicate_counts = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for out_bits in (2000, 65_536, 300_000):
                 got = _h_out_from_stream(spec, d, out_bits, 5)
-                assert got == whole_array_h_out(spec, d, out_bits, 5)
+                assert got == whole_array_h_out(spec, d, out_bits, 5, replicate_counts)
+        # some replicate has an interior zero: its positive length counts
+        # are not a prefix of 1.._L_CAP, so the entropy skips a zero term
+        # between positive ones
+        positive = np.array(replicate_counts) > 0
+        prefix = np.arange(_L_CAP) < positive.sum(axis=1)[:, None]
+        assert (positive != prefix).any()
 
     def test_fewer_interior_runs_than_blocks(self):
         # runs of 300 leave a 1-bit budget a few interior runs, all over

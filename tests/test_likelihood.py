@@ -272,6 +272,23 @@ class TestBandKernel:
         got = kernel_log2(np.ones((1, n), np.uint8), np.ones((1, m), np.uint8), [m])
         assert got[0] == pytest.approx(log2_binomial(n, m), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, top, scale",
+        [
+            (17, 24310.0, 0),  # int16 counts over two compare blocks
+            (993, float.fromhex("0x1.9e8812fde51c2p+0"), 987),
+            (1100, float.fromhex("0x1.8a0ff6e1dd6e0p+107"), 987),
+            (2007, float.fromhex("0x1.23b1137257426p+22"), 1979),
+        ],
+    )
+    def test_rescale_points_are_pinned(self, n, top, scale):
+        # all ones with m = n // 2: a peak check that moves, or one that is
+        # skipped, rescales by other exponents at other points, which moves
+        # the scale or the last bits of top
+        m = n // 2
+        got = _band_counts(np.ones((1, n), np.uint8), np.ones((1, m), np.uint8), [m])
+        assert (got[0][0], got[1][0]) == (top, scale)
+
     @pytest.mark.parametrize("n", [959, 960, 961, 992, 993, 1100])
     def test_rescale_boundary_batch_bit_identical_to_single_rows(self, n):
         rng = np.random.Generator(np.random.Philox(n))
