@@ -30,7 +30,9 @@ Impossible outputs give the distinguished value ``-inf``, not an error:
 Monte Carlo never produces them but adversarial inputs do.
 
 The exhaustive ``n <= 12`` oracles enumerate every output:
-``total_probability`` is the normalization self-check of the DP, and
+``total_probability`` is the normalization self-check of the DP (one
+d-free kernel pass for ``sum over |y| = m of N(x, y)``, exactly
+``C(n, m)``, then one weighing by ``d^(n-m) (1-d)^m``), and
 ``exact_block_information`` gives the exact ``H(Y)`` and ``H(Y|X)``
 against which the Monte Carlo estimators are gated.  Both read every
 n-bit word from one read-only matrix per n, built on first use.  The
@@ -92,7 +94,7 @@ _INT_COUNTS = np.int16
 _INT_MAX_N = max(
     n for n in range(64) if math.comb(n, n // 2) <= np.iinfo(_INT_COUNTS).max
 )
-#: Pairs x band width per ``_total_probabilities`` kernel call, all in the
+#: Pairs x band width per ``_embedding_sums`` kernel call, all in the
 #: int16 regime (n <= 12).  The ``check_dp_oracle`` tracemalloc peak is
 #: 1.20 MB at 2^13 cells and 1.96 MB at 2^14.
 _MAX_BAND_CELLS = 1 << 13
@@ -270,13 +272,16 @@ def _all_words(n: int) -> np.ndarray:
     return words
 
 
-def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:
-    """``total_probability`` of each row of ``xs``, shape ``(R, n)``; a call
-    covers inputs x all 2^m outputs, at most ``_MAX_BAND_CELLS`` band cells,
-    and each sum is bit-identical to the input's sum alone."""
+def _embedding_sums(xs: np.ndarray) -> np.ndarray:
+    """``sum over |y| = m of N(x, y)`` for each row x of ``xs`` ``(R, n)`` and
+    each ``m = 0..n``, shape ``(R, n + 1)``: the exact integer, as float64,
+    that a correct DP makes ``C(n, m)`` (one embedding per deletion mask).
+    It needs no d.  A call covers inputs x all 2^m outputs, at most
+    ``_MAX_BAND_CELLS`` band cells, and each row's sums are the same alone
+    or in any batch."""
     xs = np.ascontiguousarray(xs)
     rows, n = xs.shape
-    totals = np.empty((rows, n + 1))
+    sums = np.empty((rows, n + 1))
     for m in range(n + 1):
         K, width = n - m, 2**m
         group = max(1, min(rows, _MAX_BAND_CELLS // (width * (K + 1))))
@@ -290,9 +295,16 @@ def _total_probabilities(xs: np.ndarray, d: float) -> np.ndarray:
             xt = np.repeat(x.T, width, axis=1)
             # n <= 12 never rescales: scale is 0 and top is the count
             top, _ = _band_dp(xt, np.ascontiguousarray(ypad[:, :cols]), k[:cols])
-            totals[lo : lo + group, m] = top.reshape(-1, width).sum(axis=1)
-        totals[:, m] *= d ** (n - m) * (1.0 - d) ** m
-    return np.array([math.fsum(row) for row in totals.tolist()])
+            sums[lo : lo + group, m] = top.reshape(-1, width).sum(axis=1)
+    return sums
+
+
+def _weighted_totals(sums: np.ndarray, d: float) -> np.ndarray:
+    """``total_probability`` of each row of ``_embedding_sums``: one ``fsum``
+    per row of ``sums[:, m] * (d^(n-m) (1-d)^m)``."""
+    n = sums.shape[1] - 1
+    weights = [d ** (n - m) * (1.0 - d) ** m for m in range(n + 1)]
+    return np.array([math.fsum(row) for row in (sums * weights).tolist()])
 
 
 def total_probability(x, d: float) -> float:
@@ -300,7 +312,7 @@ def total_probability(x, d: float) -> float:
 
     Enumerates every candidate output of every length (``n <= 12``), one
     batched kernel call per length, and sums ``N(x,y) d^(n-m) (1-d)^m``.
-    It is the one-row case of the batched ``_total_probabilities``.
+    It is the one-row case of ``_embedding_sums`` and ``_weighted_totals``.
     Exposed as the normalization self-check of the likelihood computation.
     """
     _check_d_open(d)
@@ -309,7 +321,7 @@ def total_probability(x, d: float) -> float:
         raise ValueError(
             f"all-output enumeration supports n <= {_ORACLE_MAX_N}, got {x.size}"
         )
-    return float(_total_probabilities(x[None, :], d)[0])
+    return float(_weighted_totals(_embedding_sums(x[None, :]), d)[0])
 
 
 # --------------------------------------------------------------------------

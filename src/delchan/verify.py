@@ -29,7 +29,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -47,7 +47,8 @@ from delchan.likelihood import (
     IMPOSSIBLE,
     _all_words,
     _band_counts,
-    _total_probabilities,
+    _embedding_sums,
+    _weighted_totals,
     exact_block_information,
 )
 from delchan.runstats import (
@@ -208,6 +209,12 @@ def _pin(name: str, value: float, target: float, tol: float) -> CheckResult:
     )
 
 
+def _worst(values) -> float:
+    """The largest of ``values``, NaN if any is NaN: the builtin ``max``
+    keeps a NaN only when it comes first, so it could pass a pin."""
+    return float(np.max(list(values)))
+
+
 def _flag(name: str, passed: bool, value: float = 0.0) -> CheckResult:
     """A yes/no check; ``value`` carries the measured magnitude."""
     return CheckResult(
@@ -261,7 +268,7 @@ def check_capacity_table() -> list[CheckResult]:
     bundled upper bounds (the estimate crosses them from d = 0.40 on)."""
     rows = BoundsTable.bundled().rows
     est = {d: capacity_estimate(d) for d, _, _ in rows}
-    worst = max(abs(est[d] - printed) for d, printed in PUBLISHED_ESTIMATES.items())
+    worst = _worst(abs(est[d] - printed) for d, printed in PUBLISHED_ESTIMATES.items())
     out = [_pin("capacity table max |C_est - printed|", worst, 0.0, 5e-5)]
     for d, _, upper in rows:
         expect_above = d >= 0.40
@@ -352,8 +359,11 @@ def check_dp_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
     Pairs are checked one (n, m) group at a time, each in one kernel
     call against ``_brute_counts``, which still enumerates every set of
-    kept positions but compares integer codes of the kept bits; the
-    normalization runs one batch of 100 inputs per (n, d).
+    kept positions but compares integer codes of the kept bits.  The
+    normalization draws one batch of 100 inputs per n and runs the d-free
+    kernel pass once on it: every sum over the outputs of one length m
+    must equal ``C(n, m)`` exactly, and the same sums weighed at each d
+    give the ``max |sum - 1|`` pin.
     """
     rng = _rng_from(seed)
     out = []
@@ -361,7 +371,7 @@ def check_dp_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     def compare(groups) -> tuple[int, bool, float]:
         results = [(len(xs), *_check_group(xs, ys)) for xs, ys in groups]
         counts, oks, worsts = zip(*results)
-        return sum(counts), all(oks), max(worsts)
+        return sum(counts), all(oks), _worst(worsts)
 
     # exhaustive over every (x, y) pair up to n = 6
     pairs, ok, worst = compare(
@@ -384,14 +394,18 @@ def check_dp_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     )
     out.append(_flag("random-pair DP equivalence (10000 pairs, n <= 12)", ok, worst))
 
-    # sum over all outputs of the likelihood is exactly 1
-    worst = 0.0
+    # each input has C(n, m) deletion masks onto the outputs of length m, so
+    # sum_y N(x, y) over them is C(n, m) exactly and needs no d; weighed at
+    # any d the sums give the likelihood's sum over all outputs, 1.  The
+    # identity also catches a miscount that a weight below 1e-12 would hide.
+    exact, errors = True, []
     for n in range(4, 13):
-        for d in (0.1, 0.5, 0.9):
-            xs = rng.integers(0, 2, size=(100, n), dtype=np.uint8)
-            worst = max(worst, float(np.abs(_total_probabilities(xs, d) - 1.0).max()))
-    out.append(_pin("likelihood normalization max |sum - 1| (n=4..12)",
-                    worst, 0.0, 1e-12))
+        sums = _embedding_sums(rng.integers(0, 2, size=(100, n), dtype=np.uint8))
+        exact &= bool((sums == [math.comb(n, m) for m in range(n + 1)]).all())
+        errors += [abs(_weighted_totals(sums, d) - 1.0).max() for d in (0.1, 0.5, 0.9)]
+    norm = _pin("likelihood normalization max |sum - 1| (n=4..12)",
+                _worst(errors), 0.0, 1e-12)
+    out.append(replace(norm, passed=norm.passed and exact))
     return out
 
 
@@ -454,9 +468,7 @@ def check_run_statistics(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
     x = sample_sequence(SourceSpec.bernoulli_half(), 10**6, s_bern)
     stats = empirical_run_distribution(x)
-    worst = max(
-        abs(stats.pmf.prob(l) - 2.0**-l) for l in range(1, 9)
-    )
+    worst = _worst(abs(stats.pmf.prob(l) - 2.0**-l) for l in range(1, 9))
     out.append(_pin("uniform-input run law max |p_hat(l) - 2^-l|, l <= 8",
                     worst, 0.0, 0.005))
 
@@ -466,7 +478,7 @@ def check_run_statistics(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     q = dagger_distribution(0.1)
     xd = sample_sequence(SourceSpec.renewal(q), 10**6, s_dag)
     sd = empirical_run_distribution(xd)
-    worst = max(abs(sd.pmf.prob(l) - q.prob(l)) for l in range(1, 9))
+    worst = _worst(abs(sd.pmf.prob(l) - q.prob(l)) for l in range(1, 9))
     out.append(_pin("tuned run law max |p_hat(l) - q(l)|, l <= 8",
                     worst, 0.0, 0.01))
 

@@ -23,11 +23,12 @@ from delchan.likelihood import (
     _all_words,
     _band_counts,
     _band_dp,
+    _embedding_sums,
     _group_codes,
     _input_probs,
     _key_maps,
     _log2_binomials,
-    _total_probabilities,
+    _weighted_totals,
     binomial_length_entropy,
     embedding_count,
     exact_block_information,
@@ -486,7 +487,7 @@ class TestLogLikelihood:
 
 def loop_total_probability(x, ds) -> list[float]:
     """``total_probability`` of one input at each d of ``ds``, one kernel
-    call per output length: the loop that ``_total_probabilities`` batches."""
+    call per output length: the loop that ``_embedding_sums`` batches."""
     x = as_bits(x)
     n = x.size
     sums = []
@@ -557,8 +558,11 @@ class TestTotalProbabilities:
             xs = all_inputs(n)
             ds = (0.1, 0.5, 0.9)
             expected = np.array([loop_total_probability(x, ds) for x in xs])
+            sums = _embedding_sums(xs)
             for i, d in enumerate(ds):
-                assert _total_probabilities(xs, d).tolist() == expected[:, i].tolist()
+                assert _weighted_totals(sums, d).tolist() == expected[:, i].tolist()
+            if n <= 8:  # every input's masks onto each output length
+                assert (sums == [math.comb(n, m) for m in range(n + 1)]).all()
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_bit_identical_to_length_loop_sampled_n_11_12(self, n, monkeypatch):
@@ -570,7 +574,7 @@ class TestTotalProbabilities:
             0, 2, (9, n), dtype=np.uint8
         )
         ds = (0.1, 0.5, 0.9)
-        groups = {}  # output length -> inputs of each call, at the first d
+        groups = {}  # output length -> inputs of each call
 
         def recording(xt, ypad, k):
             m = n - int(k[0])
@@ -580,11 +584,11 @@ class TestTotalProbabilities:
             return _band_dp(xt, ypad, k)
 
         monkeypatch.setattr(likelihood, "_band_dp", recording)
-        got = [_total_probabilities(xs, d).tolist() for d in ds]
+        sums = _embedding_sums(xs)
         monkeypatch.undo()
-        calls = {m: g[: len(g) // len(ds)] for m, g in groups.items()}
-        assert calls[0] == [9] and calls[n][-1] == 1  # one input at m = n
-        assert any(len(set(c)) > 1 and c[-1] < c[0] for c in calls.values())
+        got = [_weighted_totals(sums, d).tolist() for d in ds]
+        assert groups[0] == [9] and groups[n][-1] == 1  # one input at m = n
+        assert any(len(set(c)) > 1 and c[-1] < c[0] for c in groups.values())
         expected = np.array([loop_total_probability(x, ds) for x in xs])
         for i in range(len(ds)):
             assert got[i] == expected[:, i].tolist()
@@ -603,7 +607,7 @@ class TestTotalProbabilities:
             return _band_dp(xt, ypad, k)
 
         monkeypatch.setattr(likelihood, "_band_dp", counting)
-        got = _total_probabilities(xs, 0.3)
+        got = _weighted_totals(_embedding_sums(xs), 0.3)
         monkeypatch.undo()
         assert len(cells) > 13  # more than one call per output length
         assert max(cells) <= likelihood._MAX_BAND_CELLS

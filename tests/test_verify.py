@@ -6,7 +6,9 @@ we check report shapes, suite composition, and the cheap check groups.
 
 import itertools
 import json
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,6 +98,27 @@ class TestCheapChecks:
         assert [c.value for c in flags] == [capacity_estimate(d) - 1.0 for d, _, _ in rows]
         assert [c.passed for c in flags] == [d < 0.40 for d, _, _ in rows]
 
+    def test_nan_estimate_fails_the_capacity_pin(self, monkeypatch):
+        # d = 0.10 is not the first estimate, where max() would drop a NaN
+        monkeypatch.setattr(
+            verify, "capacity_estimate",
+            lambda d: math.nan if d == 0.10 else capacity_estimate(d),
+        )
+        pin = check_capacity_table()[0]
+        assert not pin.passed and math.isnan(pin.value)
+
+    def test_nan_run_probability_fails_the_run_law_pins(self, monkeypatch):
+        def nan_at_length_3(x, empirical=verify.empirical_run_distribution):
+            prob = empirical(x).pmf.prob
+            return SimpleNamespace(pmf=SimpleNamespace(
+                prob=lambda l: math.nan if l == 3 else prob(l)
+            ))
+
+        monkeypatch.setattr(verify, "empirical_run_distribution", nan_at_length_3)
+        checks = verify.check_run_statistics()
+        assert [c.passed for c in checks] == [False, True, False, True]
+        assert math.isnan(checks[0].value) and math.isnan(checks[2].value)
+
     def test_cli_reads_the_bounds_table_from_here(self):
         assert cli.BoundsTable is BoundsTable
         assert cli.DEFAULT_D_GRID is verify.DEFAULT_D_GRID
@@ -157,6 +180,22 @@ class TestBruteForceReference:
                 np.testing.assert_array_equal(weights[:, j], want)
 
 
+def fault_first_normalization_call(monkeypatch, m: int, extra: float) -> None:
+    """Add ``extra`` to the first pair's count in the kernel's first call on
+    all outputs of length m (m >= 6) of n = 12 inputs.  Those calls hold
+    over 1000 pairs; a random-pair group of one (n, m) holds about 64."""
+    faulted = []
+
+    def faulty(xt, ypad, k):
+        top, scale = _band_dp(xt, ypad, k)
+        if len(xt) == 12 and k[0] == 12 - m and ypad.shape[1] > 1000 and not faulted:
+            top[0] += extra
+            faulted.append(True)
+        return top, scale
+
+    monkeypatch.setattr(likelihood, "_band_dp", faulty)
+
+
 class TestGroupedOracle:
     def test_clean_groups_pass(self):
         for n, m in [(1, 0), (4, 2), (6, 3), (6, 6)]:
@@ -192,6 +231,22 @@ class TestGroupedOracle:
         monkeypatch.setattr(verify, "_band_counts", faulty_at_n5_m2)
         passed = [c.passed for c in check_dp_oracle(DEFAULT_SEED)]
         assert passed == [False, False, True]
+
+    @pytest.mark.parametrize("extra", [1.0, 2.0**-40], ids=["one", "2^-40"])
+    def test_normalization_miscount_fails_its_check(self, monkeypatch, extra):
+        # one output of one n = 12 input over-counted: at 2^-40 every
+        # weighted sum stays within 1e-12 of 1, and only the exact
+        # C(n, m) identity fails the row
+        fault_first_normalization_call(monkeypatch, 11, extra)
+        checks = check_dp_oracle(DEFAULT_SEED)
+        assert [c.passed for c in checks] == [True, True, False]
+        assert checks[2].value > 0.0 and (extra == 1.0) == (checks[2].value > 1e-12)
+
+    def test_nan_normalization_fails_its_check(self, monkeypatch):
+        fault_first_normalization_call(monkeypatch, 6, math.nan)
+        checks = check_dp_oracle(DEFAULT_SEED)
+        assert [c.passed for c in checks] == [True, True, False]
+        assert math.isnan(checks[2].value)
 
     def test_check_names_and_pair_count(self):
         checks = check_dp_oracle(DEFAULT_SEED)
@@ -232,9 +287,9 @@ class TestOracleWorkAndOutput:
         monkeypatch.setattr(likelihood, "_band_dp", counting_kernel)
         monkeypatch.setattr(verify, "_check_group", recording_group)
         check_dp_oracle(DEFAULT_SEED)
-        # 27 exhaustive + 90 random groups, 1374 normalization calls, the
-        # normalization calls at most _MAX_BAND_CELLS band cells each
-        assert len(cells) == 1491
+        # 27 exhaustive + 90 random groups, 458 normalization calls (one
+        # d-free pass per n = 4..12), at most _MAX_BAND_CELLS band cells each
+        assert len(cells) == 575
         assert max(cells[117:]) <= likelihood._MAX_BAND_CELLS
         exhaustive = [(n, m) for n in range(1, 7) for m in range(n + 1)]
         random_ = [(n, m) for n in range(1, 13) for m in range(n + 1)]
@@ -261,7 +316,7 @@ class TestOracleWorkAndOutput:
         x = np.tile(np.array([0, 1, 1], np.uint8), 40)
         embedding_count(x[::2], x[1::3])  # strided rows
         embedding_count(x, x[::-1][:50])
-        assert seen == {"check_dp_oracle": 1491, "estimate_h_cond": 2,
+        assert seen == {"check_dp_oracle": 575, "estimate_h_cond": 2,
                         "embedding_count": 2}
 
     def test_check_dp_oracle_memory_budget(self):
